@@ -1,7 +1,6 @@
 //! Per-neuron fault plans: which operators of which neurons are
 //! defective, and the gate-level circuits that emulate them.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -135,6 +134,109 @@ impl Default for LatchFaults {
     }
 }
 
+/// The faulty operators of one physical synapse: its multiplier,
+/// accumulation adder and weight latch, any of which may be defective.
+#[derive(Debug)]
+pub(crate) struct SynapseFaults {
+    index: usize,
+    mul: Option<HwMultiplier>,
+    add: Option<HwAdder>,
+    latch: Option<LatchFaults>,
+}
+
+impl SynapseFaults {
+    fn new(index: usize) -> SynapseFaults {
+        SynapseFaults {
+            index,
+            mul: None,
+            add: None,
+            latch: None,
+        }
+    }
+
+    /// True if the synapse must be evaluated even with a zero weight
+    /// and input (a physical synapse beyond the task's width): a faulty
+    /// multiplier or adder can turn zero operands into a nonzero
+    /// contribution, and a dynamic latch bit advances its activation
+    /// stream on every read. Permanent latch masks alone cannot: the
+    /// native product of any weight with a zero input is 0.
+    fn live_at_zero(&self) -> bool {
+        self.mul.is_some()
+            || self.add.is_some()
+            || self.latch.as_ref().is_some_and(|lf| !lf.dynamic.is_empty())
+    }
+
+    /// Applies the latch's stuck bits to a weight read. Each read
+    /// advances the activation machines of the latch's dynamic faults,
+    /// so a transient stuck bit corrupts individual weight fetches;
+    /// active dynamic bits overwrite the permanent masks in injection
+    /// order.
+    fn latch_filter(&mut self, w: Fx) -> Fx {
+        let Some(lf) = self.latch.as_mut() else {
+            return w;
+        };
+        let mut bits = (w.to_bits() & lf.and_mask) | lf.or_mask;
+        for b in &mut lf.dynamic {
+            if b.state.advance() {
+                if b.stuck_one {
+                    bits |= 1 << b.bit;
+                } else {
+                    bits &= !(1 << b.bit);
+                }
+            }
+        }
+        Fx::from_bits(bits)
+    }
+
+    /// One multiply-accumulate step through this synapse: latch, then
+    /// multiplier, then accumulation adder, each faulty where marked.
+    pub(crate) fn mac(&mut self, acc: Fx, w: Fx, x: Fx) -> Fx {
+        let w = self.latch_filter(w);
+        let p = match self.mul.as_mut() {
+            Some(hw) => hw.mul(w, x),
+            None => w * x,
+        };
+        match self.add.as_mut() {
+            Some(hw) => hw.add(acc, p),
+            None => acc + p,
+        }
+    }
+
+    /// [`SynapseFaults::mac`] over a batch of samples sharing the weight
+    /// `w`, 64 lanes per settle through vectorizable faulty operators.
+    pub(crate) fn mac_batch(&mut self, accs: &[Fx], w: Fx, xs: &[Fx]) -> Vec<Fx> {
+        let w = self.latch_filter(w);
+        let prods: Vec<Fx> = match self.mul.as_mut() {
+            Some(hw) => hw.mul_batch(&vec![w; xs.len()], xs),
+            None => xs.iter().map(|&x| w * x).collect(),
+        };
+        match self.add.as_mut() {
+            Some(hw) => hw.add_batch(accs, &prods),
+            None => accs.iter().zip(&prods).map(|(&a, &p)| a + p).collect(),
+        }
+    }
+
+    fn vectorizable(&self) -> bool {
+        self.mul.as_ref().is_none_or(|hw| hw.vectorizable())
+            && self.add.as_ref().is_none_or(|hw| hw.vectorizable())
+            && self.latch.as_ref().is_none_or(|lf| lf.dynamic.is_empty())
+    }
+
+    fn reset_state(&mut self) {
+        if let Some(hw) = self.mul.as_mut() {
+            hw.reset_state();
+        }
+        if let Some(hw) = self.add.as_mut() {
+            hw.reset_state();
+        }
+        if let Some(lf) = self.latch.as_mut() {
+            for b in &mut lf.dynamic {
+                b.state.reset();
+            }
+        }
+    }
+}
+
 /// The faulty operators of one neuron.
 ///
 /// In the spatially expanded accelerator every synapse has its own
@@ -143,36 +245,81 @@ impl Default for LatchFaults {
 /// latches are state elements, for which the stuck-at model is accurate
 /// (the paper: such a model "accurately describes faults occurring at
 /// state elements"), so latch defects are stuck bits in the stored word.
+///
+/// Only faulty synapses are stored, in one list sorted by synapse
+/// index, so the forward pass walks it with a cursor instead of looking
+/// every synapse up.
 #[derive(Debug, Default)]
 pub struct NeuronFaults {
-    muls: HashMap<usize, HwMultiplier>,
-    adds: HashMap<usize, HwAdder>,
+    /// Faulty synapses, sorted by index; each carries at least one fault.
+    synapses: Vec<SynapseFaults>,
     act: Option<HwSigmoid>,
-    /// Per-synapse stuck bits applied to the stored weight word.
-    latches: HashMap<usize, LatchFaults>,
 }
 
 impl NeuronFaults {
     /// One past the highest physical synapse index carrying a fault
     /// (multiplier, adder or latch); 0 if only the activation is faulty.
     pub fn max_synapse_excl(&self) -> usize {
-        self.muls
-            .keys()
-            .chain(self.adds.keys())
-            .chain(self.latches.keys())
-            .map(|&i| i + 1)
-            .max()
-            .unwrap_or(0)
+        self.synapses.last().map_or(0, |s| s.index + 1)
+    }
+
+    fn synapse(&self, i: usize) -> Option<&SynapseFaults> {
+        let at = self.synapses.binary_search_by_key(&i, |s| s.index).ok()?;
+        Some(&self.synapses[at])
+    }
+
+    fn synapse_mut(&mut self, i: usize) -> Option<&mut SynapseFaults> {
+        let at = self.synapses.binary_search_by_key(&i, |s| s.index).ok()?;
+        Some(&mut self.synapses[at])
+    }
+
+    /// The entry of synapse `i`, inserted in index order if absent.
+    fn synapse_entry(&mut self, i: usize) -> &mut SynapseFaults {
+        let at = match self.synapses.binary_search_by_key(&i, |s| s.index) {
+            Ok(at) => at,
+            Err(at) => {
+                self.synapses.insert(at, SynapseFaults::new(i));
+                at
+            }
+        };
+        &mut self.synapses[at]
+    }
+
+    /// Visits, in index order, the physical synapses a multiply-
+    /// accumulate over `n_logical` inputs must evaluate: every logical
+    /// synapse (`None` where it carries no fault), then the faulty
+    /// synapses beyond the logical width that can disturb the sum (see
+    /// [`SynapseFaults::live_at_zero`]). With `every_physical` set, all
+    /// synapses up to [`NeuronFaults::max_synapse_excl`] are visited
+    /// instead: a defective weight store counts every fetch.
+    pub(crate) fn walk(
+        &mut self,
+        n_logical: usize,
+        every_physical: bool,
+        mut visit: impl FnMut(usize, Option<&mut SynapseFaults>),
+    ) {
+        let n_dense = if every_physical {
+            n_logical.max(self.max_synapse_excl())
+        } else {
+            n_logical
+        };
+        let mut faulty = self.synapses.iter_mut().peekable();
+        for i in 0..n_dense {
+            visit(i, faulty.next_if(|s| s.index == i));
+        }
+        for s in faulty.filter(|s| s.live_at_zero()) {
+            visit(s.index, Some(s));
+        }
     }
 
     /// The faulty multiplier at synapse `i`, if any.
     pub fn multiplier_mut(&mut self, i: usize) -> Option<&mut HwMultiplier> {
-        self.muls.get_mut(&i)
+        self.synapse_mut(i)?.mul.as_mut()
     }
 
     /// The faulty accumulation adder at step `i`, if any.
     pub fn adder_mut(&mut self, i: usize) -> Option<&mut HwAdder> {
-        self.adds.get_mut(&i)
+        self.synapse_mut(i)?.add.as_mut()
     }
 
     /// Applies any latch stuck-bit faults of synapse `i` to a weight.
@@ -181,20 +328,8 @@ impl NeuronFaults {
     /// weight fetches; active dynamic bits overwrite the permanent
     /// masks in injection order.
     pub fn latch_filter(&mut self, i: usize, w: Fx) -> Fx {
-        match self.latches.get_mut(&i) {
-            Some(lf) => {
-                let mut bits = (w.to_bits() & lf.and_mask) | lf.or_mask;
-                for b in &mut lf.dynamic {
-                    if b.state.advance() {
-                        if b.stuck_one {
-                            bits |= 1 << b.bit;
-                        } else {
-                            bits &= !(1 << b.bit);
-                        }
-                    }
-                }
-                Fx::from_bits(bits)
-            }
+        match self.synapse_mut(i) {
+            Some(s) => s.latch_filter(w),
             None => w,
         }
     }
@@ -223,29 +358,24 @@ impl NeuronFaults {
     /// stuck-bit masks are pure functions and never disqualify; dynamic
     /// latch faults advance per weight read and force the scalar path.
     pub fn vectorizable(&self) -> bool {
-        self.muls.values().all(|hw| hw.vectorizable())
-            && self.adds.values().all(|hw| hw.vectorizable())
+        self.synapses.iter().all(SynapseFaults::vectorizable)
             && self.act.as_ref().is_none_or(|hw| hw.vectorizable())
-            && self.latches.values().all(|lf| lf.dynamic.is_empty())
     }
 
     /// True if this neuron carries no fault (plans prune such entries).
     pub fn is_empty(&self) -> bool {
-        self.muls.is_empty()
-            && self.adds.is_empty()
-            && self.act.is_none()
-            && self.latches.is_empty()
+        self.synapses.is_empty() && self.act.is_none()
     }
 
     /// Read-only view of the faulty multiplier at synapse `i` (the
     /// network fuser reads its patched LUT stream without evaluating).
     pub(crate) fn mul_at(&self, i: usize) -> Option<&HwMultiplier> {
-        self.muls.get(&i)
+        self.synapse(i)?.mul.as_ref()
     }
 
     /// Read-only view of the faulty adder at step `i`.
     pub(crate) fn add_at(&self, i: usize) -> Option<&HwAdder> {
-        self.adds.get(&i)
+        self.synapse(i)?.add.as_ref()
     }
 
     /// Read-only view of the faulty activation unit.
@@ -259,25 +389,17 @@ impl NeuronFaults {
     /// [vectorizable](NeuronFaults::vectorizable) neurons, where the
     /// dynamic list is empty.
     pub(crate) fn latch_masks(&self, i: usize) -> (u16, u16) {
-        self.latches
-            .get(&i)
+        self.synapse(i)
+            .and_then(|s| s.latch.as_ref())
             .map_or((0xFFFF, 0), |lf| (lf.and_mask, lf.or_mask))
     }
 
     fn reset_state(&mut self) {
-        for hw in self.muls.values_mut() {
-            hw.reset_state();
-        }
-        for hw in self.adds.values_mut() {
-            hw.reset_state();
+        for s in &mut self.synapses {
+            s.reset_state();
         }
         if let Some(hw) = self.act.as_mut() {
             hw.reset_state();
-        }
-        for lf in self.latches.values_mut() {
-            for b in &mut lf.dynamic {
-                b.state.reset();
-            }
         }
     }
 }
@@ -301,19 +423,30 @@ impl NeuronFaults {
 pub struct FaultPlan {
     /// Physical synapses per hidden neuron (90 in the accelerator).
     hw_inputs: usize,
-    neurons: HashMap<(Layer, usize), NeuronFaults>,
+    /// Fault entries per layer (`[hidden, output]`), indexed by physical
+    /// lane; `None` for healthy lanes.
+    neurons: [Vec<Option<NeuronFaults>>; 2],
     records: Vec<String>,
     sites: Vec<FaultSite>,
-    /// Logical→physical hidden-lane overrides installed by a recovery
-    /// remap; identity for lanes not present.
-    hidden_map: HashMap<usize, usize>,
-    /// Physical lanes whose output is gated to 0 (fail-silent masking).
-    masked: HashSet<(Layer, usize)>,
+    /// Logical→physical hidden-lane routes installed by a recovery
+    /// remap, indexed by logical lane; identity beyond its length.
+    hidden_map: Vec<usize>,
+    /// Per layer, per physical lane: output gated to 0 (fail-silent
+    /// masking); unmasked beyond its length.
+    masked: [Vec<bool>; 2],
     /// Optional weight-store model: when attached, every weight and bias
     /// fetch of the faulty forward paths goes through the (possibly
     /// defective) bit-cell array. A transparent (defect-free) array is
     /// skipped entirely, keeping the healthy path bit-identical.
     mem: Option<WeightMemory>,
+}
+
+/// Index of a layer in the per-layer tables of [`FaultPlan`].
+fn layer_ix(layer: Layer) -> usize {
+    match layer {
+        Layer::Hidden => 0,
+        Layer::Output => 1,
+    }
 }
 
 /// The memory bank a layer's weight rows live in.
@@ -330,11 +463,11 @@ impl FaultPlan {
     pub fn new(hw_inputs: usize) -> FaultPlan {
         FaultPlan {
             hw_inputs,
-            neurons: HashMap::new(),
+            neurons: [Vec::new(), Vec::new()],
             records: Vec::new(),
             sites: Vec::new(),
-            hidden_map: HashMap::new(),
-            masked: HashSet::new(),
+            hidden_map: Vec::new(),
+            masked: [Vec::new(), Vec::new()],
             mem: None,
         }
     }
@@ -370,7 +503,9 @@ impl FaultPlan {
         neuron: usize,
     ) -> (Option<&mut WeightMemory>, Option<&mut NeuronFaults>) {
         let mem = self.mem.as_mut().filter(|m| !m.is_transparent());
-        let nf = self.neurons.get_mut(&(layer, neuron));
+        let nf = self.neurons[layer_ix(layer)]
+            .get_mut(neuron)
+            .and_then(Option::as_mut);
         (mem, nf)
     }
 
@@ -427,81 +562,99 @@ impl FaultPlan {
     /// Physical hidden lane that logical hidden neuron `logical` is
     /// routed to (identity unless remapped).
     pub fn hidden_lane(&self, logical: usize) -> usize {
-        *self.hidden_map.get(&logical).unwrap_or(&logical)
+        self.hidden_map.get(logical).copied().unwrap_or(logical)
     }
 
     /// Routes logical hidden neuron `logical` onto physical lane
     /// `physical` (a spare-lane repair). Forward passes evaluate the
     /// neuron's weights through that lane's operators instead.
     pub fn remap_hidden(&mut self, logical: usize, physical: usize) {
-        if logical == physical {
-            self.hidden_map.remove(&logical);
-        } else {
-            self.hidden_map.insert(logical, physical);
+        if logical >= self.hidden_map.len() {
+            if logical == physical {
+                return;
+            }
+            self.hidden_map.extend(self.hidden_map.len()..=logical);
         }
+        self.hidden_map[logical] = physical;
     }
 
     /// The installed logical→physical hidden remaps, sorted by logical
     /// lane.
     pub fn remapped_hidden(&self) -> Vec<(usize, usize)> {
-        let mut v: Vec<(usize, usize)> = self.hidden_map.iter().map(|(&l, &p)| (l, p)).collect();
-        v.sort_unstable();
-        v
+        self.hidden_map
+            .iter()
+            .enumerate()
+            .filter(|&(l, &p)| l != p)
+            .map(|(l, &p)| (l, p))
+            .collect()
     }
 
     /// Gates a physical lane's output to 0 (fail-silent masking — the
     /// degraded network serves without the lane's contribution).
     pub fn mask(&mut self, layer: Layer, lane: usize) {
-        self.masked.insert((layer, lane));
+        let masked = &mut self.masked[layer_ix(layer)];
+        if lane >= masked.len() {
+            masked.resize(lane + 1, false);
+        }
+        masked[lane] = true;
     }
 
     /// Removes a mask installed by [`FaultPlan::mask`].
     pub fn unmask(&mut self, layer: Layer, lane: usize) {
-        self.masked.remove(&(layer, lane));
+        if let Some(m) = self.masked[layer_ix(layer)].get_mut(lane) {
+            *m = false;
+        }
     }
 
     /// True if the physical lane's output is gated to 0.
     pub fn is_masked(&self, layer: Layer, lane: usize) -> bool {
-        self.masked.contains(&(layer, lane))
+        self.masked[layer_ix(layer)]
+            .get(lane)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// The masked physical lanes of a layer, sorted.
     pub fn masked_lanes(&self, layer: Layer) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .masked
+        self.masked[layer_ix(layer)]
             .iter()
-            .filter(|(l, _)| *l == layer)
-            .map(|(_, n)| *n)
-            .collect();
-        v.sort_unstable();
-        v
+            .enumerate()
+            .filter(|&(_, &m)| m)
+            .map(|(lane, _)| lane)
+            .collect()
     }
 
     /// The fault state of a neuron, if it has any.
     pub fn neuron_mut(&mut self, layer: Layer, neuron: usize) -> Option<&mut NeuronFaults> {
-        self.neurons.get_mut(&(layer, neuron))
+        self.neurons[layer_ix(layer)]
+            .get_mut(neuron)
+            .and_then(Option::as_mut)
     }
 
     /// Read-only view of a neuron's fault state (used by the fused
     /// network compiler, which must not disturb activation machines).
     pub(crate) fn neuron(&self, layer: Layer, neuron: usize) -> Option<&NeuronFaults> {
-        self.neurons.get(&(layer, neuron))
+        self.neurons[layer_ix(layer)]
+            .get(neuron)
+            .and_then(Option::as_ref)
     }
 
     /// Indices of faulty neurons per layer.
     pub fn faulty_neurons(&self, layer: Layer) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .neurons
-            .keys()
-            .filter(|(l, _)| *l == layer)
-            .map(|(_, n)| *n)
-            .collect();
-        v.sort_unstable();
-        v
+        self.neurons[layer_ix(layer)]
+            .iter()
+            .enumerate()
+            .filter(|(_, nf)| nf.is_some())
+            .map(|(lane, _)| lane)
+            .collect()
     }
 
     fn entry(&mut self, layer: Layer, neuron: usize) -> &mut NeuronFaults {
-        self.neurons.entry((layer, neuron)).or_default()
+        let lanes = &mut self.neurons[layer_ix(layer)];
+        if neuron >= lanes.len() {
+            lanes.resize_with(neuron + 1, || None);
+        }
+        lanes[neuron].get_or_insert_with(NeuronFaults::default)
     }
 
     /// Injects one **permanent** transistor- or gate-level defect at a
@@ -540,9 +693,9 @@ impl FaultPlan {
         let (desc, site) = if instance < hw_inputs {
             let syn = instance;
             let hw = nf
-                .muls
-                .entry(syn)
-                .or_insert_with(|| HwMultiplier::with_circuit(Arc::clone(lib_mul)));
+                .synapse_entry(syn)
+                .mul
+                .get_or_insert_with(|| HwMultiplier::with_circuit(Arc::clone(lib_mul)));
             let d = hw
                 .inject_random_with(model, activation, 1, rng)
                 .pop()
@@ -559,9 +712,9 @@ impl FaultPlan {
         } else if instance < 2 * hw_inputs {
             let step = instance - hw_inputs;
             let hw = nf
-                .adds
-                .entry(step)
-                .or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
+                .synapse_entry(step)
+                .add
+                .get_or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
             let d = hw
                 .inject_random_with(model, activation, 1, rng)
                 .pop()
@@ -579,7 +732,10 @@ impl FaultPlan {
             let syn = instance - 2 * hw_inputs;
             let bit = rng.random_range(0..16u32);
             let stuck_one = rng.random_bool(0.5);
-            let lf = nf.latches.entry(syn).or_default();
+            let lf = nf
+                .synapse_entry(syn)
+                .latch
+                .get_or_insert_with(LatchFaults::default);
             let desc = if activation.is_permanent() {
                 if stuck_one {
                     lf.or_mask |= 1 << bit;
@@ -646,9 +802,9 @@ impl FaultPlan {
         let (_, lib_add, _) = library();
         let nf = self.entry(Layer::Output, neuron);
         let hw = nf
-            .adds
-            .entry(last_step)
-            .or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
+            .synapse_entry(last_step)
+            .add
+            .get_or_insert_with(|| HwAdder::with_circuit(Arc::clone(lib_add)));
         let d = hw
             .inject_random(FaultModel::TransistorLevel, 1, rng)
             .pop()
@@ -687,7 +843,7 @@ impl FaultPlan {
     /// Clears memory effects and delay-line state in every faulty
     /// circuit; call between independent evaluation runs.
     pub fn reset_state(&mut self) {
-        for nf in self.neurons.values_mut() {
+        for nf in self.neurons.iter_mut().flatten().flatten() {
             nf.reset_state();
         }
         if let Some(mem) = self.mem.as_mut() {
@@ -701,7 +857,11 @@ impl FaultPlan {
     /// effects, delays) force the scalar path, whose per-sample
     /// evaluation order is part of the semantics.
     pub fn vectorizable(&self) -> bool {
-        self.neurons.values().all(|nf| nf.vectorizable())
+        self.neurons
+            .iter()
+            .flatten()
+            .flatten()
+            .all(NeuronFaults::vectorizable)
             && self.mem.as_ref().is_none_or(|m| m.vectorizable())
     }
 }
@@ -741,14 +901,11 @@ mod tests {
     fn latch_filter_applies_stuck_bits() {
         let mut nf = NeuronFaults::default();
         // bit0 stuck 0, bit15 stuck 1
-        nf.latches.insert(
-            3,
-            LatchFaults {
-                and_mask: 0xFFFE,
-                or_mask: 0x8000,
-                dynamic: Vec::new(),
-            },
-        );
+        nf.synapse_entry(3).latch = Some(LatchFaults {
+            and_mask: 0xFFFE,
+            or_mask: 0x8000,
+            dynamic: Vec::new(),
+        });
         let w = Fx::from_bits(0x0001);
         let filtered = nf.latch_filter(3, w);
         assert_eq!(filtered.to_bits(), 0x8000);
@@ -759,17 +916,14 @@ mod tests {
     #[test]
     fn intermittent_latch_bit_corrupts_alternate_reads() {
         let mut nf = NeuronFaults::default();
-        nf.latches.insert(
-            0,
-            LatchFaults {
-                dynamic: vec![LatchBit {
-                    bit: 15,
-                    stuck_one: true,
-                    state: ActivationState::new(Activation::Intermittent { period: 2, duty: 1 }, 0),
-                }],
-                ..LatchFaults::default()
-            },
-        );
+        nf.synapse_entry(0).latch = Some(LatchFaults {
+            dynamic: vec![LatchBit {
+                bit: 15,
+                stuck_one: true,
+                state: ActivationState::new(Activation::Intermittent { period: 2, duty: 1 }, 0),
+            }],
+            ..LatchFaults::default()
+        });
         assert!(!nf.vectorizable(), "dynamic latch forces the scalar path");
         let w = Fx::from_bits(0x0001);
         // duty 1 / period 2: faulty, clean, faulty, clean ...
@@ -778,6 +932,46 @@ mod tests {
         assert_eq!(nf.latch_filter(0, w).to_bits(), 0x8001);
         nf.reset_state();
         assert_eq!(nf.latch_filter(0, w).to_bits(), 0x8001, "reset replays");
+    }
+
+    #[test]
+    fn walk_skips_dead_synapses_beyond_the_logical_width() {
+        let mut nf = NeuronFaults::default();
+        nf.synapse_entry(2).mul = Some(HwMultiplier::new());
+        // Permanent masks alone add 0 beyond the width: skipped.
+        nf.synapse_entry(5).latch = Some(LatchFaults {
+            or_mask: 0x8000,
+            ..LatchFaults::default()
+        });
+        nf.synapse_entry(7).latch = Some(LatchFaults {
+            dynamic: vec![LatchBit {
+                bit: 3,
+                stuck_one: true,
+                state: ActivationState::new(Activation::Intermittent { period: 2, duty: 1 }, 0),
+            }],
+            ..LatchFaults::default()
+        });
+        nf.synapse_entry(9).add = Some(HwAdder::new());
+        assert_eq!(nf.max_synapse_excl(), 10);
+        let mut visited = Vec::new();
+        nf.walk(4, false, |i, syn| visited.push((i, syn.is_some())));
+        assert_eq!(
+            visited,
+            [
+                (0, false),
+                (1, false),
+                (2, true),
+                (3, false),
+                (7, true),
+                (9, true)
+            ]
+        );
+        // An attached store counts every fetch: the whole physical range.
+        visited.clear();
+        nf.walk(4, true, |i, syn| visited.push((i, syn.is_some())));
+        let faulty = [2, 5, 7, 9];
+        let every: Vec<(usize, bool)> = (0..10).map(|i| (i, faulty.contains(&i))).collect();
+        assert_eq!(visited, every);
     }
 
     #[test]

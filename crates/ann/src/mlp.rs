@@ -444,36 +444,26 @@ impl Mlp {
                 .collect();
         };
         let n_logical = inputs.first().map_or(0, Vec::len);
-        let n_eff = n_logical.max(nf.max_synapse_excl());
         let mut accs = vec![bias; n];
-        for i in 0..n_eff {
-            let w = if i < n_logical {
-                weight_of(self, i)
+        let every_physical = mem.is_some();
+        nf.walk(n_logical, every_physical, |i, syn| {
+            let (w, xs) = if i < n_logical {
+                (weight_of(self, i), inputs.iter().map(|x| x[i]).collect())
             } else {
-                Fx::ZERO
+                (Fx::ZERO, vec![Fx::ZERO; n]) // physical synapse beyond the task
             };
             // Array first (the store feeds the lane's weight latch),
-            // then the latch's own stuck bits.
+            // then the synapse's own operators.
             let w = fetch_through(&mut mem, layer, neuron, i, w);
-            let w = nf.latch_filter(i, w);
-            let lane: Vec<Fx> = if i < n_logical {
-                inputs.iter().map(|x| x[i]).collect()
-            } else {
-                vec![Fx::ZERO; n]
-            };
-            let prods: Vec<Fx> = match nf.multiplier_mut(i) {
-                Some(hw) => hw.mul_batch(&vec![w; n], &lane),
-                None => lane.iter().map(|&xi| w * xi).collect(),
-            };
-            match nf.adder_mut(i) {
-                Some(hw) => accs = hw.add_batch(&accs, &prods),
+            match syn {
+                Some(syn) => accs = syn.mac_batch(&accs, w, &xs),
                 None => {
-                    for (acc, &p) in accs.iter_mut().zip(&prods) {
-                        *acc += p;
+                    for (acc, &xi) in accs.iter_mut().zip(&xs) {
+                        *acc += w * xi;
                     }
                 }
             }
-        }
+        });
         accs
     }
 
@@ -501,30 +491,25 @@ impl Mlp {
             return acc;
         };
         let n_logical = inputs.len();
-        let n_eff = n_logical.max(nf.max_synapse_excl());
         let mut acc = bias;
-        // The physical synapse range can extend past `inputs` (defective
-        // columns beyond the task width), so this cannot iterate the slice.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n_eff {
+        // A defective store counts every fetch, so it sees the whole
+        // physical range; otherwise only synapses that can disturb the
+        // sum are visited beyond the task's width.
+        let every_physical = mem.is_some();
+        nf.walk(n_logical, every_physical, |i, syn| {
             let (w, xi) = if i < n_logical {
                 (weight_of(self, i), inputs[i])
             } else {
                 (Fx::ZERO, Fx::ZERO) // physical synapse beyond the task
             };
             // Array first (the store feeds the lane's weight latch),
-            // then the latch's own stuck bits.
+            // then the synapse's own operators.
             let w = fetch_through(&mut mem, layer, neuron, i, w);
-            let w = nf.latch_filter(i, w);
-            let p = match nf.multiplier_mut(i) {
-                Some(hw) => hw.mul(w, xi),
-                None => w * xi,
+            acc = match syn {
+                Some(syn) => syn.mac(acc, w, xi),
+                None => acc + w * xi,
             };
-            acc = match nf.adder_mut(i) {
-                Some(hw) => hw.add(acc, p),
-                None => acc + p,
-            };
-        }
+        });
         acc
     }
 }

@@ -60,11 +60,13 @@ const TOPOS: [&str; 2] = ["spatial", "systolic"];
 /// The two arms of each cell, in run order.
 const ARMS: [&str; 2] = ["blind", "mission"];
 
-/// One arm's journaled trace and summary. Everything is `f64` so the
-/// whole struct round-trips through the checkpoint journal's accuracy
-/// slot; counters are exact small integers, so the round trip is
-/// lossless. `-1.0` stands in for "no episode/detection happened"
-/// (`None` in the mission outcome).
+/// One arm's journaled trace and summary. Every field is an `f64` (or
+/// an optional one) so the whole struct round-trips through the
+/// checkpoint journal's accuracy slot; counters are exact small
+/// integers, so the round trip is lossless. The two means are `None`
+/// when no detection or recovery episode happened: the perf record and
+/// the `data` lines print them as `null`, and only the journal, whose
+/// slot holds a plain number, stores [`JOURNAL_NONE`] in their place.
 #[derive(Clone, Debug, PartialEq)]
 struct ArmResult {
     /// Mean served accuracy per reporting window.
@@ -79,10 +81,11 @@ struct ArmResult {
     arrivals: f64,
     /// Arrivals a later probe detected.
     detected: f64,
-    /// Mean batches from arrival to the detecting probe (`-1` = none).
-    detection_latency: f64,
-    /// Mean retraining epochs per recovery episode (`-1` = none ran).
-    recovery_epochs: f64,
+    /// Mean batches from arrival to the detecting probe (`None` = no
+    /// arrival was detected).
+    detection_latency: Option<f64>,
+    /// Mean retraining epochs per recovery episode (`None` = none ran).
+    recovery_epochs: Option<f64>,
     /// Recovery-ladder episodes run.
     episodes: f64,
     /// Units masked fail-silent by quarantine.
@@ -112,6 +115,19 @@ fn state_name(code: f64) -> &'static str {
         4 => "quarantined",
         _ => "?",
     }
+}
+
+/// Journal encoding of an absent mean (both means are non-negative).
+const JOURNAL_NONE: f64 = -1.0;
+
+/// Decodes a journaled mean written through [`JOURNAL_NONE`].
+fn journal_mean(value: f64) -> Option<f64> {
+    (value != JOURNAL_NONE).then_some(value)
+}
+
+/// Renders an optional mean for the `data` lines: `{:?}` or `null`.
+fn data_mean(value: Option<f64>) -> String {
+    value.map_or_else(|| "null".into(), |v| format!("{v:?}"))
 }
 
 /// The summary slots of one arm's `:sum` pseudo-task, in journal order.
@@ -251,8 +267,8 @@ impl Sweep<'_> {
             availability: outcome.availability,
             arrivals: outcome.arrivals as f64,
             detected: outcome.detected as f64,
-            detection_latency: outcome.mean_detection_latency.unwrap_or(-1.0),
-            recovery_epochs: outcome.mean_recovery_epochs.unwrap_or(-1.0),
+            detection_latency: outcome.mean_detection_latency,
+            recovery_epochs: outcome.mean_recovery_epochs,
             episodes: outcome.recovery_episodes as f64,
             quarantined: outcome.quarantined_units as f64,
             state: state_code(outcome.final_state),
@@ -282,8 +298,8 @@ fn replay_arm(ck: &Checkpoint, key: &str, windows: usize) -> Option<ArmResult> {
         availability: get(&sum, 1)?,
         arrivals: get(&sum, 2)?,
         detected: get(&sum, 3)?,
-        detection_latency: get(&sum, 4)?,
-        recovery_epochs: get(&sum, 5)?,
+        detection_latency: journal_mean(get(&sum, 4)?),
+        recovery_epochs: journal_mean(get(&sum, 5)?),
         episodes: get(&sum, 6)?,
         quarantined: get(&sum, 7)?,
         state: get(&sum, 8)?,
@@ -318,8 +334,8 @@ fn record_arm(ck: &Checkpoint, key: &str, r: &ArmResult) {
         r.availability,
         r.arrivals,
         r.detected,
-        r.detection_latency,
-        r.recovery_epochs,
+        r.detection_latency.unwrap_or(JOURNAL_NONE),
+        r.recovery_epochs.unwrap_or(JOURNAL_NONE),
         r.episodes,
         r.quarantined,
         r.state,
@@ -437,11 +453,9 @@ fn main() {
                 pct(mission.final_accuracy),
                 pct(mission.final_accuracy - blind.final_accuracy),
                 pct(mission.availability),
-                if mission.detection_latency < 0.0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}", mission.detection_latency)
-                },
+                mission
+                    .detection_latency
+                    .map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
                 mission.quarantined as usize,
                 state_name(mission.state),
             );
@@ -457,7 +471,7 @@ fn main() {
     for (topo_idx, rate_idx, blind, mission) in &results {
         for (arm, r) in ARMS.iter().zip([blind, mission]) {
             println!(
-                "data {task} {} {:?} {arm} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+                "data {task} {} {:?} {arm} {:?} {:?} {:?} {:?} {:?} {:?} {} {} {:?} {:?} {:?}",
                 TOPOS[*topo_idx],
                 rates[*rate_idx],
                 r.window_accuracy,
@@ -466,8 +480,8 @@ fn main() {
                 r.availability,
                 r.arrivals,
                 r.detected,
-                r.detection_latency,
-                r.recovery_epochs,
+                data_mean(r.detection_latency),
+                data_mean(r.recovery_epochs),
                 r.episodes,
                 r.quarantined,
                 r.state,
@@ -508,6 +522,9 @@ fn main() {
             .collect();
         let col =
             |f: &dyn Fn(&CellRow) -> f64| -> Vec<f64> { cells.iter().map(|c| f(c)).collect() };
+        let opt_col = |f: &dyn Fn(&CellRow) -> Option<f64>| -> Vec<Option<f64>> {
+            cells.iter().map(|c| f(c)).collect()
+        };
         record = record
             .num_list(
                 &format!("{topo}_blind_final"),
@@ -527,13 +544,13 @@ fn main() {
             )
             .num_list(&format!("{topo}_mission_arrivals"), &col(&|c| c.3.arrivals))
             .num_list(&format!("{topo}_mission_detected"), &col(&|c| c.3.detected))
-            .num_list(
+            .opt_num_list(
                 &format!("{topo}_mission_detection_latency"),
-                &col(&|c| c.3.detection_latency),
+                &opt_col(&|c| c.3.detection_latency),
             )
-            .num_list(
+            .opt_num_list(
                 &format!("{topo}_mission_recovery_epochs"),
-                &col(&|c| c.3.recovery_epochs),
+                &opt_col(&|c| c.3.recovery_epochs),
             )
             .num_list(&format!("{topo}_mission_episodes"), &col(&|c| c.3.episodes))
             .num_list(

@@ -349,6 +349,17 @@ impl JsonMap {
         self
     }
 
+    /// Adds a list of optional floats (`null` where absent or
+    /// non-finite).
+    pub fn opt_num_list(mut self, key: &str, values: &[Option<f64>]) -> JsonMap {
+        let body: Vec<String> = values
+            .iter()
+            .map(|v| v.map_or_else(|| "null".into(), format_json_number))
+            .collect();
+        self.push(key, format!("[{}]", body.join(", ")));
+        self
+    }
+
     /// Adds a list-of-strings field.
     pub fn str_list(mut self, key: &str, values: &[String]) -> JsonMap {
         let body: Vec<String> = values.iter().map(|v| json_string(v)).collect();
@@ -493,6 +504,7 @@ mod tests {
             .opt_num("speedup", None)
             .num("bad", f64::NAN)
             .int_list("counts", &[0, 3, 6])
+            .opt_num_list("latency", &[Some(1.5), None])
             .str_list("tasks", &["iris".into(), "wi\"ne".into()])
             .render();
         assert!(json.starts_with("{\n"));
@@ -503,6 +515,7 @@ mod tests {
         assert!(json.contains("\"speedup\": null"));
         assert!(json.contains("\"bad\": null"));
         assert!(json.contains("\"counts\": [0, 3, 6]"));
+        assert!(json.contains("\"latency\": [1.5, null]"));
         assert!(json.contains("\"tasks\": [\"iris\", \"wi\\\"ne\"]"));
         // No trailing comma before the closing brace.
         assert!(!json.contains(",\n}"));

@@ -535,6 +535,7 @@ mod tests {
         // element-wise scalar evaluation, and the process-global
         // disable hook must force the rebuilt operator off the engine
         // without changing any output bit.
+        let _toggles = dta_logic::engine_toggle_lock();
         let mut found = false;
         for seed in 0..20 {
             let mut mul = HwMultiplier::new();

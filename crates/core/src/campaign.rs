@@ -685,6 +685,7 @@ mod tests {
     /// every activation class.
     #[test]
     fn forced_full_settle_curves_are_bit_identical() {
+        let _toggles = dta_logic::engine_toggle_lock();
         let spec = iris();
         for activation in [
             Activation::Permanent,
@@ -713,6 +714,7 @@ mod tests {
     /// ones the per-lane override fallback.
     #[test]
     fn lut_backend_curves_are_bit_identical() {
+        let _toggles = dta_logic::engine_toggle_lock();
         let spec = iris();
         for activation in [
             Activation::Permanent,

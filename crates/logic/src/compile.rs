@@ -432,6 +432,7 @@ mod tests {
 
     #[test]
     fn lut_hook_toggles() {
+        let _toggles = crate::engine_toggle_lock();
         assert!(!lut_backend_disabled());
         disable_lut_backend(true);
         assert!(lut_backend_disabled());

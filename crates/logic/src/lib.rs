@@ -62,6 +62,6 @@ pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
 pub use netlist::{ConeClosure, Netlist, NetlistBuilder, NetlistError, Node, NodeId};
 pub use opt::{optimize, optimize_with_consts, OptStats, SlotMap};
-pub use sim::{force_full_settle, full_settle_forced, SettleMode, Simulator};
+pub use sim::{engine_toggle_lock, force_full_settle, full_settle_forced, SettleMode, Simulator};
 pub use sim64::{Behavior64, Simulator64};
 pub use stuck::{StuckAt, StuckPort, StuckSet};

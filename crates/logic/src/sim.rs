@@ -1,7 +1,7 @@
 //! Netlist evaluation engine.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::gate::{GateBehavior, GateKind};
 use crate::netlist::{ConeClosure, Netlist, Node, NodeId};
@@ -25,6 +25,19 @@ pub fn force_full_settle(on: bool) {
 /// True while [`force_full_settle`] is in effect.
 pub fn full_settle_forced() -> bool {
     FORCE_FULL_SETTLE.load(Ordering::SeqCst)
+}
+
+/// Serialises tests that flip or depend on the process-wide engine
+/// toggles ([`force_full_settle`], [`crate::disable_lut_backend`] and
+/// the switch-level and fused-engine switches built on them). The test
+/// harness runs a binary's tests on parallel threads of one process,
+/// so an A/B test that flips a toggle while another computes its
+/// reference arm would compare an engine with itself. Hold the guard
+/// for the whole test; a panicking holder does not poison it.
+#[doc(hidden)]
+pub fn engine_toggle_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// How [`Simulator::settle`] (and [`Simulator64::settle`]) propagates.

@@ -250,6 +250,8 @@ pub struct WeightMemory {
     spare_rows_used: usize,
     spare_cols_used: usize,
     ecc_counters: EccCounters,
+    /// Word accesses (fetches and raw BIST reads/writes) since power-on.
+    accesses: u64,
     /// Scratch activation mask, one slot per defect, reused per access.
     active: Vec<bool>,
     /// Chaos hook: milliseconds each March BIST element walk stalls
@@ -270,6 +272,7 @@ impl WeightMemory {
             spare_rows_used: 0,
             spare_cols_used: 0,
             ecc_counters: EccCounters::default(),
+            accesses: 0,
             active: Vec::new(),
             chaos_stall_ms: None,
         }
@@ -307,6 +310,12 @@ impl WeightMemory {
         self.ecc_counters
     }
 
+    /// Word accesses since power-on: each one advances every dynamic
+    /// defect's activation stream by one step.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
     /// `(used, budget)` spare-row accounting.
     pub fn spare_rows(&self) -> (usize, usize) {
         (self.spare_rows_used, self.geom.spare_rows)
@@ -331,8 +340,9 @@ impl WeightMemory {
         self.defects.iter().all(|d| d.state.is_none())
     }
 
-    /// Power-on reset: clear every cell, rewind dynamic defect state and
-    /// ECC counters. Steering survives (it is a fuse-style repair).
+    /// Power-on reset: clear every cell, rewind dynamic defect state,
+    /// ECC and access counters. Steering survives (it is a fuse-style
+    /// repair).
     pub fn reset_state(&mut self) {
         self.cells.fill(false);
         for d in &mut self.defects {
@@ -341,6 +351,7 @@ impl WeightMemory {
             }
         }
         self.ecc_counters = EccCounters::default();
+        self.accesses = 0;
     }
 
     // ------------------------------------------------------------------
@@ -458,6 +469,7 @@ impl WeightMemory {
     /// Advance every dynamic defect by one access and refresh the
     /// activation scratch mask (permanent defects are always active).
     fn advance_access(&mut self) {
+        self.accesses += 1;
         self.active.clear();
         let active = &mut self.active;
         for d in &mut self.defects {
