@@ -202,20 +202,6 @@ impl SynapseFaults {
         }
     }
 
-    /// [`SynapseFaults::mac`] over a batch of samples sharing the weight
-    /// `w`, 64 lanes per settle through vectorizable faulty operators.
-    pub(crate) fn mac_batch(&mut self, accs: &[Fx], w: Fx, xs: &[Fx]) -> Vec<Fx> {
-        let w = self.latch_filter(w);
-        let prods: Vec<Fx> = match self.mul.as_mut() {
-            Some(hw) => hw.mul_batch(&vec![w; xs.len()], xs),
-            None => xs.iter().map(|&x| w * x).collect(),
-        };
-        match self.add.as_mut() {
-            Some(hw) => hw.add_batch(accs, &prods),
-            None => accs.iter().zip(&prods).map(|(&a, &p)| a + p).collect(),
-        }
-    }
-
     fn vectorizable(&self) -> bool {
         self.mul.as_ref().is_none_or(|hw| hw.vectorizable())
             && self.add.as_ref().is_none_or(|hw| hw.vectorizable())
@@ -343,8 +329,8 @@ impl NeuronFaults {
         }
     }
 
-    /// Evaluates a batch of activations (64 lanes per settle through a
-    /// vectorizable faulty unit). Identical to mapping
+    /// Evaluates a batch of activations (one LUT sweep per 64 inputs
+    /// through a vectorizable faulty unit). Identical to mapping
     /// [`NeuronFaults::activation`].
     pub fn activation_batch(&mut self, xs: &[Fx], lut: &SigmoidLut) -> Vec<Fx> {
         match self.act.as_mut() {
@@ -851,11 +837,12 @@ impl FaultPlan {
         }
     }
 
-    /// True if every faulty operator in the plan is combinational, so
-    /// whole-dataset forward passes can run 64 samples per settle (see
+    /// True if every faulty operator in the plan lowered to truth-word
+    /// patches, so whole-dataset forward passes run as one fused LUT
+    /// stream, 64 samples per sweep (see
     /// [`crate::Mlp::forward_faulty_batch`]). Stateful defects (memory
-    /// effects, delays) force the scalar path, whose per-sample
-    /// evaluation order is part of the semantics.
+    /// effects, delays, dynamic activations) force the scalar path,
+    /// whose per-sample evaluation order is part of the semantics.
     pub fn vectorizable(&self) -> bool {
         self.neurons
             .iter()

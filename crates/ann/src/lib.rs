@@ -48,9 +48,7 @@ pub mod train;
 
 pub use deep::{DeepMlp, DeepTrainer};
 pub use fault::{FaultPlan, FaultSite, Layer, NeuronFaults, UnitKind};
-pub use fused::{
-    clear_fused_cache, disable_fused_engine, fused_cache_stats, fused_engine_disabled, FusedForward,
-};
+pub use fused::{clear_fused_cache, fused_cache_stats, FusedForward};
 pub use hyper::{HyperParams, HyperSpace, SearchResult};
 pub use mlp::{ForwardTrace, Mlp, Topology};
 pub use regress::{RegressionSample, RegressionSet, RegressionTrainer};

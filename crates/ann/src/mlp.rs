@@ -302,12 +302,13 @@ impl Mlp {
     }
 
     /// Batched hardware forward pass with faults: evaluates every row of
-    /// `xs` like [`Mlp::forward_faulty`], but when the fault plan is
-    /// [vectorizable](FaultPlan::vectorizable) each faulty operator runs
-    /// 64 samples per settle through its lane-parallel simulator (the
-    /// memoized pin truth table of each faulty cell, broadcast across
-    /// lanes). Stateful plans fall back to per-sample evaluation, so the
-    /// results are identical to the scalar path in every case.
+    /// `xs` like [`Mlp::forward_faulty`]. When the fault plan is
+    /// [vectorizable](FaultPlan::vectorizable) the whole pass runs as one
+    /// fused LUT stream, 64 rows per sweep (memoized per topology and
+    /// defect-plan fingerprint — see [`crate::FusedForward`]); otherwise
+    /// the rows run one by one through the scalar path, whose per-sample
+    /// order is part of the semantics of stateful defects. The results
+    /// are identical to the scalar path in every case.
     ///
     /// # Panics
     ///
@@ -318,153 +319,12 @@ impl Mlp {
         lut: &SigmoidLut,
         faults: &mut FaultPlan,
     ) -> Vec<ForwardTrace> {
-        // Preferred engine: the whole pass as one fused, optimized LUT
-        // stream (memoized per topology + defect-plan fingerprint).
-        if !crate::fused::fused_engine_disabled() {
-            if let Some(fused) = crate::fused::FusedForward::cached(self, faults) {
-                return fused.forward(self, xs, lut, faults);
-            }
+        if let Some(fused) = crate::fused::FusedForward::cached(self, faults) {
+            return fused.forward(self, xs, lut, faults);
         }
-        if !faults.vectorizable() {
-            // Memory effects make per-sample order semantic: replay the
-            // scalar path exactly.
-            return xs
-                .iter()
-                .map(|x| self.forward_faulty(x.as_ref(), lut, faults))
-                .collect();
-        }
-        let n = xs.len();
-        let xq: Vec<Vec<Fx>> = xs
-            .iter()
-            .map(|x| {
-                let x = x.as_ref();
-                assert_eq!(x.len(), self.topo.inputs);
-                x.iter().map(|&v| Fx::from_f64(v)).collect()
-            })
-            .collect();
-
-        // Hidden layer, sample-major.
-        let mut hidden_fx: Vec<Vec<Fx>> = vec![Vec::with_capacity(self.topo.hidden); n];
-        for j in 0..self.topo.hidden {
-            let lane = faults.hidden_lane(j);
-            if faults.is_masked(Layer::Hidden, lane) {
-                for row in hidden_fx.iter_mut() {
-                    row.push(Fx::ZERO);
-                }
-                continue;
-            }
-            let bias = faults.mem_bias(
-                Layer::Hidden,
-                lane,
-                Fx::from_f64(self.w_hidden(j, self.topo.inputs)),
-            );
-            let accs = self.neuron_sum_batch(Layer::Hidden, lane, bias, &xq, faults, |s, i| {
-                Fx::from_f64(s.w_hidden(j, i))
-            });
-            let ys = match faults.neuron_mut(Layer::Hidden, lane) {
-                Some(nf) => nf.activation_batch(&accs, lut),
-                None => accs.iter().map(|&a| lut.eval(a)).collect(),
-            };
-            for (row, y) in hidden_fx.iter_mut().zip(ys) {
-                row.push(y);
-            }
-        }
-
-        // Output layer.
-        let mut traces: Vec<ForwardTrace> = hidden_fx
-            .iter()
-            .map(|row| ForwardTrace {
-                hidden: row.iter().map(|h| h.to_f64()).collect(),
-                output_pre: Vec::with_capacity(self.topo.outputs),
-                output: Vec::with_capacity(self.topo.outputs),
-            })
-            .collect();
-        for k in 0..self.topo.outputs {
-            if faults.is_masked(Layer::Output, k) {
-                for trace in traces.iter_mut() {
-                    trace.output_pre.push(0.0);
-                    trace.output.push(0.0);
-                }
-                continue;
-            }
-            let bias = faults.mem_bias(
-                Layer::Output,
-                k,
-                Fx::from_f64(self.w_output(k, self.topo.hidden)),
-            );
-            let accs = self.neuron_sum_batch(Layer::Output, k, bias, &hidden_fx, faults, |s, j| {
-                Fx::from_f64(s.w_output(k, j))
-            });
-            let ys = match faults.neuron_mut(Layer::Output, k) {
-                Some(nf) => nf.activation_batch(&accs, lut),
-                None => accs.iter().map(|&a| lut.eval(a)).collect(),
-            };
-            for ((trace, acc), y) in traces.iter_mut().zip(&accs).zip(ys) {
-                trace.output_pre.push(acc.to_f64());
-                trace.output.push(y.to_f64());
-            }
-        }
-        traces
-    }
-
-    /// Batched multiply-accumulate for one neuron over sample-major
-    /// inputs: per physical synapse, one 64-lane pass through any faulty
-    /// multiplier/adder instead of a per-sample circuit settle. Only
-    /// called on vectorizable (stateless) plans, where the per-sample
-    /// results cannot depend on evaluation order.
-    fn neuron_sum_batch(
-        &self,
-        layer: Layer,
-        neuron: usize,
-        bias: Fx,
-        inputs: &[Vec<Fx>],
-        faults: &mut FaultPlan,
-        weight_of: impl Fn(&Mlp, usize) -> Fx,
-    ) -> Vec<Fx> {
-        let n = inputs.len();
-        let (mut mem, nf) = faults.fetch_units(layer, neuron);
-        let Some(nf) = nf else {
-            // Fully native accumulation per sample; when a defective
-            // array is attached each weight is streamed through it once
-            // per batch (a vectorizable array is a pure function, so
-            // this matches the scalar path's per-sample fetches).
-            let n_logical = inputs.first().map_or(0, Vec::len);
-            let ws: Vec<Fx> = (0..n_logical)
-                .map(|i| fetch_through(&mut mem, layer, neuron, i, weight_of(self, i)))
-                .collect();
-            return inputs
-                .iter()
-                .map(|x| {
-                    let mut acc = bias;
-                    for (i, &xi) in x.iter().enumerate() {
-                        acc += ws[i] * xi;
-                    }
-                    acc
-                })
-                .collect();
-        };
-        let n_logical = inputs.first().map_or(0, Vec::len);
-        let mut accs = vec![bias; n];
-        let every_physical = mem.is_some();
-        nf.walk(n_logical, every_physical, |i, syn| {
-            let (w, xs) = if i < n_logical {
-                (weight_of(self, i), inputs.iter().map(|x| x[i]).collect())
-            } else {
-                (Fx::ZERO, vec![Fx::ZERO; n]) // physical synapse beyond the task
-            };
-            // Array first (the store feeds the lane's weight latch),
-            // then the synapse's own operators.
-            let w = fetch_through(&mut mem, layer, neuron, i, w);
-            match syn {
-                Some(syn) => accs = syn.mac_batch(&accs, w, &xs),
-                None => {
-                    for (acc, &xi) in accs.iter_mut().zip(&xs) {
-                        *acc += w * xi;
-                    }
-                }
-            }
-        });
-        accs
+        xs.iter()
+            .map(|x| self.forward_faulty(x.as_ref(), lut, faults))
+            .collect()
     }
 
     /// Multiply-accumulate for one neuron, routing individual operations
@@ -609,7 +469,7 @@ mod tests {
                 .collect();
             assert_eq!(batch, scalar, "seed {seed}");
         }
-        // The sweep must exercise both the 64-lane path and the
+        // The sweep must exercise both the fused stream and the
         // stateful fallback, or the test proves less than it claims.
         assert!(vectorized > 0, "no vectorizable plan in 10 seeds");
         assert!(scalar_fallback > 0, "no stateful plan in 10 seeds");

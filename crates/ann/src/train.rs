@@ -161,9 +161,10 @@ impl Trainer {
     /// Classification accuracy over the samples selected by `idx`.
     ///
     /// With a fault plan on the fixed-point path, the whole selection is
-    /// evaluated through [`Mlp::forward_faulty_batch`]: combinational
-    /// fault sets run 64 samples per circuit settle, stateful ones fall
-    /// back to per-sample order. Accuracies are identical either way.
+    /// evaluated through [`Mlp::forward_faulty_batch`]: patchable fault
+    /// sets run as one fused LUT stream, 64 samples per sweep, stateful
+    /// ones fall back to per-sample order. Accuracies are identical
+    /// either way.
     pub fn evaluate(
         &self,
         mlp: &Mlp,
@@ -296,8 +297,8 @@ impl ConfusionMatrix {
     /// through faulty silicon.
     ///
     /// Faulty selections go through [`Mlp::forward_faulty_batch`], which
-    /// settles the operator circuits 64 rows per pass when the fault set
-    /// is combinational and preserves per-sample order otherwise.
+    /// runs one fused LUT stream 64 rows per sweep when the fault set is
+    /// patchable and preserves per-sample order otherwise.
     pub fn from_evaluation(
         mlp: &Mlp,
         ds: &Dataset,

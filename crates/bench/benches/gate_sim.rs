@@ -54,7 +54,7 @@ fn bench_gate_sim(c: &mut Criterion) {
         })
     });
 
-    // 64-lane bit-parallel engine vs. 64 scalar evaluations.
+    // 64-lane LUT instruction stream vs. 64 scalar evaluations.
     let adder16 = AdderCircuit::new(16);
     let a_bus: Vec<_> = (0..16)
         .map(|i| adder16.netlist().input(&format!("a[{i}]")).unwrap())
@@ -63,12 +63,12 @@ fn bench_gate_sim(c: &mut Criterion) {
         .map(|i| adder16.netlist().input(&format!("b[{i}]")).unwrap())
         .collect();
     let words: Vec<u64> = (0..64u64).map(|i| i * 997 % 65536).collect();
-    let mut v = dta_logic::Simulator64::new(adder16.netlist().clone());
-    c.bench_function("adder16_64lanes_vectorized", |b| {
+    let mut v = dta_logic::LutExec::new(dta_logic::LutProgram::cached(adder16.netlist()));
+    c.bench_function("adder16_64lanes_lut", |b| {
         b.iter(|| {
             v.set_input_words(&a_bus, &words);
             v.set_input_words(&b_bus, &words);
-            v.settle();
+            v.exec();
             black_box(v.read_word_lane(&a_bus, 63))
         })
     });

@@ -16,146 +16,20 @@
 //! record to `BENCH_campaign.json` (`--bench-out` overrides the path).
 //! `--threads N` fans the (defect-count × repetition) grid over N
 //! workers (0 = all cores) with bit-identical results; `--serial true`
-//! adds a one-thread reference run, `--baseline true` adds a reference
-//! run on the seed's uncached switch-level evaluator, so the JSON
-//! records honest speedup factors for both optimizations.
+//! adds a one-thread reference run, so the JSON records an honest
+//! parallel speedup, alongside the host's core count and git revision.
 //! `--checkpoint FILE` journals each finished grid cell: a killed run
 //! restarted with the same flags skips the journaled cells and
-//! reproduces the uninterrupted curve byte-for-byte. `--lutpar true`
-//! additionally times the row-parallel gate engines at the campaign
-//! thread count vs. one thread (bit-identity asserted) and adds the
-//! numbers to the perf record: `PartitionedLutExec` on the Q6.10
-//! multiplier netlist, and `PartitionedFusedExec` on a fused
-//! two-multiplier stream (a defect-patched multiplier feeding a
-//! healthy one) so the fused instruction stream's thread scaling is
-//! measured alongside the per-operator engine's.
+//! reproduces the uninterrupted curve byte-for-byte.
 
 use std::time::Instant;
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
 use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::multiplier::FxMulCircuit;
-use dta_circuits::{force_switch_level_baseline, Activation, FaultModel};
+use dta_circuits::{Activation, FaultModel};
 use dta_core::campaign::{defect_tolerance_curve_resumable, CampaignConfig, CurvePoint};
 use dta_core::checkpoint::Checkpoint;
 use dta_core::parallel::effective_threads;
-use dta_core::{PartitionedFusedExec, PartitionedLutExec};
 use dta_datasets::{suite, TaskSpec};
-
-/// Batched 64-lane passes for the `--lutpar` timing loop.
-const LUTPAR_ITERS: usize = 4000;
-
-/// Times `LUTPAR_ITERS` batched multiplier evaluations on the
-/// partitioned engine and returns every batch's output words plus the
-/// wall time. The input stream is re-seeded per call so every thread
-/// count sees identical work.
-fn time_lutpar(mul: &FxMulCircuit, threads: usize) -> (Vec<Vec<u64>>, f64) {
-    // Program lowering is cached and excluded from the timed region —
-    // this measures the executor, not the compile.
-    let prog = dta_logic::LutProgram::cached(mul.netlist());
-    let mut par = PartitionedLutExec::new(prog, threads);
-    let mut rng = ChaCha8Rng::seed_from_u64(0x1F7);
-    // One untimed pass warms caches and worker threads.
-    par.exec();
-    let started = Instant::now();
-    let mut outputs = Vec::with_capacity(LUTPAR_ITERS);
-    for _ in 0..LUTPAR_ITERS {
-        let a: Vec<u64> = (0..64).map(|_| u64::from(rng.random::<u16>())).collect();
-        let b: Vec<u64> = (0..64).map(|_| u64::from(rng.random::<u16>())).collect();
-        par.set_input_words(mul.a_bus(), &a);
-        par.set_input_words(mul.b_bus(), &b);
-        par.exec();
-        outputs.push(par.read_words(mul.out_bus(), 64));
-    }
-    (outputs, started.elapsed().as_secs_f64())
-}
-
-/// Fuses a defect-patched Q6.10 multiplier feeding a healthy one into
-/// a single two-stage instruction stream — the smallest cross-operator
-/// fused program with a real inter-stage data dependency. Returns the
-/// program plus its `a`/`b` input buses and the chained output bus.
-fn fused_mul_chain() -> (
-    std::sync::Arc<dta_logic::FusedProgram>,
-    Vec<u32>,
-    Vec<u32>,
-    Vec<u32>,
-) {
-    let mul = FxMulCircuit::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(0x2F7);
-    let mut plan = dta_circuits::DefectPlan::new(FaultModel::GateLevel);
-    for _ in 0..2 {
-        plan.add_random(mul.netlist(), mul.cells(), &mut rng);
-    }
-    let mut patched = mul.lut_exec();
-    assert!(plan.apply_lut(&mut patched), "gate-level permanents patch");
-
-    let local =
-        |bus: &[dta_logic::NodeId]| -> Vec<u32> { bus.iter().map(|n| n.index() as u32).collect() };
-    let mut fb = dta_logic::FuseBuilder::new();
-    let a = fb.fresh_bus(16);
-    let b = fb.fresh_bus(16);
-    let bind1: Vec<(u32, u32)> = local(mul.a_bus())
-        .into_iter()
-        .zip(a.iter().copied())
-        .chain(local(mul.b_bus()).into_iter().zip(b.iter().copied()))
-        .collect();
-    let m1 = fb.append(
-        patched.instrs(),
-        patched.program().n_slots(),
-        patched.program().latch_slots(),
-        &bind1,
-    );
-    fb.barrier();
-    // Healthy second multiplier: a-operand wired to the patched
-    // product, b-operand shared with the first stage.
-    let healthy = mul.lut_exec();
-    let bind2: Vec<(u32, u32)> = local(mul.a_bus())
-        .into_iter()
-        .zip(local(mul.out_bus()).iter().map(|&s| m1[s as usize]))
-        .chain(local(mul.b_bus()).into_iter().zip(b.iter().copied()))
-        .collect();
-    let m2 = fb.append(
-        healthy.instrs(),
-        healthy.program().n_slots(),
-        healthy.program().latch_slots(),
-        &bind2,
-    );
-    let out: Vec<u32> = local(mul.out_bus())
-        .iter()
-        .map(|&s| m2[s as usize])
-        .collect();
-    (std::sync::Arc::new(fb.finish()), a, b, out)
-}
-
-/// Times `LUTPAR_ITERS` batched evaluations of the fused
-/// two-multiplier stream on `PartitionedFusedExec` and returns every
-/// batch's output words plus the wall time. Same re-seeded input
-/// stream per call so every thread count sees identical work.
-fn time_fusedpar(
-    prog: &std::sync::Arc<dta_logic::FusedProgram>,
-    a: &[u32],
-    b: &[u32],
-    out: &[u32],
-    threads: usize,
-) -> (Vec<Vec<u64>>, f64) {
-    let mut par = PartitionedFusedExec::new(std::sync::Arc::clone(prog), threads);
-    let mut rng = ChaCha8Rng::seed_from_u64(0x3F7);
-    // One untimed pass warms caches and worker threads.
-    par.exec();
-    let started = Instant::now();
-    let mut outputs = Vec::with_capacity(LUTPAR_ITERS);
-    for _ in 0..LUTPAR_ITERS {
-        let av: Vec<u64> = (0..64).map(|_| u64::from(rng.random::<u16>())).collect();
-        let bv: Vec<u64> = (0..64).map(|_| u64::from(rng.random::<u16>())).collect();
-        par.set_bus_words(a, &av);
-        par.set_bus_words(b, &bv);
-        par.exec();
-        outputs.push(par.read_words(out, 64));
-    }
-    (outputs, started.elapsed().as_secs_f64())
-}
 
 /// Runs the full campaign (every task) once and returns the per-task
 /// curves plus the wall time. Campaign errors (bad configuration, bad
@@ -278,11 +152,9 @@ fn main() {
 
     // --- Perf record -----------------------------------------------------
     // One grid cell = train + cross-validate one (defect count, rep) pair
-    // for one task. Optional reference runs quantify the two tentpole
-    // optimizations: `--serial true` re-runs on one thread (parallel
-    // speedup), `--baseline true` re-runs on the seed's uncached
-    // switch-level evaluator (truth-table-cache speedup). Both re-runs
-    // reproduce the measured curves bit-for-bit; only the wall time moves.
+    // for one task. `--serial true` re-runs on one thread to quantify the
+    // parallel speedup; the re-run reproduces the measured curves
+    // bit-for-bit, only the wall time moves.
     let cells = (specs.len() * cfg.defect_counts.len() * cfg.repetitions) as u64;
     let threads_used = effective_threads(cfg.threads);
     println!(
@@ -310,51 +182,6 @@ fn main() {
         })
     };
 
-    let switch_level_wall_s = args.get_bool("baseline", false).then(|| {
-        force_switch_level_baseline(true);
-        let (baseline_curves, t) = run_campaign(&specs, &cfg, None);
-        force_switch_level_baseline(false);
-        assert_eq!(
-            baseline_curves, curves,
-            "switch-level baseline must be bit-identical"
-        );
-        println!(
-            "uncached switch-level reference: {t:.2} s \
-             (truth-table cache speedup {:.2}x)",
-            t / wall_s
-        );
-        t
-    });
-
-    // --- Row-parallel gate engine timing (--lutpar true) -----------------
-    // The campaign numbers above time the whole train/evaluate pipeline;
-    // this isolates the `PartitionedLutExec` rank-parallel executor on
-    // the Q6.10 multiplier netlist, same-work serial reference included.
-    let lutpar = args.get_bool("lutpar", false).then(|| {
-        let mul = FxMulCircuit::new();
-        let (par_out, par_s) = time_lutpar(&mul, threads_used);
-        let (ser_out, ser_s) = time_lutpar(&mul, 1);
-        assert_eq!(par_out, ser_out, "partitioned engine must be bit-identical");
-        println!(
-            "lutpar: {LUTPAR_ITERS} x 64-lane multiplier batches — {par_s:.3} s on \
-             {threads_used} thread(s), {ser_s:.3} s serial ({:.2}x)",
-            ser_s / par_s
-        );
-        // Same measurement on the fused cross-operator stream: the
-        // partitioned executor splits each rank across workers, so the
-        // fused program's wider ranks should scale at least as well.
-        let (prog, a, b, out) = fused_mul_chain();
-        let (fpar_out, fpar_s) = time_fusedpar(&prog, &a, &b, &out, threads_used);
-        let (fser_out, fser_s) = time_fusedpar(&prog, &a, &b, &out, 1);
-        assert_eq!(fpar_out, fser_out, "fused engine must be bit-identical");
-        println!(
-            "fusedpar: {LUTPAR_ITERS} x 64-lane fused mul-chain batches — {fpar_s:.3} s \
-             on {threads_used} thread(s), {fser_s:.3} s serial ({:.2}x)",
-            fser_s / fpar_s
-        );
-        (par_s, ser_s, fpar_s, fser_s)
-    });
-
     let out_path = args.get("bench-out", "BENCH_campaign.json".to_string());
     let record = JsonMap::new()
         .str("bin", "exp_fig10")
@@ -371,18 +198,7 @@ fn main() {
         .num("cells_per_s", cells as f64 / wall_s)
         .opt_num("serial_wall_s", serial_wall_s)
         .opt_num("speedup_vs_serial", serial_wall_s.map(|t| t / wall_s))
-        .opt_num("switch_level_wall_s", switch_level_wall_s)
-        .opt_num(
-            "speedup_vs_switch_level",
-            switch_level_wall_s.map(|t| t / wall_s),
-        )
-        .int("lutpar_iters", lutpar.map_or(0, |_| LUTPAR_ITERS as u64))
-        .opt_num("lutpar_wall_s", lutpar.map(|(p, ..)| p))
-        .opt_num("lutpar_serial_wall_s", lutpar.map(|(_, s, ..)| s))
-        .opt_num("lutpar_speedup", lutpar.map(|(p, s, ..)| s / p))
-        .opt_num("fusedpar_wall_s", lutpar.map(|(.., fp, _)| fp))
-        .opt_num("fusedpar_serial_wall_s", lutpar.map(|(.., fs)| fs))
-        .opt_num("fusedpar_speedup", lutpar.map(|(.., fp, fs)| fs / fp));
+        .host();
     match record.write(&out_path) {
         Ok(()) => println!("perf record written to {out_path}"),
         Err(e) => eprintln!("could not write {out_path}: {e}"),

@@ -1,18 +1,15 @@
 //! Simulation-speed shootout for the faulty-multiplier workload: the
-//! same stream of multiplications evaluated by every settle strategy
-//! the engine supports, slowest to fastest.
+//! same stream of multiplications evaluated by every engine the
+//! operator layer has, slowest to fastest.
 //!
-//! * `switch` — the seed's uncached switch-level evaluator (every
-//!   faulty gate re-solved through its transistor network per settle);
-//! * `compiled` — PR 1's memoized truth tables swept with the compiled
-//!   full schedule (every gate evaluated every settle);
-//! * `event` — differential settle: only gates whose inputs changed
-//!   are re-evaluated, seeded from the per-gate fan-out lists;
-//! * `cone` — cone-of-influence pruning: a healthy 64-lane twin
-//!   settles 64 rows per pass and only the union fan-out cone of the
-//!   faulty gates is gate-simulated per row;
-//! * `batch64` — the lane-parallel simulator with faulty truth tables
-//!   broadcast across lanes (combinational fault sets only);
+//! * `switch` — the uncached switch-level evaluator (every faulty gate
+//!   re-solved through its transistor network per settle);
+//! * `compiled` — memoized truth tables swept with the compiled full
+//!   schedule (`Simulator::settle_full`, every gate evaluated every
+//!   settle), driven through the multiplier's public buses;
+//! * `event` — the production scalar engine and oracle: only gates
+//!   whose inputs changed are re-evaluated, seeded from the per-gate
+//!   fan-out lists;
 //! * `lut` — the compiled LUT instruction stream: the netlist is
 //!   topologically ranked once into straight-line table-lookup
 //!   instructions, permanent faults patch truth words in place, and
@@ -25,17 +22,16 @@
 //! operand.
 //!
 //! A second, network-level shootout runs the **whole faulty forward
-//! pass** of an MLP under three engines: `scalar` (the per-sample
-//! event-driven reference), `lut` (the per-operator batch ladder with
-//! the fused engine disabled), and `fused` (`dta_ann::FusedForward` —
-//! the entire pass compiled into one optimized LUT instruction stream).
-//! All three must agree bit-for-bit; the headline is
-//! `min_speedup_fused_vs_lut` (CI floor >= 1.2x).
+//! pass** of an MLP under the two network engines: `scalar` (the
+//! per-sample event-driven reference, `Mlp::forward_faulty`) and
+//! `fused` (`dta_ann::FusedForward` — the entire pass compiled into one
+//! optimized LUT instruction stream, reached through
+//! `Mlp::forward_faulty_batch`). Both must agree bit-for-bit; the
+//! headline is `min_speedup_fused_vs_scalar` (CI floor >= 10x).
 //!
-//! A strategy that *refuses* a configuration (batch64 or fused on a
-//! non-vectorizable fault set, per-op lut batch on stateful activation
-//! classes) is reported as `null` in the JSON record and `-` in the
-//! table — never as a measured `0.0`.
+//! A strategy that *refuses* a configuration (fused on a plan that does
+//! not lower to truth-word patches) is reported as `null` in the JSON
+//! record and `-` in the table — never as a measured `0.0`.
 //!
 //! ```sh
 //! cargo run --release -p dta-bench --bin exp_simspeed
@@ -45,23 +41,24 @@
 //! ```
 //!
 //! A machine-readable record goes to `BENCH_simspeed.json`
-//! (`--bench-out` overrides), including the headline
-//! `min_speedup_cone_vs_compiled` (acceptance gate >= 3x),
-//! `min_speedup_lut_vs_compiled`, and `min_speedup_fused_vs_lut`
-//! (CI floors, see `.github/workflows`). `--breakdown true` adds
-//! compile-vs-execute timing and memoization hit rates for the lut and
-//! fused strategies.
+//! (`--bench-out` overrides), including `min_speedup_lut_vs_compiled`
+//! and `min_speedup_fused_vs_scalar` (CI floors, see
+//! `.github/workflows`) and the host's core count and git revision.
+//! `--breakdown true` adds compile-vs-execute timing and memoization
+//! hit rates for the lut and fused strategies.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use dta_ann::{disable_fused_engine, FaultPlan, FusedForward, Mlp, Topology};
+use dta_ann::{FaultPlan, FusedForward, Mlp, Topology};
 use dta_bench::{rule, Args, JsonMap};
 use dta_circuits::{Activation, DefectPlan, FaultModel, FxMulCircuit};
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::force_full_settle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// The operator-level strategies, slowest to fastest.
+const STRATEGIES: [&str; 4] = ["switch", "compiled", "event", "lut"];
 
 /// One measured strategy: name, throughput, and the products it
 /// computed (for the cross-strategy identity check).
@@ -127,18 +124,17 @@ fn main() {
     let b = vec![weight; rows];
 
     println!("Simulation speed — faulty 16-bit multiplier, {rows} rows, {activation:?} defects");
-    println!("(evals/s; every strategy is bit-identical to the seed's switch-level path)\n");
+    println!("(evals/s; every strategy is bit-identical to the switch-level path)\n");
 
-    let measure = |stim: &str, a: &[Fx]| -> Vec<(usize, Vec<Measurement>, f64, f64)> {
+    let measure = |stim: &str, a: &[Fx]| -> Vec<(usize, Vec<Measurement>, f64)> {
         print!("{:<18}", format!("{stim}/defects"));
-        for name in ["switch", "compiled", "event", "cone", "batch64", "lut"] {
+        for name in STRATEGIES {
             print!("{name:>12}");
         }
-        print!("{:>12}", "cone/comp");
         println!("{:>12}", "lut/comp");
-        rule(18 + 12 * 8);
+        rule(18 + 12 * 5);
 
-        let mut per_count: Vec<(usize, Vec<Measurement>, f64, f64)> = Vec::new();
+        let mut per_count: Vec<(usize, Vec<Measurement>, f64)> = Vec::new();
         for &n in &defect_counts {
             let mut ms: Vec<Measurement> = Vec::new();
 
@@ -159,15 +155,18 @@ fn main() {
             }
 
             {
-                // PR 1 baseline: memoized truth tables, compiled sweep.
-                force_full_settle(true);
+                // Memoized truth tables, compiled full sweep per row.
                 let mut sim = mul.simulator();
-                force_full_settle(false);
                 build_plan(&mul, n, activation, seed).apply(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
-                        .map(|(&x, &w)| mul.compute(&mut sim, x, w))
+                        .map(|(&x, &w)| {
+                            sim.set_input_word(mul.a_bus(), x.to_bits() as u64);
+                            sim.set_input_word(mul.b_bus(), w.to_bits() as u64);
+                            sim.settle_full();
+                            Fx::from_bits(sim.read_word(mul.out_bus()) as u16)
+                        })
                         .collect()
                 });
                 ms.push(Measurement {
@@ -194,32 +193,6 @@ fn main() {
             }
 
             {
-                let mut sim = mul.simulator();
-                build_plan(&mul, n, activation, seed).apply(&mut sim);
-                assert!(sim.prepare_cone(), "faulty multiplier must yield a cone");
-                let mut healthy = mul.simulator64();
-                let (evals_per_s, out) =
-                    time_run(rows, || mul.compute_cone(&mut sim, &mut healthy, a, &b));
-                ms.push(Measurement {
-                    name: "cone",
-                    evals_per_s,
-                    out,
-                });
-            }
-
-            {
-                let mut sim64 = mul.simulator64();
-                if build_plan(&mul, n, activation, seed).apply64(&mut sim64) {
-                    let (evals_per_s, out) = time_run(rows, || mul.compute64(&mut sim64, a, &b));
-                    ms.push(Measurement {
-                        name: "batch64",
-                        evals_per_s,
-                        out,
-                    });
-                }
-            }
-
-            {
                 // The compiled LUT instruction stream handles every
                 // activation class: permanent faults as in-place truth
                 // word patches, dynamic ones as per-lane overrides.
@@ -243,18 +216,16 @@ fn main() {
             }
 
             let rate = |name: &str| ms.iter().find(|m| m.name == name).map(|m| m.evals_per_s);
-            let cone_vs_compiled = rate("cone").unwrap() / rate("compiled").unwrap();
             let lut_vs_compiled = rate("lut").unwrap() / rate("compiled").unwrap();
             print!("{n:<18}");
-            for name in ["switch", "compiled", "event", "cone", "batch64", "lut"] {
+            for name in STRATEGIES {
                 match rate(name) {
                     Some(r) => print!("{r:>12.0}"),
                     None => print!("{:>12}", "-"),
                 }
             }
-            print!("{cone_vs_compiled:>11.1}x");
             println!("{lut_vs_compiled:>11.1}x");
-            per_count.push((n, ms, cone_vs_compiled, lut_vs_compiled));
+            per_count.push((n, ms, lut_vs_compiled));
         }
         println!();
         per_count
@@ -264,22 +235,20 @@ fn main() {
     let sparse_counts = measure("sparse", &sparse);
 
     // ------------------------------------------------------------------
-    // Network-level: the whole faulty forward pass under three engines.
+    // Network-level: the whole faulty forward pass under both engines.
     // ------------------------------------------------------------------
     let breakdown = args.get_bool("breakdown", false);
     // The network section stays at full row count even under --smoke:
-    // it finishes in under a second, and the fused-vs-lut floor is only
-    // meaningful once per-batch setup costs are amortized.
+    // it finishes in under a second, and the fused-vs-scalar floor is
+    // only meaningful once per-batch setup costs are amortized.
     let net_rows = args.get("net-rows", 2048usize);
     // Throughput is best-of-N so a descheduled timeslice can't turn
     // into a phantom slowdown on loaded machines.
     let net_reps = args.get("reps", 3usize);
     // Defect counts for a whole network are an order of magnitude above
-    // the single-operator grid: one defect per ~hundred gates is the
-    // trivial regime where both engines are dominated by the shared
-    // native arithmetic; the fused stream's elimination of per-operator
-    // dispatch and repacking pays off on defect-loaded networks, the
-    // paper's regime of interest.
+    // the single-operator grid: defect-loaded networks are the paper's
+    // regime of interest, and the scalar engine's cost grows with every
+    // gate-level operator it must settle per row.
     let net_default: &[usize] = if smoke { &[8] } else { &[8, 16, 32] };
     let net_counts = args.get_usize_list("net-defects", net_default);
     let topo = Topology::new(8, 8, 4);
@@ -336,14 +305,13 @@ fn main() {
     );
     println!("(network evals/s; `-` = strategy refuses this configuration)\n");
     print!("{:<18}", "defects");
-    for name in ["scalar", "lut", "fused"] {
+    for name in ["scalar", "fused"] {
         print!("{name:>12}");
     }
-    println!("{:>12}", "fused/lut");
-    rule(18 + 12 * 4);
+    println!("{:>12}", "fused/scal");
+    rule(18 + 12 * 3);
 
     let mut net_scalar: Vec<f64> = Vec::new();
-    let mut net_lut: Vec<f64> = Vec::new();
     let mut net_fused: Vec<f64> = Vec::new();
     let mut net_speedup: Vec<f64> = Vec::new();
     let mut fused_breakdown: Vec<(usize, f64, f64, f64)> = Vec::new();
@@ -369,26 +337,6 @@ fn main() {
             r_scalar = r_scalar.max(net_rows as f64 / started.elapsed().as_secs_f64());
         }
         net_scalar.push(r_scalar);
-
-        // Per-operator batch ladder (fused engine off). Refuses
-        // stateful plans: the batch path would just replay the scalar
-        // loop, which is not a distinct strategy.
-        let r_lut = if seeds.is_some() {
-            disable_fused_engine(true);
-            let mut r = f64::NAN;
-            for _ in 0..net_reps {
-                let mut plan = build_net_plan(seeds_or);
-                let started = Instant::now();
-                let out = mlp.forward_faulty_batch(&xs, &siglut, &mut plan);
-                r = r.max(net_rows as f64 / started.elapsed().as_secs_f64());
-                assert_eq!(out, scalar_out, "per-op lut batch diverged at {n} defects");
-            }
-            disable_fused_engine(false);
-            r
-        } else {
-            f64::NAN
-        };
-        net_lut.push(r_lut);
 
         // Fused network engine. Warm the memo first so the timed run
         // measures the amortized path; compilation is reported
@@ -425,10 +373,10 @@ fn main() {
         };
         net_fused.push(r_fused);
 
-        let speedup = r_fused / r_lut; // NaN propagates refusals
+        let speedup = r_fused / r_scalar; // NaN propagates refusals
         net_speedup.push(speedup);
         print!("{n:<18}");
-        for r in [r_scalar, r_lut, r_fused] {
+        for r in [r_scalar, r_fused] {
             if r.is_finite() {
                 print!("{r:>12.0}");
             } else {
@@ -450,8 +398,8 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let min_speedup_fused = if min_speedup_fused.is_finite() {
         println!(
-            "fused network stream vs per-operator lut ladder: >= {min_speedup_fused:.1}x \
-             at every measured defect count (CI floor: 1.2x)"
+            "fused network stream vs scalar forward: >= {min_speedup_fused:.1}x \
+             at every measured defect count (CI floor: 10x)"
         );
         min_speedup_fused
     } else {
@@ -484,18 +432,10 @@ fn main() {
         );
     }
 
-    // The acceptance gate runs on the dense (training-like) stimulus.
-    let min_speedup = dense_counts
-        .iter()
-        .map(|&(_, _, s, _)| s)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "cone-pruned differential settle vs compiled full sweep (dense): >= {min_speedup:.1}x \
-         at every defect count (acceptance gate: 3x)"
-    );
+    // The floor runs on the dense (training-like) stimulus.
     let min_speedup_lut = dense_counts
         .iter()
-        .map(|&(_, _, _, s)| s)
+        .map(|&(_, _, s)| s)
         .fold(f64::INFINITY, f64::min);
     println!(
         "LUT instruction stream vs compiled full sweep (dense): >= {min_speedup_lut:.1}x \
@@ -505,10 +445,10 @@ fn main() {
     // A strategy that refused a configuration has no measurement; NaN
     // renders as JSON `null`, so a dead strategy can never be confused
     // with a measured zero.
-    let rates = |per_count: &[(usize, Vec<Measurement>, f64, f64)], name: &str| -> Vec<f64> {
+    let rates = |per_count: &[(usize, Vec<Measurement>, f64)], name: &str| -> Vec<f64> {
         per_count
             .iter()
-            .map(|(_, ms, _, _)| {
+            .map(|(_, ms, _)| {
                 ms.iter()
                     .find(|m| m.name == name)
                     .map_or(f64::NAN, |m| m.evals_per_s)
@@ -525,7 +465,7 @@ fn main() {
         .int("rows", rows as u64)
         .int_list("defect_counts", &defect_counts);
     for (suffix, per_count) in [("", &dense_counts), ("_sparse", &sparse_counts)] {
-        for name in ["switch", "compiled", "event", "cone", "batch64", "lut"] {
+        for name in STRATEGIES {
             let rs = rates(per_count, name);
             if rs.iter().any(|r| r.is_finite()) {
                 record = record.num_list(&format!("evals_per_s_{name}{suffix}"), &rs);
@@ -534,19 +474,8 @@ fn main() {
     }
     record = record
         .num_list(
-            "speedup_cone_vs_compiled",
-            &dense_counts
-                .iter()
-                .map(|&(_, _, s, _)| s)
-                .collect::<Vec<_>>(),
-        )
-        .num("min_speedup_cone_vs_compiled", min_speedup)
-        .num_list(
             "speedup_lut_vs_compiled",
-            &dense_counts
-                .iter()
-                .map(|&(_, _, _, s)| s)
-                .collect::<Vec<_>>(),
+            &dense_counts.iter().map(|&(_, _, s)| s).collect::<Vec<_>>(),
         )
         .num("min_speedup_lut_vs_compiled", min_speedup_lut);
     // Network-level engines. Refused configurations are `null`, never
@@ -558,10 +487,9 @@ fn main() {
         )
         .int("net_rows", net_rows as u64)
         .num_list("evals_per_s_scalar_net", &net_scalar)
-        .num_list("evals_per_s_lut_net", &net_lut)
         .num_list("evals_per_s_fused_net", &net_fused)
-        .num_list("speedup_fused_vs_lut", &net_speedup)
-        .num("min_speedup_fused_vs_lut", min_speedup_fused);
+        .num_list("speedup_fused_vs_scalar", &net_speedup)
+        .num("min_speedup_fused_vs_scalar", min_speedup_fused);
     if breakdown {
         let (ph, pm) = dta_logic::program_cache_stats();
         let (fh, fm) = dta_ann::fused_cache_stats();
@@ -593,6 +521,7 @@ fn main() {
             )
             .num("fused_cache_hit_rate", fh as f64 / (fh + fm).max(1) as f64);
     }
+    record = record.host();
     match record.write(&out_path) {
         Ok(()) => println!("perf record written to {out_path}"),
         Err(e) => eprintln!("could not write {out_path}: {e}"),

@@ -42,14 +42,6 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
     ),
     ("full", "true = paper-scale configuration"),
     ("serial", "exp_fig10: also time a --threads 1 reference run"),
-    (
-        "baseline",
-        "exp_fig10: also time the uncached switch-level engine",
-    ),
-    (
-        "lutpar",
-        "exp_fig10: also time the partitioned lut + fused engines vs one-thread references",
-    ),
     ("bench-out", "path for the machine-readable timing JSON"),
     (
         "breakdown",
@@ -378,6 +370,22 @@ impl JsonMap {
         out
     }
 
+    /// Adds the host facts that make perf records comparable across
+    /// machines and commits: `nproc` and the checked-out `git_rev`
+    /// (each `null` when unknown, e.g. outside a git checkout).
+    pub fn host(mut self) -> JsonMap {
+        let nproc = std::thread::available_parallelism().map(|n| n.get()).ok();
+        self.push(
+            "nproc",
+            nproc.map_or_else(|| "null".into(), |n| n.to_string()),
+        );
+        self.push(
+            "git_rev",
+            git_rev().map_or_else(|| "null".into(), |r| json_string(&r)),
+        );
+        self
+    }
+
     /// Writes the rendered object to `path`.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.render())
@@ -392,6 +400,16 @@ pub fn format_json_number(value: f64) -> String {
     } else {
         "null".into()
     }
+}
+
+/// The commit the working directory is checked out at, if git can tell.
+fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
+    (out.status.success() && !rev.is_empty()).then_some(rev)
 }
 
 fn json_string(s: &str) -> String {

@@ -3,9 +3,7 @@
 use std::sync::Arc;
 
 use dta_fixed::Fx;
-use dta_logic::{
-    GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, Simulator64,
-};
+use dta_logic::{GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator};
 
 /// Builds one full-adder bit cell and returns `(sum, cout, gates)`.
 ///
@@ -227,35 +225,6 @@ impl SatAdderCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
-    /// Creates a fresh 64-lane simulator for this circuit.
-    pub fn simulator64(&self) -> Simulator64 {
-        Simulator64::new(Arc::clone(&self.net))
-    }
-
-    /// Computes a whole batch of saturating sums, 64 lanes per settle.
-    /// Only valid with combinational overrides (see
-    /// [`crate::DefectPlan::apply64`]); results are then identical to
-    /// repeated [`SatAdderCircuit::compute`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length.
-    pub fn compute64(&self, sim: &mut Simulator64, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            sim.set_input_words(&self.a, &wa);
-            sim.set_input_words(&self.b, &wb);
-            sim.settle();
-            out.extend(
-                (0..ca.len()).map(|l| Fx::from_bits(sim.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
-    }
-
     /// The LSB-first `a` operand input bus.
     pub fn a_bus(&self) -> &[NodeId] {
         &self.a
@@ -298,38 +267,6 @@ impl SatAdderCircuit {
             out.extend(
                 (0..ca.len()).map(|l| Fx::from_bits(ex.read_word_lane(&self.out, l) as u16)),
             );
-        }
-        out
-    }
-
-    /// Differential batch evaluation for *stateful* fault sets — see
-    /// [`crate::FxMulCircuit::compute_cone`]. Identical to mapping
-    /// [`SatAdderCircuit::compute`] over the pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length, or `sim` has no cone plan.
-    pub fn compute_cone(
-        &self,
-        sim: &mut Simulator,
-        healthy: &mut Simulator64,
-        a: &[Fx],
-        b: &[Fx],
-    ) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            healthy.set_input_words(&self.a, &wa);
-            healthy.set_input_words(&self.b, &wb);
-            healthy.settle();
-            sim.settle_cone_from64(healthy, ca.len());
-            for l in 0..ca.len() {
-                out.push(Fx::from_bits(
-                    sim.read_word_cone(healthy, l, &self.out) as u16
-                ));
-            }
         }
         out
     }

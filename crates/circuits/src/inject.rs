@@ -21,41 +21,16 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::seq::IndexedRandom;
 use rand::Rng;
 
 use dta_logic::gate::GateBehavior;
-use dta_logic::{
-    LutExec, Netlist, Node, NodeId, Simulator, Simulator64, StuckAt, StuckPort, StuckSet,
-};
+use dta_logic::{LutExec, Netlist, Node, NodeId, Simulator, StuckAt, StuckPort, StuckSet};
 use dta_transistor::{
     Activation, ActivationState, CachedCell, CellTable, CmosCell, Defect, DynamicCell,
     DynamicDefect, DynamicRefCell, FaultyCell,
 };
-
-/// Benchmark hook: when set, [`DefectPlan::apply`] installs the uncached
-/// switch-level evaluator and [`DefectPlan::apply64`] always refuses, so
-/// every campaign layer above runs exactly the engine the seed shipped
-/// with. Process-global because the campaign drivers build their fault
-/// plans many layers below the experiment binaries.
-static SWITCH_LEVEL_BASELINE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the seed's uncached switch-level evaluation
-/// engine for every subsequently applied [`DefectPlan`] in the process.
-///
-/// Only meant for benchmarks that measure the truth-table cache against
-/// the original engine (`exp_fig10 --baseline`, `benches/campaign.rs`);
-/// results are bit-identical either way, only the speed differs.
-pub fn force_switch_level_baseline(on: bool) {
-    SWITCH_LEVEL_BASELINE.store(on, Ordering::SeqCst);
-}
-
-/// True while [`force_switch_level_baseline`] is in effect.
-pub fn switch_level_baseline() -> bool {
-    SWITCH_LEVEL_BASELINE.load(Ordering::SeqCst)
-}
 
 /// Which fault model to inject with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -193,7 +168,7 @@ impl DefectPlan {
     }
 
     /// True if any injected defect has a non-permanent lifetime, i.e.
-    /// evaluation is stateful and lane-parallel paths must refuse it.
+    /// evaluation is stateful and cannot lower to truth-word patches.
     pub fn has_dynamic(&self) -> bool {
         self.trans_cells.values().any(|g| !g.dynamic.is_empty())
             || self.stuck_sets.values().any(|g| !g.dynamic.is_empty())
@@ -345,9 +320,6 @@ impl DefectPlan {
     /// switch-level evaluator installed by
     /// [`DefectPlan::apply_switch_level`].
     pub fn apply(&self, sim: &mut Simulator) {
-        if switch_level_baseline() {
-            return self.apply_switch_level(sim);
-        }
         for (&gate, tg) in &self.trans_cells {
             if tg.dynamic.is_empty() {
                 sim.override_gate(gate, Box::new(CachedCell::new(&tg.cell)));
@@ -395,34 +367,6 @@ impl DefectPlan {
                     .collect(),
             })
         }
-    }
-
-    /// Installs this plan into a 64-lane simulator, if every faulty
-    /// cell is purely combinational under its defect set (no delay
-    /// defect, no reachable memory state) and no defect is dynamic.
-    /// Returns `false` — without touching `sim` — when any cell is
-    /// stateful, in which case the caller must fall back to the scalar
-    /// path; lane-parallel evaluation cannot order the per-lane state
-    /// updates of a latching cell, nor the per-evaluation activation
-    /// stream of a transient defect.
-    pub fn apply64(&self, sim: &mut Simulator64) -> bool {
-        if switch_level_baseline() || self.has_dynamic() {
-            return false;
-        }
-        let mut tables = Vec::with_capacity(self.trans_cells.len());
-        for (&gate, tg) in &self.trans_cells {
-            match CellTable::cached(&tg.cell).truth64() {
-                Some(t64) => tables.push((gate, t64)),
-                None => return false,
-            }
-        }
-        for (gate, t64) in tables {
-            sim.override_gate(gate, Box::new(t64));
-        }
-        for (&gate, sg) in &self.stuck_sets {
-            sim.override_gate(gate, Box::new(sg.set.clone()));
-        }
-        true
     }
 
     /// Lowers this plan onto a compiled LUT executor (the
@@ -686,50 +630,6 @@ mod tests {
         }
         assert_eq!(plain.records(), with.records());
         assert_eq!(a.random::<u64>(), b.random::<u64>(), "RNG streams aligned");
-    }
-
-    #[test]
-    fn apply64_rejects_stateful_plans_and_accepts_combinational() {
-        use std::sync::Arc;
-        let adder = AdderCircuit::new(4);
-        let (mut combinational, mut stateful) = (0, 0);
-        for seed in 0..30 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
-            for _ in 0..3 {
-                plan.add_random(adder.netlist(), adder.cells(), &mut rng);
-            }
-            let mut sim64 = Simulator64::new(Arc::clone(adder.netlist()));
-            if plan.apply64(&mut sim64) {
-                combinational += 1;
-            } else {
-                stateful += 1;
-                assert_eq!(sim64.override_count(), 0, "must not touch sim on refusal");
-            }
-        }
-        assert!(combinational > 0, "no combinational plan in 30 seeds");
-        assert!(stateful > 0, "no stateful plan in 30 seeds");
-    }
-
-    #[test]
-    fn apply64_always_refuses_dynamic_plans() {
-        use std::sync::Arc;
-        let adder = AdderCircuit::new(4);
-        for seed in 0..10 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
-            plan.add_random_with(
-                adder.netlist(),
-                adder.cells(),
-                Activation::Transient {
-                    per_eval_probability: 0.5,
-                },
-                &mut rng,
-            );
-            let mut sim64 = Simulator64::new(Arc::clone(adder.netlist()));
-            assert!(!plan.apply64(&mut sim64), "dynamic plans cannot vectorize");
-            assert_eq!(sim64.override_count(), 0);
-        }
     }
 
     #[test]

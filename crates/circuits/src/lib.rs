@@ -54,7 +54,7 @@ pub mod word_latch;
 pub use adder::{AdderCircuit, SatAdderCircuit};
 pub use cla_adder::ClaAdderCircuit;
 pub use dta_transistor::{Activation, ActivationError, ActivationState};
-pub use inject::{force_switch_level_baseline, switch_level_baseline, DefectPlan, FaultModel};
+pub use inject::{DefectPlan, FaultModel};
 pub use multiplier::{ArrayMultiplier, FxMulCircuit};
 pub use ops::{HwAdder, HwMultiplier, HwSigmoid};
 pub use sigmoid_unit::SigmoidUnitCircuit;

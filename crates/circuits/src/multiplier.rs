@@ -4,9 +4,7 @@
 use std::sync::Arc;
 
 use dta_fixed::Fx;
-use dta_logic::{
-    GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, Simulator64,
-};
+use dta_logic::{GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator};
 
 use crate::adder::full_adder;
 
@@ -305,35 +303,6 @@ impl FxMulCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
-    /// Creates a fresh 64-lane simulator for this circuit.
-    pub fn simulator64(&self) -> Simulator64 {
-        Simulator64::new(Arc::clone(&self.net))
-    }
-
-    /// Multiplies a whole batch through the lane-parallel simulator, 64
-    /// products per settle. Only valid with combinational overrides
-    /// (see [`crate::DefectPlan::apply64`]); results are then identical
-    /// to repeated [`FxMulCircuit::compute`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length.
-    pub fn compute64(&self, sim: &mut Simulator64, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            sim.set_input_words(&self.a, &wa);
-            sim.set_input_words(&self.b, &wb);
-            sim.settle();
-            out.extend(
-                (0..ca.len()).map(|l| Fx::from_bits(sim.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
-    }
-
     /// The LSB-first `a` operand input bus.
     pub fn a_bus(&self) -> &[NodeId] {
         &self.a
@@ -379,42 +348,6 @@ impl FxMulCircuit {
             out.extend(
                 (0..ca.len()).map(|l| Fx::from_bits(ex.read_word_lane(&self.out, l) as u16)),
             );
-        }
-        out
-    }
-
-    /// Differential batch evaluation for *stateful* fault sets: settles
-    /// a healthy 64-lane twin once per chunk of 64 pairs, then
-    /// gate-simulates only `sim`'s cone of influence per lane, in lane
-    /// order — so memory effects and activation streams advance exactly
-    /// as repeated [`FxMulCircuit::compute`] calls would. Identical
-    /// results, a fraction of the gate evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length, or `sim` has no cone plan
-    /// (see [`Simulator::prepare_cone`]).
-    pub fn compute_cone(
-        &self,
-        sim: &mut Simulator,
-        healthy: &mut Simulator64,
-        a: &[Fx],
-        b: &[Fx],
-    ) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            healthy.set_input_words(&self.a, &wa);
-            healthy.set_input_words(&self.b, &wb);
-            healthy.settle();
-            sim.settle_cone_from64(healthy, ca.len());
-            for l in 0..ca.len() {
-                out.push(Fx::from_bits(
-                    sim.read_word_cone(healthy, l, &self.out) as u16
-                ));
-            }
         }
         out
     }

@@ -3,9 +3,7 @@
 use std::sync::Arc;
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{
-    GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, Simulator64,
-};
+use dta_logic::{GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator};
 
 use crate::adder::full_adder;
 
@@ -254,28 +252,6 @@ impl SigmoidUnitCircuit {
         Fx::from_bits(sim.read_word(&self.out) as u16)
     }
 
-    /// Creates a fresh 64-lane simulator for this circuit.
-    pub fn simulator64(&self) -> Simulator64 {
-        Simulator64::new(Arc::clone(&self.net))
-    }
-
-    /// Evaluates a whole batch of activations, 64 lanes per settle.
-    /// Only valid with combinational overrides (see
-    /// [`crate::DefectPlan::apply64`]); results are then identical to
-    /// repeated [`SigmoidUnitCircuit::compute`] calls.
-    pub fn compute64(&self, sim: &mut Simulator64, xs: &[Fx]) -> Vec<Fx> {
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(64) {
-            let wx: Vec<u64> = chunk.iter().map(|v| v.to_bits() as u64).collect();
-            sim.set_input_words(&self.x, &wx);
-            sim.settle();
-            out.extend(
-                (0..chunk.len()).map(|l| Fx::from_bits(sim.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
-    }
-
     /// The LSB-first `x` input bus.
     pub fn x_bus(&self) -> &[NodeId] {
         &self.x
@@ -306,34 +282,6 @@ impl SigmoidUnitCircuit {
             out.extend(
                 (0..chunk.len()).map(|l| Fx::from_bits(ex.read_word_lane(&self.out, l) as u16)),
             );
-        }
-        out
-    }
-
-    /// Differential batch evaluation for *stateful* fault sets — see
-    /// [`crate::FxMulCircuit::compute_cone`]. Identical to mapping
-    /// [`SigmoidUnitCircuit::compute`] over the inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` has no cone plan.
-    pub fn compute_cone(
-        &self,
-        sim: &mut Simulator,
-        healthy: &mut Simulator64,
-        xs: &[Fx],
-    ) -> Vec<Fx> {
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(64) {
-            let wx: Vec<u64> = chunk.iter().map(|v| v.to_bits() as u64).collect();
-            healthy.set_input_words(&self.x, &wx);
-            healthy.settle();
-            sim.settle_cone_from64(healthy, chunk.len());
-            for l in 0..chunk.len() {
-                out.push(Fx::from_bits(
-                    sim.read_word_cone(healthy, l, &self.out) as u16
-                ));
-            }
         }
         out
     }

@@ -437,6 +437,27 @@ fn campaign_cell(
             panic!("chaos: injected panic in cell ({n_defects}, {rep}) attempt {attempt}");
         }
     }
+    let mut plan = draw_plan(spec, cfg, ds.n_classes(), n_defects, rep);
+    let cv = cross_validate(
+        trainer,
+        ds,
+        spec.hidden,
+        cfg.folds,
+        cfg.seed ^ rep as u64,
+        Some(&mut plan),
+    );
+    cv.mean()
+}
+
+/// The defect set of campaign cell `(n_defects, rep)`: a pure function
+/// of the cell's coordinates and the master seed.
+fn draw_plan(
+    spec: &TaskSpec,
+    cfg: &CampaignConfig,
+    n_classes: usize,
+    n_defects: usize,
+    rep: usize,
+) -> FaultPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(cfg.seed, n_defects, rep));
     let mut plan = FaultPlan::new(90);
     match cfg.mem {
@@ -459,7 +480,7 @@ fn campaign_cell(
             for _ in 0..op_defects {
                 plan.inject_random_hidden_with(spec.hidden, cfg.model, cfg.activation, &mut rng);
             }
-            let mut geom = MemGeometry::for_network(90, spec.hidden, ds.n_classes(), profile.ecc);
+            let mut geom = MemGeometry::for_network(90, spec.hidden, n_classes, profile.ecc);
             geom.spare_rows = profile.spare_rows;
             geom.spare_cols = profile.spare_cols;
             let mut mem = WeightMemory::new(geom);
@@ -467,15 +488,7 @@ fn campaign_cell(
             plan.attach_memory(mem);
         }
     }
-    let cv = cross_validate(
-        trainer,
-        ds,
-        spec.hidden,
-        cfg.folds,
-        cfg.seed ^ rep as u64,
-        Some(&mut plan),
-    );
-    cv.mean()
+    plan
 }
 
 /// Where a Figure 11 defect was injected.
@@ -678,15 +691,22 @@ mod tests {
         assert_eq!(points, output_amplitude_curve(&spec, 3, Some(8), 11, 1));
     }
 
-    /// End-to-end settle-strategy identity: the same campaign run with
-    /// every simulator forced onto the compiled full sweep (which also
-    /// disables cone pruning and 64-lane batching in the operator
-    /// layer) must reproduce the event-driven curves bit-for-bit, for
-    /// every activation class.
+    /// Batch evaluation on the campaign's own draws: for every
+    /// activation class and both fault surfaces, the fused-or-scalar
+    /// `forward_faulty_batch` must equal row-by-row `forward_faulty`
+    /// from the same fault state, on plans that fuse and plans that
+    /// do not.
     #[test]
-    fn forced_full_settle_curves_are_bit_identical() {
-        let _toggles = dta_logic::engine_toggle_lock();
+    fn batch_forward_matches_scalar_on_campaign_draws() {
         let spec = iris();
+        let ds = spec.dataset();
+        let lut = SigmoidLut::new();
+        let rows: Vec<&[f64]> = ds.samples().iter().map(|s| s.features.as_slice()).collect();
+        let mlp = Mlp::new(
+            Topology::new(ds.n_features(), spec.hidden, ds.n_classes()),
+            3,
+        );
+        let (mut fused, mut scalar) = (0, 0);
         for activation in [
             Activation::Permanent,
             Activation::Transient {
@@ -694,46 +714,36 @@ mod tests {
             },
             Activation::Intermittent { period: 4, duty: 2 },
         ] {
-            let cfg = CampaignConfig {
-                activation,
-                defect_counts: vec![0, 6],
-                ..tiny_cfg()
-            };
-            let event = defect_tolerance_curve(&spec, &cfg).unwrap();
-            dta_logic::force_full_settle(true);
-            let full = defect_tolerance_curve(&spec, &cfg);
-            dta_logic::force_full_settle(false);
-            assert_eq!(event, full.unwrap(), "{activation:?}");
+            for mem in [None, Some(MemProfile::default())] {
+                let cfg = CampaignConfig {
+                    activation,
+                    mem,
+                    combined: mem.is_some(),
+                    defect_counts: vec![1, 2, 4, 8],
+                    repetitions: 3,
+                    ..tiny_cfg()
+                };
+                for &n in &cfg.defect_counts {
+                    for rep in 0..cfg.repetitions {
+                        let mut plan = draw_plan(&spec, &cfg, ds.n_classes(), n, rep);
+                        if plan.vectorizable() {
+                            fused += 1;
+                        } else {
+                            scalar += 1;
+                        }
+                        plan.reset_state();
+                        let batch = mlp.forward_faulty_batch(&rows, &lut, &mut plan);
+                        plan.reset_state();
+                        let want: Vec<_> = rows
+                            .iter()
+                            .map(|x| mlp.forward_faulty(x, &lut, &mut plan))
+                            .collect();
+                        assert_eq!(batch, want, "{activation:?} mem={mem:?} n={n} rep={rep}");
+                    }
+                }
+            }
         }
-    }
-
-    /// Forcing operators off the compiled LUT instruction stream (back
-    /// onto the event-driven / cone-pruned batch paths) must reproduce
-    /// the default curves bit-for-bit, for every activation class —
-    /// permanent plans exercise the truth-word-patch lowering, dynamic
-    /// ones the per-lane override fallback.
-    #[test]
-    fn lut_backend_curves_are_bit_identical() {
-        let _toggles = dta_logic::engine_toggle_lock();
-        let spec = iris();
-        for activation in [
-            Activation::Permanent,
-            Activation::Transient {
-                per_eval_probability: 0.3,
-            },
-            Activation::Intermittent { period: 4, duty: 2 },
-        ] {
-            let cfg = CampaignConfig {
-                activation,
-                defect_counts: vec![0, 6],
-                ..tiny_cfg()
-            };
-            let with_lut = defect_tolerance_curve(&spec, &cfg).unwrap();
-            dta_logic::disable_lut_backend(true);
-            let without = defect_tolerance_curve(&spec, &cfg);
-            dta_logic::disable_lut_backend(false);
-            assert_eq!(with_lut, without.unwrap(), "{activation:?}");
-        }
+        assert!(fused > 0 && scalar > 0, "{fused} fused, {scalar} scalar");
     }
 
     #[test]
@@ -886,8 +896,7 @@ mod tests {
 
     /// Zero-defect bit-identity through the memory path: attaching a
     /// healthy weight store to every cell must reproduce the operator
-    /// campaign byte-for-byte, for every activation class (mirrors the
-    /// `disable_lut_backend` A/B guard).
+    /// campaign byte-for-byte, for every activation class.
     #[test]
     fn zero_defect_memory_campaign_is_bit_identical() {
         let spec = iris();

@@ -66,7 +66,6 @@ pub mod dark_silicon;
 pub mod health;
 pub mod interface;
 pub mod large;
-pub mod lutpar;
 pub mod mission;
 pub mod parallel;
 pub mod processor;
@@ -84,7 +83,6 @@ pub use cost::{CostModel, CostReport, SensitiveAreaReport};
 pub use dark_silicon::{DarkSiliconReport, HeterogeneousChip};
 pub use health::{HealthEvent, HealthMonitor, HealthState, IllegalTransition};
 pub use interface::MemoryInterface;
-pub use lutpar::{PartitionedFusedExec, PartitionedLutExec};
 pub use mission::{
     run_mission, MissionConfig, MissionError, MissionEvent, MissionOutcome, SurfaceMix,
 };

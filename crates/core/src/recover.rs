@@ -762,8 +762,8 @@ fn sigmoid_visibility_of(
     let xs: Vec<Fx> = (0..samples)
         .map(|_| Fx::from_raw(rand::Rng::random::<i16>(&mut rng)))
         .collect();
-    // Batch entry point: rides the compiled-LUT / cone-pruned paths
-    // instead of one event-driven settle per sample.
+    // Batch entry point: rides the compiled LUT stream when the unit's
+    // plan lowered to truth-word patches, the scalar engine otherwise.
     let got = nf.activation_batch(&xs, lut);
     let visible = got
         .iter()

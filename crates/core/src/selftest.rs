@@ -400,8 +400,9 @@ fn probe_operators(accel: &mut Accelerator, cfg: &BistConfig) -> (Vec<FaultSite>
             }
             if let Some(hw) = nf.multiplier_mut(s) {
                 probed += 1;
-                // Batch entry point: rides the compiled-LUT / cone-pruned
-                // paths instead of one event-driven settle per vector.
+                // Batch entry point: rides the compiled LUT stream when
+                // the unit's plan lowered to truth-word patches, the
+                // scalar engine otherwise.
                 let got = hw.mul_batch(&va, &vb);
                 if got.iter().zip(&vectors).any(|(&p, &(a, b))| p != a * b) {
                     flagged.insert(FaultSite {

@@ -1,9 +1,9 @@
 //! Netlist → LUT instruction-stream compiler (the emulation-engine
 //! backend).
 //!
-//! The interpreting engines ([`crate::Simulator`], [`crate::Simulator64`])
-//! dispatch on [`GateKind`] for every gate of every settle. This module
-//! instead *compiles* a netlist once: gates are packed into k-input LUT
+//! The interpreting engine ([`crate::Simulator`]) dispatches on
+//! [`GateKind`] for every gate it settles. This module instead
+//! *compiles* a netlist once: gates are packed into k-input LUT
 //! instructions — a truth-table word plus operand slot indices into a
 //! flat register file — and emitted as a static straight-line schedule
 //! ordered by topological rank. [`crate::LutExec`] then evaluates the
@@ -12,36 +12,17 @@
 //! by per-lane behavioral re-evaluation (stateful/intermittent defects),
 //! so defect sweeps run at the same speed as the healthy circuit.
 //!
-//! Ranks (longest-path levels) are recorded per instruction so a large
-//! netlist can be partitioned across threads with one barrier per rank:
+//! Ranks (longest-path levels) are recorded per instruction:
 //! instructions inside a rank only read slots written by strictly lower
-//! ranks, never each other.
+//! ranks, never each other, so any order within a rank is a valid
+//! schedule.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::gate::GateKind;
 use crate::netlist::{Netlist, Node, NodeId};
-
-/// Benchmark/testing hook: when set, operator wiring that would prefer
-/// the compiled LUT instruction stream falls back to the interpreting
-/// engines. Sampled when an operator (re)builds its engines, exactly like
-/// [`crate::force_full_settle`]. Results are bit-identical either way.
-static DISABLE_LUT: AtomicBool = AtomicBool::new(false);
-
-/// Disables (or re-enables) the LUT instruction-stream backend for every
-/// operator built afterwards in this process. Only meant for benchmarks
-/// and differential tests that cross-check the LUT schedule against the
-/// interpreting engines.
-pub fn disable_lut_backend(on: bool) {
-    DISABLE_LUT.store(on, Ordering::SeqCst);
-}
-
-/// True while [`disable_lut_backend`] is in effect.
-pub fn lut_backend_disabled() -> bool {
-    DISABLE_LUT.load(Ordering::SeqCst)
-}
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -428,15 +409,5 @@ mod tests {
         let p1 = LutProgram::cached(&net);
         let p2 = LutProgram::cached(&net);
         assert!(Arc::ptr_eq(&p1, &p2));
-    }
-
-    #[test]
-    fn lut_hook_toggles() {
-        let _toggles = crate::engine_toggle_lock();
-        assert!(!lut_backend_disabled());
-        disable_lut_backend(true);
-        assert!(lut_backend_disabled());
-        disable_lut_backend(false);
-        assert!(!lut_backend_disabled());
     }
 }

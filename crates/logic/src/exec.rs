@@ -15,7 +15,7 @@
 //!   per-lane evaluation for those instructions only, in ascending lane
 //!   order, so every behavior advances through exactly the input
 //!   sequence the scalar [`crate::Simulator`] would feed it. This keeps
-//!   the stream bit-identical to [`crate::SettleMode::Event`].
+//!   the stream bit-identical to the event-driven scalar settle.
 
 use std::sync::Arc;
 
@@ -32,9 +32,9 @@ struct OverrideSlot {
     behavior: Box<dyn GateBehavior>,
 }
 
-/// The LUT instruction-stream evaluation engine; mirrors
-/// [`crate::Simulator64`]'s lane conventions (`set_input_words` puts
-/// `words[l]` in lane `l`, LSB-first buses, missing lanes zero).
+/// The LUT instruction-stream evaluation engine. Lane conventions:
+/// `set_input_words` puts `words[l]` in lane `l`, buses are LSB-first,
+/// missing lanes are zero.
 #[derive(Debug)]
 pub struct LutExec {
     prog: Arc<LutProgram>,
@@ -277,7 +277,6 @@ mod tests {
     use crate::gate::GateKind;
     use crate::netlist::NetlistBuilder;
     use crate::sim::Simulator;
-    use crate::sim64::Simulator64;
 
     fn ripple_adder4() -> (Arc<Netlist>, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
         let mut b = NetlistBuilder::new();
@@ -299,26 +298,22 @@ mod tests {
     }
 
     #[test]
-    fn lut_adder_matches_simulator64_exhaustively() {
+    fn lut_adder_matches_simulator_exhaustively() {
         let (net, a, x, sum) = ripple_adder4();
         let prog = Arc::new(LutProgram::compile(Arc::clone(&net)));
         let mut ex = LutExec::new(prog);
-        let mut v = Simulator64::new(Arc::clone(&net));
+        let mut s = Simulator::new(Arc::clone(&net));
         for batch in 0..4u64 {
             let pa: Vec<u64> = (0..64).map(|i| (batch * 64 + i) / 16).collect();
             let pb: Vec<u64> = (0..64).map(|i| (batch * 64 + i) % 16).collect();
             ex.set_input_words(&a, &pa);
             ex.set_input_words(&x, &pb);
             ex.exec();
-            v.set_input_words(&a, &pa);
-            v.set_input_words(&x, &pb);
-            v.settle();
             for l in 0..64 {
-                assert_eq!(
-                    ex.read_word_lane(&sum, l),
-                    v.read_word_lane(&sum, l),
-                    "lane {l}"
-                );
+                s.set_input_word(&a, pa[l]);
+                s.set_input_word(&x, pb[l]);
+                s.settle();
+                assert_eq!(ex.read_word_lane(&sum, l), s.read_word(&sum), "lane {l}");
                 assert_eq!(ex.read_word_lane(&sum, l), pa[l] + pb[l]);
             }
         }

@@ -1,9 +1,9 @@
 //! Cross-operator fusion of compiled LUT instruction streams.
 //!
 //! [`crate::LutProgram`] compiles *one* netlist; an accelerator forward
-//! pass evaluates many operator instances whose compiled programs the
-//! per-operator engines run one at a time, repacking 64-lane words at
-//! every operator boundary. [`FuseBuilder`] instead stitches any number
+//! pass evaluates many operator instances, and running their compiled
+//! programs one at a time would repack 64-lane words at every operator
+//! boundary. [`FuseBuilder`] instead stitches any number
 //! of (already fault-patched) instruction streams into a single
 //! [`FusedProgram`] over one shared flat register file: a producer's
 //! output slots are *bound* directly as a consumer's input slots, so a
@@ -21,8 +21,8 @@
 //! what lets later segments read earlier segments' outputs directly.
 //!
 //! Like [`crate::LutProgram`], the fused stream is rank-major (stable
-//! within a rank), so [`FusedProgram::rank_range`] gives the barrier
-//! schedule for rank-partitioned multi-core execution.
+//! within a rank), and [`FusedProgram::stage_range`] gives each stage's
+//! contiguous instruction range.
 
 use std::sync::Arc;
 

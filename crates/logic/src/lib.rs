@@ -12,10 +12,15 @@
 //!   count for the cost model;
 //! * [`Netlist`] / [`NetlistBuilder`] — an immutable combinational +
 //!   latch DAG with named input/output buses;
-//! * [`Simulator`] — an evaluation engine that settles the combinational
-//!   logic in topological order and steps latches on [`Simulator::tick`];
-//!   any gate can be overridden with a [`GateBehavior`], which is how both
-//!   fault models plug in;
+//! * [`Simulator`] — the event-driven scalar evaluation engine and the
+//!   reference oracle: it settles the combinational logic in topological
+//!   order and steps latches on [`Simulator::tick`]; any gate can be
+//!   overridden with a [`GateBehavior`], which is how both fault models
+//!   plug in;
+//! * [`LutProgram`] / [`LutExec`] — the netlist compiled to a 64-lane LUT
+//!   instruction stream, with permanent faults patched into truth words,
+//!   and [`FusedProgram`] / [`FusedExec`], many such streams stitched into
+//!   one program;
 //! * [`stuck`] — the classic **gate-level stuck-at fault model** (inputs
 //!   or output of a logic gate stuck at 0/1). The paper uses this model as
 //!   the *inaccurate baseline* that transistor-level injection
@@ -50,18 +55,13 @@ pub mod gate;
 pub mod netlist;
 pub mod opt;
 pub mod sim;
-pub mod sim64;
 pub mod stuck;
 
-pub use compile::{
-    disable_lut_backend, kind_table, lut_backend_disabled, program_cache_stats, LatchSlot,
-    LutInstr, LutProgram,
-};
+pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgram};
 pub use exec::LutExec;
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
-pub use netlist::{ConeClosure, Netlist, NetlistBuilder, NetlistError, Node, NodeId};
+pub use netlist::{Netlist, NetlistBuilder, NetlistError, Node, NodeId};
 pub use opt::{optimize, optimize_with_consts, OptStats, SlotMap};
-pub use sim::{engine_toggle_lock, force_full_settle, full_settle_forced, SettleMode, Simulator};
-pub use sim64::{Behavior64, Simulator64};
+pub use sim::Simulator;
 pub use stuck::{StuckAt, StuckPort, StuckSet};

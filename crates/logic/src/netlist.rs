@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::gate::GateKind;
 
@@ -225,80 +224,6 @@ impl Netlist {
         self.node_sched[node as usize]
     }
 
-    /// The union fan-out cone of a set of gates: every schedule position
-    /// whose value can differ from the healthy circuit when (only) the
-    /// seed gates misbehave, plus a per-node membership bitmap. The cone
-    /// is closed across sequential elements: a latch whose data input is
-    /// in the cone joins the cone (its stored value can diverge after a
-    /// tick) and its fan-out is followed in turn, so sequential netlists
-    /// prune correctly too. Latches contribute to the membership bitmap
-    /// but not to the returned schedule positions (they hold state, they
-    /// are not evaluated by a settle).
-    pub fn fanout_cone(&self, seeds: &[NodeId]) -> (Vec<u32>, Vec<bool>) {
-        // Reverse latch-data edges (data node index → latch indices),
-        // so the walk can cross storage elements. Latches are few.
-        let mut latch_of_data: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &l in &self.latches {
-            if let Node::Latch { data, .. } = self.node(l) {
-                latch_of_data.entry(data.0).or_default().push(l.0);
-            }
-        }
-        let mut in_cone = vec![false; self.nodes.len()];
-        let mut cone_sched: Vec<u32> = Vec::new();
-        let mut stack: Vec<u32> = Vec::new();
-        for &s in seeds {
-            let pos = self.sched_index(s.0);
-            assert!(pos != u32::MAX, "{s} is not a gate");
-            if !in_cone[s.index()] {
-                in_cone[s.index()] = true;
-                cone_sched.push(pos);
-                stack.push(s.0);
-            }
-        }
-        while let Some(n) = stack.pop() {
-            for &pos in self.fanout_of(n) {
-                let out = self.sched[pos as usize].out;
-                if !in_cone[out as usize] {
-                    in_cone[out as usize] = true;
-                    cone_sched.push(pos);
-                    stack.push(out);
-                }
-            }
-            if let Some(latches) = latch_of_data.get(&n) {
-                for &l in latches {
-                    if !in_cone[l as usize] {
-                        in_cone[l as usize] = true;
-                        stack.push(l);
-                    }
-                }
-            }
-        }
-        cone_sched.sort_unstable();
-        (cone_sched, in_cone)
-    }
-
-    /// Computes (or returns the process-wide memoized) [`ConeClosure`]
-    /// for a seed set — the shareable part of a cone plan. Keyed by
-    /// (netlist identity, sorted seed set), so campaign cells that hit
-    /// the same operator at the same defect sites reuse the closure
-    /// instead of re-walking the fan-out. The cache pins each netlist
-    /// `Arc` so pointer keys can never alias.
-    pub fn cone_closure(self: &Arc<Netlist>, seeds: &[NodeId]) -> Arc<ConeClosure> {
-        static CACHE: OnceLock<ConeCache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut key: Vec<u32> = seeds.iter().map(|s| s.0).collect();
-        key.sort_unstable();
-        key.dedup();
-        let key = (Arc::as_ptr(self) as usize, key);
-        let mut map = cache.lock().expect("cone closure cache poisoned");
-        if let Some((_, closure)) = map.get(&key) {
-            return Arc::clone(closure);
-        }
-        let closure = Arc::new(ConeClosure::build(self, seeds));
-        map.insert(key, (Arc::clone(self), Arc::clone(&closure)));
-        closure
-    }
-
     /// Counts gate instances per cell type — the structural summary the
     /// cost model and experiment reports print.
     pub fn kind_histogram(&self) -> Vec<(GateKind, usize)> {
@@ -375,83 +300,6 @@ impl Netlist {
             }
         }
         max
-    }
-}
-
-type ConeCache = Mutex<HashMap<(usize, Vec<u32>), (Arc<Netlist>, Arc<ConeClosure>)>>;
-
-/// The immutable, shareable part of a fan-out-cone plan: the in-cone
-/// schedule positions, the membership bitmap, a dense slot assignment
-/// for cone scratch values, and the in-cone latches (declaration order).
-/// Built once per (netlist, seed set) and shared by every simulator
-/// pruning around the same defect sites — see [`Netlist::cone_closure`].
-#[derive(Debug)]
-pub struct ConeClosure {
-    /// Schedule positions inside the cone, ascending (topological).
-    pub(crate) sched: Vec<u32>,
-    /// Node-index membership bitmap (gates *and* latches).
-    pub(crate) in_cone: Vec<bool>,
-    /// Node index → dense scratch slot (`u32::MAX` outside the cone).
-    pub(crate) slot: Vec<u32>,
-    /// Number of dense scratch slots.
-    pub(crate) n_slots: u32,
-    /// In-cone latches as `(latch, data, init)` node indices, in
-    /// declaration order (the order scalar `tick` captures in).
-    pub(crate) latches: Vec<(u32, u32, bool)>,
-    /// True when an in-cone latch's data input is an out-of-cone latch.
-    /// Tick semantics are declaration-order in-place, so the mid-tick
-    /// value of such a boundary latch is not recoverable from a settled
-    /// healthy twin; cone pruning refuses these (rare) netlists.
-    pub(crate) boundary_chain: bool,
-}
-
-impl ConeClosure {
-    fn build(net: &Netlist, seeds: &[NodeId]) -> ConeClosure {
-        let (sched, in_cone) = net.fanout_cone(seeds);
-        let mut slot = vec![u32::MAX; in_cone.len()];
-        let mut n_slots = 0u32;
-        for (i, &m) in in_cone.iter().enumerate() {
-            if m {
-                slot[i] = n_slots;
-                n_slots += 1;
-            }
-        }
-        let mut latches = Vec::new();
-        let mut boundary_chain = false;
-        for &l in net.latches() {
-            if !in_cone[l.index()] {
-                continue;
-            }
-            if let Node::Latch { data, init } = net.node(l) {
-                if !in_cone[data.index()] && matches!(net.node(*data), Node::Latch { .. }) {
-                    boundary_chain = true;
-                }
-                latches.push((l.0, data.0, *init));
-            }
-        }
-        ConeClosure {
-            sched,
-            in_cone,
-            slot,
-            n_slots,
-            latches,
-            boundary_chain,
-        }
-    }
-
-    /// Number of gates in the cone.
-    pub fn len(&self) -> usize {
-        self.sched.len()
-    }
-
-    /// True when the cone contains no gates.
-    pub fn is_empty(&self) -> bool {
-        self.sched.is_empty()
-    }
-
-    /// True when a node is inside the cone.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.in_cone[id.index()]
     }
 }
 

@@ -1,75 +1,9 @@
 //! Netlist evaluation engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::gate::{GateBehavior, GateKind};
-use crate::netlist::{ConeClosure, Netlist, Node, NodeId};
-use crate::sim64::{eval_kind64, Simulator64};
-
-/// Benchmark hook: when set, every subsequently constructed [`Simulator`]
-/// and [`Simulator64`] starts in [`SettleMode::Full`] — the PR-1 compiled
-/// sweep — instead of the event-driven default. Results are bit-identical
-/// either way; only the speed differs. Sampled at construction time so
-/// the per-settle cost stays zero.
-static FORCE_FULL_SETTLE: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the compiled full-sweep settle for every
-/// simulator constructed afterwards in this process. Only meant for
-/// benchmarks and differential tests that measure or cross-check the
-/// event-driven path against the full sweep.
-pub fn force_full_settle(on: bool) {
-    FORCE_FULL_SETTLE.store(on, Ordering::SeqCst);
-}
-
-/// True while [`force_full_settle`] is in effect.
-pub fn full_settle_forced() -> bool {
-    FORCE_FULL_SETTLE.load(Ordering::SeqCst)
-}
-
-/// Serialises tests that flip or depend on the process-wide engine
-/// toggles ([`force_full_settle`], [`crate::disable_lut_backend`] and
-/// the switch-level and fused-engine switches built on them). The test
-/// harness runs a binary's tests on parallel threads of one process,
-/// so an A/B test that flips a toggle while another computes its
-/// reference arm would compare an engine with itself. Hold the guard
-/// for the whole test; a panicking holder does not poison it.
-#[doc(hidden)]
-pub fn engine_toggle_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// How [`Simulator::settle`] (and [`Simulator64::settle`]) propagates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SettleMode {
-    /// One compiled sweep over every gate in topological order — the
-    /// fallback engine and the differential-testing oracle.
-    Full,
-    /// Event-driven: only gates whose inputs changed since the previous
-    /// settle are re-evaluated, propagated in topological order until
-    /// quiescent. Overridden (faulty) gates are re-evaluated every
-    /// settle regardless, because stateful behaviors (memory effects,
-    /// activation streams) advance once per evaluation and can change
-    /// output with unchanged inputs. Bit-identical to [`SettleMode::Full`].
-    Event,
-}
-
-/// Precomputed cone-of-influence pruning state for a faulty simulator:
-/// the union fan-out cone of the overridden gates, plus a dense scratch
-/// value array so cone-only evaluation never touches the simulator's own
-/// node values. Cone scratch values are 64-lane words: healthy cone
-/// gates evaluate word-parallel, only the overridden gates themselves
-/// drop to per-lane evaluation (in lane order, so stateful behaviors see
-/// the exact scalar sequence).
-#[derive(Debug)]
-struct ConePlan {
-    /// The shared, memoized closure (schedule, membership, slots,
-    /// in-cone latches) — see [`Netlist::cone_closure`].
-    closure: Arc<ConeClosure>,
-    /// 64-lane scratch values for the cone nodes.
-    values: Vec<u64>,
-}
+use crate::netlist::{Netlist, Node, NodeId};
 
 /// Largest cell arity in the standard-cell library (AOI22/OAI22).
 pub(crate) const MAX_ARITY: usize = 4;
@@ -138,7 +72,6 @@ pub struct Simulator {
     /// array index, not a hash.
     overrides: Vec<Option<Box<dyn GateBehavior>>>,
     n_overrides: usize,
-    mode: SettleMode,
     /// Per-schedule-position dirty flags (event-driven bookkeeping).
     dirty: Vec<bool>,
     /// Bounds of the dirty schedule positions: the event-driven settle
@@ -154,12 +87,11 @@ pub struct Simulator {
     /// near-full work, so the settle adaptively drops to the compiled
     /// sweep.
     n_dirty: u32,
-    /// When set, the next settle re-evaluates every gate (initial state,
-    /// or values were bypassed by a cone batch).
+    /// When set, the next settle re-evaluates every gate (initial
+    /// state, before any settle has run).
     all_dirty: bool,
     /// Schedule positions of the overridden gates, ascending.
     override_sched: Vec<u32>,
-    cone: Option<ConePlan>,
 }
 
 impl Simulator {
@@ -175,40 +107,18 @@ impl Simulator {
         }
         let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
         let n_sched = net.schedule().0.len();
-        let mode = if full_settle_forced() {
-            SettleMode::Full
-        } else {
-            SettleMode::Event
-        };
         Simulator {
             net,
             values,
             overrides,
             n_overrides: 0,
-            mode,
             dirty: vec![false; n_sched],
             dirty_lo: u32::MAX,
             dirty_hi: 0,
             n_dirty: 0,
             all_dirty: true,
             override_sched: Vec::new(),
-            cone: None,
         }
-    }
-
-    /// The active settle strategy.
-    pub fn settle_mode(&self) -> SettleMode {
-        self.mode
-    }
-
-    /// Switches the settle strategy. Entering [`SettleMode::Event`]
-    /// schedules one full re-evaluation so the incremental bookkeeping
-    /// starts from a settled state.
-    pub fn set_settle_mode(&mut self, mode: SettleMode) {
-        if mode == SettleMode::Event && self.mode != SettleMode::Event {
-            self.all_dirty = true;
-        }
-        self.mode = mode;
     }
 
     /// Marks the consumers of `node` dirty.
@@ -236,7 +146,7 @@ impl Simulator {
     /// True when a node-value change must be tracked for the next
     /// event-driven settle.
     fn tracking_changes(&self) -> bool {
-        self.mode == SettleMode::Event && !self.all_dirty
+        !self.all_dirty
     }
 
     /// The netlist being simulated.
@@ -270,67 +180,16 @@ impl Simulator {
         }
     }
 
-    /// Settles the combinational logic — event-driven by default,
-    /// compiled full sweep in [`SettleMode::Full`]. Both strategies are
-    /// bit-identical.
-    pub fn settle(&mut self) {
-        match self.mode {
-            SettleMode::Full => self.settle_full(),
-            SettleMode::Event => self.settle_event(),
-        }
-    }
-
-    /// Settles with one compiled sweep over every gate in topological
-    /// order, regardless of the active mode — the fallback engine and the
-    /// oracle the event-driven path is differentially tested against.
-    pub fn settle_full(&mut self) {
-        // Clone the Arc (cheap) so the netlist borrow does not conflict
-        // with mutating values/overrides.
-        let net = Arc::clone(&self.net);
-        let (sched, pins) = net.schedule();
-        let values = &mut self.values;
-        if self.n_overrides == 0 {
-            // Healthy fast path: no override slot checks at all.
-            for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                values[g.out as usize] = eval_pins(g.kind, values, p);
-            }
-        } else {
-            let overrides = &mut self.overrides;
-            for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                let v = match overrides[g.out as usize].as_mut() {
-                    Some(behavior) => {
-                        let mut buf = [false; MAX_ARITY];
-                        for (k, &i) in p.iter().enumerate() {
-                            buf[k] = values[i as usize];
-                        }
-                        behavior.eval(&buf[..p.len()])
-                    }
-                    None => eval_pins(g.kind, values, p),
-                };
-                values[g.out as usize] = v;
-            }
-        }
-        // A full sweep leaves everything settled: drop any pending
-        // incremental work so the two paths stay interchangeable.
-        self.all_dirty = false;
-        if self.dirty_lo <= self.dirty_hi {
-            for pos in self.dirty_lo..=self.dirty_hi {
-                self.dirty[pos as usize] = false;
-            }
-        }
-        self.dirty_lo = u32::MAX;
-        self.dirty_hi = 0;
-        self.n_dirty = 0;
-    }
-
-    /// Event-driven settle: sweeps the dirty range of the schedule in
-    /// topological order, re-evaluating only gates whose inputs changed
-    /// since the previous settle and propagating output changes to their
-    /// fan-out until quiescent. (All fan-out positions are greater than
-    /// the producing gate's, so one forward sweep with a growing upper
-    /// bound reaches quiescence — no priority queue needed.)
+    /// Settles the combinational logic, event-driven: sweeps the dirty
+    /// range of the schedule in topological order, re-evaluating only
+    /// gates whose inputs changed since the previous settle and
+    /// propagating output changes to their fan-out until quiescent. (All
+    /// fan-out positions are greater than the producing gate's, so one
+    /// forward sweep with a growing upper bound reaches quiescence — no
+    /// priority queue needed.) Overridden (faulty) gates re-evaluate
+    /// every settle regardless, because stateful behaviors (memory
+    /// effects, activation streams) advance once per evaluation and can
+    /// change output with unchanged inputs.
     ///
     /// When more than ~1/64 of the schedule is already dirty before
     /// propagation, drops to [`Simulator::settle_full`]: seeded dirt
@@ -338,7 +197,7 @@ impl Simulator {
     /// reaches most of the array), so dense input changes end up doing
     /// near-full work and the compiled sweep does it without the
     /// change-tracking overhead. Bit-identical either way.
-    fn settle_event(&mut self) {
+    pub fn settle(&mut self) {
         if self.all_dirty || self.n_dirty as usize * 64 >= self.dirty.len() {
             return self.settle_full();
         }
@@ -392,6 +251,52 @@ impl Simulator {
                 }
             }
             pos += 1;
+        }
+        self.dirty_lo = u32::MAX;
+        self.dirty_hi = 0;
+        self.n_dirty = 0;
+    }
+
+    /// Settles with one compiled sweep over every gate in topological
+    /// order — the event-driven settle's fallback for dense changes and
+    /// the oracle it is differentially tested against. Bit-identical to
+    /// [`Simulator::settle`].
+    pub fn settle_full(&mut self) {
+        // Clone the Arc (cheap) so the netlist borrow does not conflict
+        // with mutating values/overrides.
+        let net = Arc::clone(&self.net);
+        let (sched, pins) = net.schedule();
+        let values = &mut self.values;
+        if self.n_overrides == 0 {
+            // Healthy fast path: no override slot checks at all.
+            for g in sched {
+                let p = &pins[g.in_start as usize..][..g.in_len as usize];
+                values[g.out as usize] = eval_pins(g.kind, values, p);
+            }
+        } else {
+            let overrides = &mut self.overrides;
+            for g in sched {
+                let p = &pins[g.in_start as usize..][..g.in_len as usize];
+                let v = match overrides[g.out as usize].as_mut() {
+                    Some(behavior) => {
+                        let mut buf = [false; MAX_ARITY];
+                        for (k, &i) in p.iter().enumerate() {
+                            buf[k] = values[i as usize];
+                        }
+                        behavior.eval(&buf[..p.len()])
+                    }
+                    None => eval_pins(g.kind, values, p),
+                };
+                values[g.out as usize] = v;
+            }
+        }
+        // A full sweep leaves everything settled: drop any pending
+        // incremental work so the two paths stay interchangeable.
+        self.all_dirty = false;
+        if self.dirty_lo <= self.dirty_hi {
+            for pos in self.dirty_lo..=self.dirty_hi {
+                self.dirty[pos as usize] = false;
+            }
         }
         self.dirty_lo = u32::MAX;
         self.dirty_hi = 0;
@@ -454,7 +359,6 @@ impl Simulator {
             let at = self.override_sched.partition_point(|&p| p < pos);
             self.override_sched.insert(at, pos);
         }
-        self.cone = None;
         if self.tracking_changes() {
             self.mark_pos(pos);
         }
@@ -468,7 +372,6 @@ impl Simulator {
             self.n_overrides -= 1;
             let pos = self.net.sched_index(id.0);
             self.override_sched.retain(|&p| p != pos);
-            self.cone = None;
             // The gate's function changed back: re-evaluate it once.
             if self.tracking_changes() {
                 self.mark_pos(pos);
@@ -502,158 +405,6 @@ impl Simulator {
         for behavior in self.overrides.iter_mut().flatten() {
             behavior.reset();
         }
-        // Cone scratch latch slots carry sequential state too.
-        if let Some(plan) = &mut self.cone {
-            for &(l, _, init) in &plan.closure.latches {
-                plan.values[plan.closure.slot[l as usize] as usize] = if init { !0 } else { 0 };
-            }
-        }
-    }
-
-    /// Precomputes the union fan-out cone of the currently overridden
-    /// gates for [`Simulator::settle_cone_from64`]. Outside the cone a
-    /// faulty evaluation equals the healthy circuit by construction, so
-    /// batch evaluation can read those values from a healthy 64-lane
-    /// twin and gate-simulate only the cone — overridden gates per lane,
-    /// in lane order, which keeps stateful faulty cells on the exact
-    /// evaluation sequence the scalar path would produce.
-    ///
-    /// The cone is closed across latches (a latch whose data input is in
-    /// the cone joins it), so sequential netlists prune too: call
-    /// [`Simulator::tick_cone_from64`] in place of [`Simulator::tick`]
-    /// between batch settles. The closure itself is memoized per
-    /// (netlist, seed set) — see [`Netlist::cone_closure`] — so cells
-    /// that hit the same sites share the walk.
-    ///
-    /// Returns `false` (and installs nothing) when there is no override
-    /// to prune around, or when an in-cone latch's data input is an
-    /// out-of-cone latch (a latch-to-latch boundary whose mid-tick value
-    /// cannot be recovered from a settled healthy twin).
-    pub fn prepare_cone(&mut self) -> bool {
-        self.cone = None;
-        if self.n_overrides == 0 {
-            return false;
-        }
-        let seeds: Vec<NodeId> = (0..self.overrides.len() as u32)
-            .filter(|&i| self.overrides[i as usize].is_some())
-            .map(NodeId)
-            .collect();
-        let closure = self.net.cone_closure(&seeds);
-        if closure.boundary_chain {
-            return false;
-        }
-        let mut values = vec![0u64; closure.n_slots as usize];
-        for &(l, _, init) in &closure.latches {
-            values[closure.slot[l as usize] as usize] = if init { !0 } else { 0 };
-        }
-        self.cone = Some(ConePlan { closure, values });
-        true
-    }
-
-    /// True once [`Simulator::prepare_cone`] has installed a cone plan.
-    pub fn cone_ready(&self) -> bool {
-        self.cone.is_some()
-    }
-
-    /// Number of gates in the installed cone, if any.
-    pub fn cone_len(&self) -> Option<usize> {
-        self.cone.as_ref().map(|c| c.closure.sched.len())
-    }
-
-    /// Evaluates only the cone gates against `n_lanes` lanes of a
-    /// settled healthy 64-lane twin driven with the same stimuli:
-    /// in-cone pins read the 64-lane cone scratch words, out-of-cone
-    /// pins read the healthy twin's words. Healthy cone gates evaluate
-    /// word-parallel (all lanes in one op); each *overridden* gate
-    /// evaluates per lane, in ascending lane order, so every stateful
-    /// behavior advances through exactly the input sequence the scalar
-    /// path would feed it. Behaviors are evaluated gate-by-gate rather
-    /// than row-by-row, which is indistinguishable: each behavior's
-    /// state is private, and cross-gate data flow follows the
-    /// topological order either way. The simulator's own node values
-    /// and event bookkeeping are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cone plan is installed (see
-    /// [`Simulator::prepare_cone`]), `healthy` runs a different netlist,
-    /// or `n_lanes > 64`.
-    pub fn settle_cone_from64(&mut self, healthy: &Simulator64, n_lanes: usize) {
-        let net = Arc::clone(&self.net);
-        let (sched, pins) = net.schedule();
-        let plan = self.cone.as_mut().expect("prepare_cone first");
-        assert!(
-            Arc::ptr_eq(&self.net, healthy.netlist_arc()),
-            "netlist mismatch"
-        );
-        assert!(n_lanes <= 64, "at most 64 lanes");
-        let overrides = &mut self.overrides;
-        for &pos in &plan.closure.sched {
-            let g = &sched[pos as usize];
-            let p = &pins[g.in_start as usize..][..g.in_len as usize];
-            let mut buf = [0u64; MAX_ARITY];
-            for (k, &i) in p.iter().enumerate() {
-                buf[k] = if plan.closure.in_cone[i as usize] {
-                    plan.values[plan.closure.slot[i as usize] as usize]
-                } else {
-                    healthy.word(i)
-                };
-            }
-            let v = match overrides[g.out as usize].as_mut() {
-                Some(behavior) => {
-                    // Per-lane, in lane order: one state advance per row.
-                    let mut out = 0u64;
-                    let mut lane_buf = [false; MAX_ARITY];
-                    for lane in 0..n_lanes {
-                        for (k, b) in lane_buf.iter_mut().take(p.len()).enumerate() {
-                            *b = (buf[k] >> lane) & 1 == 1;
-                        }
-                        out |= u64::from(behavior.eval(&lane_buf[..p.len()])) << lane;
-                    }
-                    out
-                }
-                None => eval_kind64(g.kind, &buf[..p.len()]),
-            };
-            plan.values[plan.closure.slot[g.out as usize] as usize] = v;
-        }
-    }
-
-    /// Latch capture for the cone scratch state, lane-parallel: each
-    /// in-cone latch slot takes its data value — from the cone scratch
-    /// words when the data node is in the cone, from the settled healthy
-    /// twin otherwise. Updates happen in declaration order, in place,
-    /// matching [`Simulator::tick`] exactly (including in-cone latch
-    /// chains). Call after [`Simulator::settle_cone_from64`] and
-    /// *before* ticking the healthy twin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cone plan is installed.
-    pub fn tick_cone_from64(&mut self, healthy: &Simulator64) {
-        let plan = self.cone.as_mut().expect("prepare_cone first");
-        for &(l, data, _) in &plan.closure.latches {
-            let v = if plan.closure.in_cone[data as usize] {
-                plan.values[plan.closure.slot[data as usize] as usize]
-            } else {
-                healthy.word(data)
-            };
-            plan.values[plan.closure.slot[l as usize] as usize] = v;
-        }
-    }
-
-    /// Reads lane `lane` of a bus after [`Simulator::settle_cone_from64`]:
-    /// in-cone bits from the cone scratch words, the rest from the
-    /// healthy twin.
-    pub fn read_word_cone(&self, healthy: &Simulator64, lane: usize, bus: &[NodeId]) -> u64 {
-        let plan = self.cone.as_ref().expect("prepare_cone first");
-        bus.iter().enumerate().fold(0u64, |acc, (bit, &id)| {
-            let v = if plan.closure.in_cone[id.index()] {
-                (plan.values[plan.closure.slot[id.index()] as usize] >> lane) & 1 == 1
-            } else {
-                healthy.lane_bit(id.0, lane)
-            };
-            acc | (u64::from(v) << bit)
-        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! * the **optimized** fused program (constant folding through patched
 //!   truth words + known-constant inputs, copy propagation, dead-LUT
 //!   elimination, slot compaction), and
-//! * per-operator `SettleMode::Event` [`Simulator`]s with identical
+//! * per-operator event-driven [`Simulator`]s with identical
 //!   [`TableBehavior`] overrides (one per segment, chained by hand)
 //!
 //! must be bit-identical on every surviving register, every lane, every
@@ -15,14 +15,14 @@
 //! only class that lowers into truth words and therefore into fused
 //! streams; dynamic classes (transient/intermittent overrides) are
 //! refused upstream by the network compiler and fall back to the
-//! per-operator engines, where `prop.rs` already pins them to the
-//! scalar reference.
+//! scalar engine, against which `prop.rs` already pins the per-lane
+//! override path.
 
 use std::sync::Arc;
 
 use dta_logic::{
     optimize, optimize_with_consts, FuseBuilder, FusedExec, GateBehavior, GateKind, LutExec,
-    LutProgram, Netlist, NetlistBuilder, NodeId, SettleMode, Simulator, DEAD_SLOT,
+    LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
 };
 use proptest::prelude::*;
 
@@ -156,7 +156,6 @@ impl Segment {
     /// A scalar event-driven reference with identical overrides.
     fn reference(&self) -> Simulator {
         let mut sim = Simulator::new(Arc::clone(&self.net));
-        assert_eq!(sim.settle_mode(), SettleMode::Event);
         for &(g, t) in &self.patches {
             sim.override_gate(g, Box::new(TableBehavior { table: t }));
         }

@@ -1,12 +1,11 @@
-//! Property tests: random combinational netlists must evaluate
-//! identically under the scalar engine, the 64-lane engine, and a
-//! direct recursive reference evaluator.
+//! Property tests: random netlists must evaluate identically under the
+//! event-driven scalar engine, its compiled full sweep, the 64-lane LUT
+//! instruction stream, and a direct recursive reference evaluator.
 
 use std::sync::Arc;
 
 use dta_logic::{
-    GateBehavior, GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, Node, NodeId, SettleMode,
-    Simulator, Simulator64,
+    GateBehavior, GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, Node, NodeId, Simulator,
 };
 use proptest::prelude::*;
 
@@ -176,14 +175,14 @@ proptest! {
     ) {
         let (net, inputs, outputs) = build(n_inputs, &recipes);
         let mut scalar = Simulator::new(net.clone());
-        let mut vector = Simulator64::new(net.clone());
+        let mut vector = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
 
         for word in &stimulus {
             let word = *word as u64;
             scalar.set_input_word(&inputs, word);
             scalar.settle();
             vector.set_input_words(&inputs, &[word]);
-            vector.settle();
+            vector.exec();
 
             let driven: Vec<(NodeId, bool)> = inputs
                 .iter()
@@ -202,38 +201,10 @@ proptest! {
         }
     }
 
-    #[test]
-    fn vector_lanes_are_independent(
-        n_inputs in 1usize..5,
-        recipes in prop::collection::vec(recipe_strategy(), 1..25),
-        words in prop::collection::vec(any::<u8>(), 2..32),
-    ) {
-        let (net, inputs, outputs) = build(n_inputs, &recipes);
-        let lane_words: Vec<u64> = words.iter().map(|&w| w as u64).collect();
-        let mut vector = Simulator64::new(net.clone());
-        vector.set_input_words(&inputs, &lane_words);
-        vector.settle();
-
-        let mut scalar = Simulator::new(net.clone());
-        for (lane, &w) in lane_words.iter().enumerate() {
-            scalar.set_input_word(&inputs, w);
-            scalar.settle();
-            for &out in &outputs {
-                prop_assert_eq!(
-                    vector.lanes(out) >> lane & 1 == 1,
-                    scalar.value(out),
-                    "lane {} of {:?}",
-                    lane,
-                    out
-                );
-            }
-        }
-    }
-
     /// The tentpole invariant: the event-driven settle is bit-identical
     /// to the compiled full sweep on every node, for any netlist, any
     /// stimulus sequence, and any set of stateful overrides — including
-    /// a mid-sequence mode switch and a mid-sequence override removal.
+    /// a mid-sequence override removal.
     #[test]
     fn event_settle_matches_full_settle(
         n_inputs in 1usize..6,
@@ -243,9 +214,7 @@ proptest! {
     ) {
         let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
         let mut event = Simulator::new(net.clone());
-        event.set_settle_mode(SettleMode::Event);
         let mut full = Simulator::new(net.clone());
-        full.set_settle_mode(SettleMode::Full);
         let mut faulty = Vec::new();
         for &(sel, period) in &fault_sels {
             let g = gates[sel as usize % gates.len()];
@@ -258,15 +227,14 @@ proptest! {
             event.set_input_word(&inputs, w);
             event.settle();
             full.set_input_word(&inputs, w);
-            full.settle();
+            full.settle_full();
             for &id in &gates {
                 prop_assert_eq!(
                     event.value(id), full.value(id),
                     "node {:?} at step {}", id, step
                 );
             }
-            // Halfway through, heal one defect and bounce the event
-            // simulator through the Full mode — neither may
+            // Halfway through, heal one defect — that must not
             // desynchronize the engines. (No extra settle: that would
             // legitimately advance the stateful overrides.)
             if step == stimulus.len() / 2 {
@@ -274,8 +242,6 @@ proptest! {
                     event.clear_override(g);
                     full.clear_override(g);
                 }
-                event.set_settle_mode(SettleMode::Full);
-                event.set_settle_mode(SettleMode::Event);
             }
         }
     }
@@ -294,8 +260,6 @@ proptest! {
         let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
         let mut event = Simulator::new(net.clone());
         let mut full = Simulator::new(net.clone());
-        full.set_settle_mode(SettleMode::Full);
-        prop_assert_eq!(event.settle_mode(), SettleMode::Event);
         for &(sel, period) in &fault_sels {
             let g = gates[sel as usize % gates.len()];
             event.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
@@ -306,7 +270,7 @@ proptest! {
             event.set_input_word(&inputs, w);
             event.settle();
             full.set_input_word(&inputs, w);
-            full.settle();
+            full.settle_full();
             for &id in &gates {
                 prop_assert_eq!(
                     event.value(id), full.value(id),
@@ -318,34 +282,6 @@ proptest! {
             if step % 5 == 4 {
                 event.reset_state();
                 full.reset_state();
-            }
-        }
-    }
-
-    /// The 64-lane engine's event-driven settle must match its own
-    /// compiled sweep on every lane.
-    #[test]
-    fn event_settle_matches_full_settle_64(
-        n_inputs in 1usize..6,
-        recipes in prop::collection::vec(recipe_strategy(), 1..40),
-        stimulus in prop::collection::vec(any::<[u8; 4]>(), 1..12),
-    ) {
-        let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
-        let mut event = Simulator64::new(net.clone());
-        event.set_settle_mode(SettleMode::Event);
-        let mut full = Simulator64::new(net.clone());
-        full.set_settle_mode(SettleMode::Full);
-        for (step, lanes) in stimulus.iter().enumerate() {
-            let words: Vec<u64> = lanes.iter().map(|&w| w as u64).collect();
-            event.set_input_words(&inputs, &words);
-            event.settle();
-            full.set_input_words(&inputs, &words);
-            full.settle();
-            for &id in &gates {
-                prop_assert_eq!(
-                    event.lanes(id), full.lanes(id),
-                    "node {:?} at step {}", id, step
-                );
             }
         }
     }
@@ -366,7 +302,6 @@ proptest! {
     ) {
         let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
         let mut sim = Simulator::new(net.clone());
-        prop_assert_eq!(sim.settle_mode(), SettleMode::Event);
         let mut ex = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
         ex.set_active_lanes(1);
         for &(sel, period) in &fault_sels {

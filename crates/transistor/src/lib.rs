@@ -63,4 +63,4 @@ pub use defect::{Activation, ActivationError, ActivationState, Defect, DefectErr
 pub use dynamic::{DynamicCell, DynamicDefect, DynamicRefCell};
 pub use eval::FaultyCell;
 pub use reconstruct::{analyze_cell, BBlockExpr, Expr, FaultAnalysis};
-pub use table::{CachedCell, CellTable, TruthTable64};
+pub use table::{CachedCell, CellTable};

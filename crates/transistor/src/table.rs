@@ -18,13 +18,13 @@
 //!
 //! Purely combinational faulty cells (no floating state, no delay)
 //! additionally collapse to a single ≤16-entry pin truth table, which
-//! [`TruthTable64`] evaluates 64 stimulus lanes at a time for the
-//! batched forward path.
+//! [`CellTable::lut_patch`] hands to the compiled LUT instruction stream
+//! as a patched truth word.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dta_logic::{Behavior64, GateBehavior, GateKind};
+use dta_logic::{GateBehavior, GateKind};
 
 use crate::cell::{CmosCell, Health, Signal};
 use crate::reconstruct::reconstruct_cell;
@@ -260,15 +260,6 @@ impl CellTable {
         self.pin_truth
     }
 
-    /// A 64-lane evaluator over the collapsed pin table, if the cell is
-    /// combinational.
-    pub fn truth64(&self) -> Option<TruthTable64> {
-        self.pin_truth.map(|table| TruthTable64 {
-            arity: self.arity,
-            table,
-        })
-    }
-
     /// The collapsed pin table as a LUT instruction patch word, if the
     /// cell is combinational: this is the permanent-defect lowering for
     /// the compiled instruction-stream backend (`dta_logic::LutExec`),
@@ -390,56 +381,6 @@ impl GateBehavior for CachedCell {
     fn reset(&mut self) {
         self.mem.fill(false);
         self.prev = 0;
-    }
-}
-
-/// 64-lane evaluator for a combinational faulty cell: the collapsed
-/// pin truth table applied as a sum of minterm masks. Plugs into
-/// [`dta_logic::Simulator64`] as a gate-behavior override.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TruthTable64 {
-    arity: usize,
-    table: u64,
-}
-
-impl TruthTable64 {
-    /// Builds an evaluator from an explicit pin truth table (bit `v` =
-    /// output for packed pin assignment `v`).
-    pub fn new(arity: usize, table: u64) -> TruthTable64 {
-        assert!(arity <= 6, "pin truth table limited to 64 entries");
-        TruthTable64 { arity, table }
-    }
-
-    /// Scalar lookup, for tests and the one-lane fallback.
-    pub fn eval_scalar(&self, inputs: &[bool]) -> bool {
-        let mut v = 0u32;
-        for (k, &b) in inputs.iter().enumerate() {
-            v |= u32::from(b) << k;
-        }
-        self.table >> v & 1 == 1
-    }
-}
-
-impl Behavior64 for TruthTable64 {
-    fn eval64(&mut self, inputs: &[u64]) -> u64 {
-        assert_eq!(
-            inputs.len(),
-            self.arity,
-            "table expects {} inputs, got {}",
-            self.arity,
-            inputs.len()
-        );
-        let mut out = 0u64;
-        for v in 0..1u32 << self.arity {
-            if self.table >> v & 1 == 1 {
-                let mut lanes = !0u64;
-                for (k, &lane) in inputs.iter().enumerate() {
-                    lanes &= if v >> k & 1 == 1 { lane } else { !lane };
-                }
-                out |= lanes;
-            }
-        }
-        out
     }
 }
 
@@ -574,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn truth64_matches_scalar_lanes() {
+    fn lut_patch_matches_cached_cell() {
         use crate::defect::Defect;
         let mut cell = CmosCell::for_gate(GateKind::Aoi22);
         cell.inject(Defect::Short {
@@ -582,27 +523,16 @@ mod tests {
             transistor: 0,
         })
         .unwrap();
-        let table = CellTable::build(&cell);
-        let Some(mut t64) = table.truth64() else {
+        let Some(patch) = CellTable::build(&cell).lut_patch() else {
             panic!("a shorted transistor alone keeps AOI22 combinational");
         };
-        let mut lcg = Lcg(99);
-        let lanes: Vec<u64> = (0..4)
-            .map(|_| {
-                let mut w = 0u64;
-                for bit in 0..64 {
-                    w |= u64::from(lcg.next_inputs(1)[0]) << bit;
-                }
-                w
-            })
-            .collect();
-        let out = t64.eval64(&lanes);
-        for lane in 0..64 {
-            let bits: Vec<bool> = lanes.iter().map(|w| w >> lane & 1 == 1).collect();
+        let mut cached = CachedCell::new(&cell);
+        for v in 0..16u16 {
+            let bits: Vec<bool> = (0..4).map(|k| v >> k & 1 == 1).collect();
             assert_eq!(
-                out >> lane & 1 == 1,
-                t64.eval_scalar(&bits),
-                "lane {lane} disagrees with scalar lookup"
+                patch >> v & 1 == 1,
+                cached.eval_cell(&bits),
+                "assignment {v:04b} disagrees with the cached cell"
             );
         }
     }
