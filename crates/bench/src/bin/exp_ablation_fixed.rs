@@ -13,7 +13,7 @@
 //! ```
 
 use dta_ann::{ForwardTrace, Mlp, Topology, Trainer};
-use dta_bench::{pct, require_task, rule, Args};
+use dta_bench::{pct, rule, Args};
 use dta_fixed::{sigmoid::sigmoid, QFormat};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,7 +52,7 @@ fn forward_quantized(mlp: &Mlp, x: &[f64], q: QFormat) -> ForwardTrace {
 
 fn main() {
     let args = Args::parse();
-    let task_names = args.get_str_list("tasks", &["iris", "wine", "vehicle"]);
+    let specs = args.tasks(&["iris", "wine", "vehicle"]);
     let epochs = args.get("epochs", 30usize);
     let seed = args.get("seed", 0xF17ED_u64);
 
@@ -72,8 +72,7 @@ fn main() {
     println!();
     rule(12 + 10 * (formats.len() + 1));
 
-    for name in &task_names {
-        let spec = require_task(name);
+    for spec in &specs {
         let ds = spec.dataset();
         let idx: Vec<usize> = (0..ds.len()).collect();
         // One float-trained network per task; evaluate it through each

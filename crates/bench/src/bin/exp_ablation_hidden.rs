@@ -11,12 +11,12 @@
 //! ```
 
 use dta_ann::{cross_validate, ForwardMode, Topology, Trainer};
-use dta_bench::{require_task, rule, Args};
+use dta_bench::{rule, Args};
 use dta_core::cost::CostModel;
 
 fn main() {
     let args = Args::parse();
-    let task_names = args.get_str_list("tasks", &["iris", "wine", "glass", "vehicle"]);
+    let specs = args.tasks(&["iris", "wine", "glass", "vehicle"]);
     let epochs = args.get("epochs", 30usize);
     let folds = args.get("folds", 3usize);
     let seed = args.get("seed", 0x41Du64);
@@ -33,8 +33,7 @@ fn main() {
     // Mean accuracy across tasks per hidden size, for the trade-off row.
     let mut sums = vec![0.0f64; hiddens.len()];
     let mut rows = 0;
-    for name in &task_names {
-        let spec = require_task(name);
+    for spec in &specs {
         let ds = spec.dataset();
         let trainer = Trainer::new(spec.learning_rate, 0.1, epochs, ForwardMode::Fixed);
         print!("{:<12}", spec.name);

@@ -10,12 +10,12 @@
 //! ```
 
 use dta_ann::{cross_validate, ForwardMode, Trainer};
-use dta_bench::{pct, require_task, rule, Args};
+use dta_bench::{pct, rule, Args};
 use dta_fixed::{sigmoid::sigmoid, Fx, PwlSigmoid, SigmoidLut};
 
 fn main() {
     let args = Args::parse();
-    let task_names = args.get_str_list("tasks", &["iris", "wine", "glass"]);
+    let specs = args.tasks(&["iris", "wine", "glass"]);
     let epochs = args.get("epochs", 30usize);
     let folds = args.get("folds", 3usize);
     let seed = args.get("seed", 0x516u64);
@@ -53,8 +53,7 @@ fn main() {
         "task", "float + exact sigmoid", "Q6.10 + 16-seg PWL", "delta"
     );
     rule(66);
-    for name in &task_names {
-        let spec = require_task(name);
+    for spec in &specs {
         let ds = spec.dataset();
         let float = cross_validate(
             &Trainer::new(spec.learning_rate, 0.1, epochs, ForwardMode::Float),

@@ -14,7 +14,7 @@
 //! ```
 
 use dta_ann::{Mlp, Topology};
-use dta_bench::{require_task, rule, Args};
+use dta_bench::{rule, Args};
 use dta_circuits::FaultModel;
 use dta_core::campaign::{defect_tolerance_curve, CampaignConfig};
 use dta_core::TimeMultiplexedAccelerator;
@@ -23,14 +23,14 @@ use rand_chacha::ChaCha8Rng;
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["wine"])[0].clone();
+    let spec = args.task("wine");
+    let task = spec.name;
     let reps = args.get("reps", 3usize);
     let epochs = args.get("epochs", 30usize);
     let counts = args.get_usize_list("counts", &[0, 2, 4, 8, 12, 20]);
     let seed = args.get("seed", 0x5BA71Au64);
     let phys = args.get("phys-neurons", 2usize);
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
     let idx: Vec<usize> = (0..ds.len()).collect();
 

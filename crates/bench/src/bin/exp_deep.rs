@@ -11,18 +11,17 @@
 
 use dta_ann::deep::{DeepMlp, DeepTrainer};
 use dta_ann::Topology;
-use dta_bench::{pct, require_task, rule, Args};
+use dta_bench::{pct, rule, Args};
 use dta_core::large::LargeNetworkMapper;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["optdigits"])[0].clone();
+    let spec = args.task("optdigits");
     let epochs = args.get("epochs", 60usize);
     let seed = args.get("seed", 0xDEE9u64);
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
     let split = ds.k_folds(5, seed);
     let fold = &split[0];

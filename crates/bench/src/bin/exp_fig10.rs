@@ -24,12 +24,14 @@
 
 use std::time::Instant;
 
-use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::{Activation, FaultModel};
+use dta_bench::{open_checkpoint, rule, Args, JsonMap, FAULT_MODELS};
+use dta_circuits::Activation;
 use dta_core::campaign::{defect_tolerance_curve_resumable, CampaignConfig, CurvePoint};
 use dta_core::checkpoint::Checkpoint;
 use dta_core::parallel::effective_threads;
-use dta_datasets::{suite, TaskSpec};
+use dta_datasets::TaskSpec;
+
+const BIN: &str = "exp_fig10";
 
 /// Runs the full campaign (every task) once and returns the per-task
 /// curves plus the wall time. Campaign errors (bad configuration, bad
@@ -44,7 +46,7 @@ fn run_campaign(
         .iter()
         .map(|spec| {
             defect_tolerance_curve_resumable(spec, cfg, checkpoint).unwrap_or_else(|e| {
-                eprintln!("campaign failed: {e}");
+                eprintln!("{BIN}: campaign failed: {e}");
                 std::process::exit(1);
             })
         })
@@ -54,24 +56,14 @@ fn run_campaign(
 
 fn main() {
     let args = Args::parse();
-    let task_names = {
-        let requested = args.get_str_list("tasks", &["iris", "wine", "glass"]);
-        if requested == ["all"] {
-            suite::specs().iter().map(|s| s.name.to_string()).collect()
-        } else {
-            requested
-        }
-    };
+    let specs = args.tasks(&["iris", "wine", "glass"]);
     let epochs = args.get("epochs", 30usize);
     let cfg = CampaignConfig {
         defect_counts: args.get_usize_list("counts", &[0, 3, 6, 9, 12, 18, 24, 27]),
         repetitions: args.get("reps", 3usize),
         folds: args.get("folds", 3usize),
         epochs: if epochs == 0 { None } else { Some(epochs) },
-        model: match args.get_str_list("model", &["transistor"])[0].as_str() {
-            "gate" => FaultModel::GateLevel,
-            _ => FaultModel::TransistorLevel,
-        },
+        model: args.choice("model", "transistor", FAULT_MODELS).1,
         activation: Activation::Permanent,
         seed: args.get("seed", 0xF1610u64),
         threads: args.get("threads", 1usize),
@@ -81,20 +73,9 @@ fn main() {
     };
     // `--checkpoint FILE` journals finished grid cells so a killed run
     // resumes where it left off (and reproduces the same curve).
-    let checkpoint = args.get_opt_str("checkpoint").map(|path| {
-        match Checkpoint::open(path, &cfg.fingerprint()) {
-            Ok(ck) => {
-                if ck.completed() > 0 {
-                    println!("resuming from {path}: {} cells journaled", ck.completed());
-                }
-                ck
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    });
+    let checkpoint = args
+        .get_opt_str("checkpoint")
+        .map(|path| open_checkpoint(BIN, path, &cfg.fingerprint()));
 
     println!("Figure 10 — accuracy vs. #defects in input+hidden layers, after retraining");
     println!(
@@ -107,17 +88,6 @@ fn main() {
     }
     println!();
     rule(12 + 8 * cfg.defect_counts.len());
-
-    let specs: Vec<TaskSpec> = task_names
-        .iter()
-        .filter_map(|name| {
-            let spec = suite::specs().into_iter().find(|s| s.name == name);
-            if spec.is_none() {
-                eprintln!("unknown task `{name}`, skipping");
-            }
-            spec
-        })
-        .collect();
 
     let (curves, wall_s) = run_campaign(&specs, &cfg, checkpoint.as_ref());
 
@@ -182,9 +152,8 @@ fn main() {
         })
     };
 
-    let out_path = args.get("bench-out", "BENCH_campaign.json".to_string());
     let record = JsonMap::new()
-        .str("bin", "exp_fig10")
+        .str("bin", BIN)
         .str_list(
             "tasks",
             &specs.iter().map(|s| s.name.to_string()).collect::<Vec<_>>(),
@@ -197,10 +166,6 @@ fn main() {
         .num("wall_s", wall_s)
         .num("cells_per_s", cells as f64 / wall_s)
         .opt_num("serial_wall_s", serial_wall_s)
-        .opt_num("speedup_vs_serial", serial_wall_s.map(|t| t / wall_s))
-        .host();
-    match record.write(&out_path) {
-        Ok(()) => println!("perf record written to {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
+        .opt_num("speedup_vs_serial", serial_wall_s.map(|t| t / wall_s));
+    args.write_record("BENCH_campaign.json", record);
 }

@@ -8,11 +8,10 @@
 
 use dta_bench::{rule, Args};
 use dta_core::campaign::{output_amplitude_curve, OutputSite};
-use dta_datasets::suite;
 
 fn main() {
     let args = Args::parse();
-    let task_names = args.get_str_list("tasks", &["iris", "ionosphere", "wine"]);
+    let specs = args.tasks(&["iris", "ionosphere", "wine"]);
     let reps = args.get("reps", 12usize);
     let epochs = args.get("epochs", 25usize);
     let seed = args.get("seed", 0xF1611u64);
@@ -31,12 +30,8 @@ fn main() {
         }
     };
 
-    for name in &task_names {
-        let Some(spec) = suite::specs().into_iter().find(|s| s.name == name) else {
-            eprintln!("unknown task `{name}`, skipping");
-            continue;
-        };
-        let points = output_amplitude_curve(&spec, reps, Some(epochs), seed, threads);
+    for spec in &specs {
+        let points = output_amplitude_curve(spec, reps, Some(epochs), seed, threads);
         println!("== {} ==", spec.name);
         println!(
             "{:<14}{:>8}{:>12}{:>10}",

@@ -17,10 +17,10 @@
 //!
 //! Both arms share seeds and budgets, so the pipeline arm can never end
 //! below the blind arm; the binary asserts this floor at every cell.
-//! With `--checkpoint`, finished cells land in a fingerprint-guarded
-//! journal and a killed sweep resumes byte-identical. The twin-arm
-//! protocol and the journal arm layout live in [`dta_bench::twin`],
-//! shared with `exp_recovery` and `exp_systolic`.
+//! With `--checkpoint`, each finished cell lands in a fingerprint-guarded
+//! journal as one line and a killed sweep resumes byte-identical. The
+//! twin-arm protocol lives in [`dta_bench::twin`], shared with
+//! `exp_recovery` and `exp_systolic`.
 //!
 //! ```sh
 //! cargo run --release -p dta-bench --bin exp_memfault
@@ -34,76 +34,42 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use dta_ann::Topology;
-use dta_bench::twin::{self, TwinCell};
-use dta_bench::{pct, require_task, rule, Args, JsonMap};
-use dta_core::{Accelerator, MemActivation, MemGeometry, RecoveryPolicy, RungBudget, WeightMemory};
-use dta_datasets::{Dataset, TaskSpec};
+use dta_bench::twin::{self, TwinCell, TwinSweep};
+use dta_bench::{open_checkpoint, resume, rule, Args, JsonMap};
+use dta_core::{Accelerator, MemActivation, MemGeometry, WeightMemory};
 
 const BIN: &str = "exp_memfault";
 
-/// Everything shared by every cell of the sweep.
-struct Sweep<'a> {
-    spec: &'a TaskSpec,
-    ds: &'a Dataset,
-    epochs: usize,
-    policy_base: RecoveryPolicy,
-    target_drop: f64,
-    seed: u64,
+/// Races one cell: `idx` is the density's position in the sweep (the
+/// journal key), `n_defects` the realized defect count.
+fn run_cell(
+    sweep: &TwinSweep,
     geom: MemGeometry,
-}
-
-impl Sweep<'_> {
-    /// Runs one cell: `idx` is the density's position in the sweep (the
-    /// journal key), `n_defects` the realized defect count.
-    fn run_cell(&self, idx: usize, n_defects: usize, rep: usize) -> TwinCell {
-        let (spec, ds, epochs) = (self.spec, self.ds, self.epochs);
-        let cell_seed = self.seed ^ (idx as u64) << 24 ^ (rep as u64) << 8;
-        let folds = ds.k_folds(5, self.seed ^ rep as u64);
-        let fold = &folds[0];
-        let label = format!("density idx={idx} rep={rep}");
-
-        let commission = || {
-            twin::commission(
-                BIN,
-                Accelerator::new(),
-                spec,
-                ds,
-                &fold.train,
-                epochs,
-                cell_seed,
-            )
-        };
-        // The damaged arms put the task's weights behind an identically
-        // broken weight store. The store spans the full physical array
-        // so a remapped lane always has a backing row.
-        twin::run_twin_race(
-            BIN,
-            &label,
-            || {
-                let mut accel = commission();
-                accel
-                    .attach_weight_memory_with(WeightMemory::new(self.geom))
-                    .unwrap_or_else(|e| twin::die(BIN, &label, "memory attach", &e));
-                let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0x3E3);
-                accel
-                    .inject_memory_defects(n_defects, MemActivation::Permanent, &mut rng)
-                    .unwrap_or_else(|e| twin::die(BIN, &label, "defect injection", &e));
-                accel
-            },
-            commission,
-            ds,
-            fold,
-            &self.policy_base,
-            self.target_drop,
-            cell_seed,
-        )
-        .cell
-    }
+    idx: usize,
+    n_defects: usize,
+    rep: usize,
+) -> TwinCell {
+    let label = format!("density idx={idx} rep={rep}");
+    let die = |what: &str, e: &dyn std::fmt::Display| -> ! { twin::die(BIN, &label, what, e) };
+    // The damaged arms put the task's weights behind an identically
+    // broken weight store. The store spans the full physical array so a
+    // remapped lane always has a backing row.
+    let damage = |accel: &mut Accelerator, cell_seed: u64| {
+        accel
+            .attach_weight_memory_with(WeightMemory::new(geom))
+            .unwrap_or_else(|e| die("memory attach", &e));
+        let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0x3E3);
+        accel
+            .inject_memory_defects(n_defects, MemActivation::Permanent, &mut rng)
+            .unwrap_or_else(|e| die("defect injection", &e));
+    };
+    sweep.race(&label, idx, rep, Accelerator::new, damage).cell
 }
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["iris"])[0].clone();
+    let spec = args.task("iris");
+    let task = spec.name;
     let densities = args.get_f64_list("densities", &[0.0, 5e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2]);
     let reps = args.get("reps", 2usize);
     let epochs = args.get("epochs", 30usize);
@@ -114,12 +80,7 @@ fn main() {
     let ecc = args.get_bool("ecc", true);
     let spare_rows = args.get("spare-rows", 2usize);
     let spare_cols = args.get("spare-cols", 8usize);
-    let bench_out = args
-        .get_opt_str("bench-out")
-        .unwrap_or("BENCH_memfault.json");
-    let checkpoint_path = args.get_opt_str("checkpoint");
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
     let phys = Topology::accelerator();
     let mut geom = MemGeometry::for_network(phys.inputs, phys.hidden, phys.outputs, ecc);
@@ -131,24 +92,14 @@ fn main() {
         .map(|d| (d * data_cells as f64).round() as usize)
         .collect();
 
-    let budget = RungBudget {
-        max_epochs: recovery_epochs,
-        wall_clock_ms: budget_ms,
-    };
-    let sweep = Sweep {
+    let sweep = TwinSweep {
+        bin: BIN,
         spec: &spec,
         ds: &ds,
         epochs,
-        policy_base: RecoveryPolicy {
-            retrain: budget,
-            remap: budget,
-            learning_rate: spec.learning_rate,
-            momentum: 0.1,
-            ..RecoveryPolicy::default()
-        },
+        policy_base: twin::base_policy(&spec, recovery_epochs, budget_ms),
         target_drop,
         seed,
-        geom,
     };
 
     // Everything that determines cell results goes into the journal
@@ -159,7 +110,9 @@ fn main() {
          recovery_epochs={recovery_epochs} budget_ms={budget_ms} target_drop={target_drop:?} \
          seed={seed:#x} mem=rows:{spare_rows},cols:{spare_cols},ecc:{ecc}"
     );
-    let checkpoint = checkpoint_path.map(|p| twin::open_checkpoint(BIN, p, &fingerprint));
+    let checkpoint = args
+        .get_opt_str("checkpoint")
+        .map(|p| open_checkpoint(BIN, p, &fingerprint));
 
     println!(
         "Weight-memory defect sweep on {task}: {reps} rep(s) per density over {data_cells} \
@@ -173,50 +126,28 @@ fn main() {
     rule(60);
 
     let start = Instant::now();
-    let mut agg_clean = Vec::new();
-    let mut agg_faulty = Vec::new();
-    let mut agg_blind = Vec::new();
-    let mut agg_recovered = Vec::new();
+    let mut means = Vec::new();
     for (idx, (&density, &n_defects)) in densities.iter().zip(&counts).enumerate() {
         let cells: Vec<TwinCell> = (0..reps)
             .map(|rep| {
-                if let Some(cell) = checkpoint
-                    .as_ref()
-                    .and_then(|ck| twin::replay_twin(ck, &task, idx, rep))
-                {
-                    return cell;
-                }
-                let cell = sweep.run_cell(idx, n_defects, rep);
-                if let Some(ck) = &checkpoint {
-                    twin::record_twin(BIN, ck, &task, idx, rep, &cell);
-                }
-                cell
+                resume(BIN, checkpoint.as_ref(), task, idx, rep, || {
+                    run_cell(&sweep, geom, idx, n_defects, rep)
+                })
             })
             .collect();
         twin::assert_twin_floor(&cells, &format!("density={density}"));
-        let clean = twin::mean(&cells.iter().map(|c| c.clean).collect::<Vec<_>>());
-        let faulty = twin::mean(&cells.iter().map(|c| c.faulty).collect::<Vec<_>>());
-        let blind = twin::mean(&cells.iter().map(|c| c.blind).collect::<Vec<_>>());
-        let recovered = twin::mean(&cells.iter().map(|c| c.recovered).collect::<Vec<_>>());
-
+        let m = TwinCell::mean(&cells);
         println!(
-            "{:<10}{:>8}{:>8}{:>8}{:>8}{:>10}{:>8}",
+            "{:<10}{:>8}{}",
             format!("{density}"),
             n_defects,
-            pct(clean),
-            pct(faulty),
-            pct(blind),
-            pct(recovered),
-            pct(recovered - blind),
+            m.columns()
         );
         println!(
-            "data {task} {idx} {density:?} {n_defects} {clean:?} {faulty:?} {blind:?} \
-             {recovered:?}"
+            "data {task} {idx} {density:?} {n_defects} {:?} {:?} {:?} {:?}",
+            m.clean, m.faulty, m.blind, m.recovered
         );
-        agg_clean.push(clean);
-        agg_faulty.push(faulty);
-        agg_blind.push(blind);
-        agg_recovered.push(recovered);
+        means.push(m);
     }
     let wall_s = start.elapsed().as_secs_f64();
     rule(60);
@@ -226,9 +157,9 @@ fn main() {
          spare steering, placement — plus remap add on top of blind retraining."
     );
 
-    let json = JsonMap::new()
-        .str("bin", "exp_memfault")
-        .str("task", &task)
+    let record = JsonMap::new()
+        .str("bin", BIN)
+        .str("task", task)
         .num_list("densities", &densities)
         .int_list("counts", &counts)
         .int("data_cells", data_cells as u64)
@@ -241,14 +172,7 @@ fn main() {
         .int("ecc", ecc as u64)
         .int("spare_rows", spare_rows as u64)
         .int("spare_cols", spare_cols as u64)
-        .num_list("clean", &agg_clean)
-        .num_list("faulty", &agg_faulty)
-        .num_list("blind", &agg_blind)
-        .num_list("recovered", &agg_recovered)
+        .twin_curves("", &means)
         .num("wall_s", wall_s);
-    if let Err(e) = json.write(bench_out) {
-        eprintln!("exp_memfault: writing {bench_out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {bench_out} ({wall_s:.1}s)");
+    args.write_record("BENCH_memfault.json", record);
 }

@@ -27,12 +27,10 @@
 //! (topology, rate) cell and exits 1 on a violation.
 //!
 //! With `--checkpoint`, every finished arm lands in a
-//! fingerprint-guarded journal (pseudo-tasks
-//! `task@topo#rN:arm:{acc,avail,sum}`; the health-state summary row is
-//! written last as the completion marker) and a killed sweep resumes
-//! byte-identical. Machine-readable lines for scripts/CI start with
-//! `data `; the perf record goes to `BENCH_mission.json` (`--bench-out`
-//! overrides).
+//! fingerprint-guarded journal as one line (keyed `task@topo:arm` and
+//! the rate index) and a killed sweep resumes byte-identical.
+//! Machine-readable lines for scripts/CI start with `data `; the perf
+//! record goes to `BENCH_mission.json` (`--bench-out` overrides).
 //!
 //! ```sh
 //! cargo run --release -p dta-bench --bin exp_mission
@@ -43,14 +41,15 @@
 use std::time::Instant;
 
 use dta_bench::twin;
-use dta_bench::{pct, require_task, rule, Args, JsonMap};
+use dta_bench::{open_checkpoint, pct, resume, rule, Args, Journaled, JsonMap};
 use dta_circuits::Activation;
 use dta_core::{
-    run_mission, Accel, Accelerator, BistConfig, CellOutcome, Checkpoint, HealthState, MemGeometry,
-    MissionConfig, RecoveryPolicy, RungBudget, SurfaceMix, WeightMemory,
+    run_mission, Accel, AccelError, Accelerator, BistConfig, HealthState, MemGeometry,
+    MissionConfig, MissionOutcome, RecoveryPolicy, SurfaceMix, WeightMemory,
 };
 use dta_datasets::{Dataset, TaskSpec};
 use dta_systolic::SystolicAccelerator;
+use rand_chacha::ChaCha8Rng;
 
 const BIN: &str = "exp_mission";
 
@@ -61,12 +60,11 @@ const TOPOS: [&str; 2] = ["spatial", "systolic"];
 const ARMS: [&str; 2] = ["blind", "mission"];
 
 /// One arm's journaled trace and summary. Every field is an `f64` (or
-/// an optional one) so the whole struct round-trips through the
-/// checkpoint journal's accuracy slot; counters are exact small
-/// integers, so the round trip is lossless. The two means are `None`
-/// when no detection or recovery episode happened: the perf record and
-/// the `data` lines print them as `null`, and only the journal, whose
-/// slot holds a plain number, stores [`JOURNAL_NONE`] in their place.
+/// an optional one) so the whole struct round-trips through one
+/// checkpoint line; counters are exact small integers, so the round
+/// trip is lossless. The two means are `None` when no detection or
+/// recovery episode happened: the journal, the perf record and the
+/// `data` lines all write them as `null`.
 #[derive(Clone, Debug, PartialEq)]
 struct ArmResult {
     /// Mean served accuracy per reporting window.
@@ -117,27 +115,66 @@ fn state_name(code: f64) -> &'static str {
     }
 }
 
-/// Journal encoding of an absent mean (both means are non-negative).
-const JOURNAL_NONE: f64 = -1.0;
-
-/// Decodes a journaled mean written through [`JOURNAL_NONE`].
-fn journal_mean(value: f64) -> Option<f64> {
-    (value != JOURNAL_NONE).then_some(value)
-}
-
 /// Renders an optional mean for the `data` lines: `{:?}` or `null`.
 fn data_mean(value: Option<f64>) -> String {
     value.map_or_else(|| "null".into(), |v| format!("{v:?}"))
 }
 
-/// The summary slots of one arm's `:sum` pseudo-task, in journal order.
-/// The state code (index 8) is written last and doubles as the arm's
-/// completion marker on replay.
-const SUM_SLOTS: usize = 9;
+/// One line per arm: the per-window accuracies, then the per-window
+/// availabilities, then the nine summary fields in declaration order.
+impl Journaled for ArmResult {
+    fn to_values(&self) -> Vec<Option<f64>> {
+        let mut values: Vec<Option<f64>> = self
+            .window_accuracy
+            .iter()
+            .chain(&self.window_availability)
+            .map(|&v| Some(v))
+            .collect();
+        values.extend([
+            Some(self.final_accuracy),
+            Some(self.availability),
+            Some(self.arrivals),
+            Some(self.detected),
+            self.detection_latency,
+            self.recovery_epochs,
+            Some(self.episodes),
+            Some(self.quarantined),
+            Some(self.state),
+        ]);
+        values
+    }
+
+    fn from_values(values: &[Option<f64>]) -> Option<ArmResult> {
+        // Nine summary fields follow the two equal-length window traces.
+        let (trace, summary) = values.split_at(values.len().checked_sub(9)?);
+        if trace.len() % 2 != 0 {
+            return None;
+        }
+        let mut window_accuracy: Vec<f64> = trace.iter().copied().collect::<Option<_>>()?;
+        let window_availability = window_accuracy.split_off(trace.len() / 2);
+        Some(ArmResult {
+            window_accuracy,
+            window_availability,
+            final_accuracy: summary[0]?,
+            availability: summary[1]?,
+            arrivals: summary[2]?,
+            detected: summary[3]?,
+            detection_latency: summary[4],
+            recovery_epochs: summary[5],
+            episodes: summary[6]?,
+            quarantined: summary[7]?,
+            state: summary[8]?,
+        })
+    }
+}
 
 /// One finished (topology index, rate index) cell: blind arm, then
 /// mission arm.
 type CellRow = (usize, usize, ArmResult, ArmResult);
+
+/// One per-topology perf-record curve: its key suffix and how to read
+/// a point off a cell.
+type Curve = (&'static str, fn(&CellRow) -> Option<f64>);
 
 /// Everything shared by every cell of the sweep.
 struct Sweep<'a> {
@@ -167,10 +204,6 @@ impl Sweep<'_> {
 
     /// The mission configuration of one arm.
     fn config(&self, rate: f64, detection: bool, cell_seed: u64, clean: f64) -> MissionConfig {
-        let budget = RungBudget {
-            max_epochs: self.recovery_epochs,
-            wall_clock_ms: self.budget_ms,
-        };
         MissionConfig {
             windows: self.windows,
             batches_per_window: self.batches,
@@ -183,82 +216,47 @@ impl Sweep<'_> {
             seed: cell_seed,
             bist: BistConfig::default(),
             recovery: RecoveryPolicy {
-                retrain: budget,
-                remap: budget,
                 target_accuracy: (clean - self.target_drop).max(0.0),
-                learning_rate: self.spec.learning_rate,
-                momentum: 0.1,
                 seed: cell_seed,
-                ..RecoveryPolicy::default()
+                ..twin::base_policy(self.spec, self.recovery_epochs, self.budget_ms)
             },
         }
     }
 
     /// Runs one arm of one cell and returns its trace.
     fn run_arm(&self, topo: &str, rate_idx: usize, rate: f64, arm: &str) -> ArmResult {
-        let (spec, ds) = (self.spec, self.ds);
         let topo_idx = TOPOS.iter().position(|t| *t == topo).unwrap();
         let cell_seed = self.cell_seed(topo_idx, rate_idx);
-        let detection = arm == "mission";
         let label = format!("{topo} rate={rate} {arm}");
-        let fold = &ds.k_folds(5, self.seed)[0];
-
-        let outcome = match topo {
-            "spatial" => {
-                let mut accel = twin::commission(
-                    BIN,
-                    Accelerator::new(),
-                    spec,
-                    ds,
-                    &fold.train,
-                    self.epochs,
-                    cell_seed,
-                );
+        let config = |clean| self.config(rate, arm == "mission", cell_seed, clean);
+        let n = self.event_defects;
+        let outcome = if topo == "spatial" {
+            let attach = |accel: &mut Accelerator| {
                 accel
                     .attach_weight_memory_with(WeightMemory::new(self.geom))
                     .unwrap_or_else(|e| twin::die(BIN, &label, "memory attach", &e));
-                let clean = accel
-                    .evaluate(ds, &fold.test)
-                    .unwrap_or_else(|e| twin::die(BIN, &label, "clean evaluation", &e));
-                let cfg = self.config(rate, detection, cell_seed, clean);
-                // Combined-surface arrivals: operator cells and weight
-                // bit cells damaged by the same event.
-                let mix = SurfaceMix::combined(self.event_defects);
-                run_mission(
-                    &mut accel,
-                    ds,
-                    &fold.train,
-                    &fold.test,
-                    &cfg,
-                    |a, _, rng| mix.inject_spatial(a, rng),
-                )
-            }
-            _ => {
-                let mut accel = twin::commission(
-                    BIN,
-                    SystolicAccelerator::new(),
-                    spec,
-                    ds,
-                    &fold.train,
-                    self.epochs,
-                    cell_seed,
-                );
-                let clean = accel
-                    .evaluate(ds, &fold.test)
-                    .unwrap_or_else(|e| twin::die(BIN, &label, "clean evaluation", &e));
-                let cfg = self.config(rate, detection, cell_seed, clean);
-                let n = self.event_defects;
-                run_mission(
-                    &mut accel,
-                    ds,
-                    &fold.train,
-                    &fold.test,
-                    &cfg,
-                    |a, _, rng| a.inject_defects(n, Activation::Permanent, rng),
-                )
-            }
+            };
+            // Combined-surface arrivals: operator cells and weight bit
+            // cells damaged by the same event.
+            let mix = SurfaceMix::combined(n);
+            self.serve(
+                &label,
+                cell_seed,
+                Accelerator::new(),
+                attach,
+                config,
+                |a, _, rng| mix.inject_spatial(a, rng),
+            )
+        } else {
+            self.serve(
+                &label,
+                cell_seed,
+                SystolicAccelerator::new(),
+                |_| {},
+                config,
+                |a, _, rng| a.inject_defects(n, Activation::Permanent, rng),
+            )
         };
-        let outcome = outcome.unwrap_or_else(|e| twin::die(BIN, &label, "mission", &e));
 
         ArmResult {
             window_accuracy: outcome.window_accuracy,
@@ -274,80 +272,50 @@ impl Sweep<'_> {
             state: state_code(outcome.final_state),
         }
     }
-}
 
-/// Replays a journaled arm if it finished (its state-code summary row,
-/// written last, is present) — otherwise `None` and the arm re-runs.
-fn replay_arm(ck: &Checkpoint, key: &str, windows: usize) -> Option<ArmResult> {
-    let get = |task: &str, idx: usize| match ck.lookup(task, idx, 0) {
-        Some(CellOutcome::Completed { accuracy, .. }) => Some(accuracy),
-        _ => None,
-    };
-    let sum = format!("{key}:sum");
-    get(&sum, SUM_SLOTS - 1)?;
-    let mut window_accuracy = Vec::with_capacity(windows);
-    let mut window_availability = Vec::with_capacity(windows);
-    for w in 0..windows {
-        window_accuracy.push(get(&format!("{key}:acc"), w)?);
-        window_availability.push(get(&format!("{key}:avail"), w)?);
-    }
-    Some(ArmResult {
-        window_accuracy,
-        window_availability,
-        final_accuracy: get(&sum, 0)?,
-        availability: get(&sum, 1)?,
-        arrivals: get(&sum, 2)?,
-        detected: get(&sum, 3)?,
-        detection_latency: journal_mean(get(&sum, 4)?),
-        recovery_epochs: journal_mean(get(&sum, 5)?),
-        episodes: get(&sum, 6)?,
-        quarantined: get(&sum, 7)?,
-        state: get(&sum, 8)?,
-    })
-}
-
-/// Journals a finished arm: per-window rows first, summary rows in slot
-/// order, the state code last (the completion marker `replay_arm`
-/// checks). A write failure exits with status 1.
-fn record_arm(ck: &Checkpoint, key: &str, r: &ArmResult) {
-    let put = |task: String, idx: usize, accuracy: f64| {
-        let outcome = CellOutcome::Completed {
-            accuracy,
-            retried: false,
-        };
-        if let Err(e) = ck.record(&task, idx, 0, &outcome) {
-            eprintln!("{BIN}: checkpoint write failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    for (w, (&acc, &avail)) in r
-        .window_accuracy
-        .iter()
-        .zip(&r.window_availability)
-        .enumerate()
-    {
-        put(format!("{key}:acc"), w, acc);
-        put(format!("{key}:avail"), w, avail);
-    }
-    let sum = [
-        r.final_accuracy,
-        r.availability,
-        r.arrivals,
-        r.detected,
-        r.detection_latency.unwrap_or(JOURNAL_NONE),
-        r.recovery_epochs.unwrap_or(JOURNAL_NONE),
-        r.episodes,
-        r.quarantined,
-        r.state,
-    ];
-    for (idx, &value) in sum.iter().enumerate() {
-        put(format!("{key}:sum"), idx, value);
+    /// Commissions `accel`, readies it with `setup`, then serves one
+    /// arm's mission, configured from its clean accuracy, with `inject`
+    /// planting each fault arrival.
+    fn serve<A: Accel>(
+        &self,
+        label: &str,
+        cell_seed: u64,
+        accel: A,
+        setup: impl FnOnce(&mut A),
+        config: impl FnOnce(f64) -> MissionConfig,
+        inject: impl FnMut(&mut A, u64, &mut ChaCha8Rng) -> Result<Vec<String>, AccelError>,
+    ) -> MissionOutcome {
+        let ds = self.ds;
+        let fold = &ds.k_folds(5, self.seed)[0];
+        let mut accel = twin::commission(
+            BIN,
+            accel,
+            self.spec,
+            ds,
+            &fold.train,
+            self.epochs,
+            cell_seed,
+        );
+        setup(&mut accel);
+        let clean = accel
+            .evaluate(ds, &fold.test)
+            .unwrap_or_else(|e| twin::die(BIN, label, "clean evaluation", &e));
+        run_mission(
+            &mut accel,
+            ds,
+            &fold.train,
+            &fold.test,
+            &config(clean),
+            inject,
+        )
+        .unwrap_or_else(|e| twin::die(BIN, label, "mission", &e))
     }
 }
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["iris"])[0].clone();
+    let spec = args.task("iris");
+    let task = spec.name;
     let rates = args.get_f64_list("rates", &[0.02, 0.05, 0.1]);
     let windows = args.get("windows", 6usize);
     let batches = args.get("batches", 12u64);
@@ -361,12 +329,7 @@ fn main() {
     let budget_ms = args.get("budget-ms", 60_000u64);
     let target_drop = args.get("target-drop", 0.05f64);
     let seed = args.get("seed", 0x00A1_1077u64);
-    let bench_out = args
-        .get_opt_str("bench-out")
-        .unwrap_or("BENCH_mission.json");
-    let checkpoint_path = args.get_opt_str("checkpoint");
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
     let phys = dta_ann::Topology::accelerator();
     let mut geom = MemGeometry::for_network(phys.inputs, phys.hidden, phys.outputs, true);
@@ -401,7 +364,9 @@ fn main() {
          recovery_epochs={recovery_epochs} budget_ms={budget_ms} target_drop={target_drop:?} \
          seed={seed:#x} mem=ecc:2r8c"
     );
-    let checkpoint = checkpoint_path.map(|p| twin::open_checkpoint(BIN, p, &fingerprint));
+    let checkpoint = args
+        .get_opt_str("checkpoint")
+        .map(|p| open_checkpoint(BIN, p, &fingerprint));
 
     println!(
         "Mission mode on {task}: {windows}x{batches} batches of {rows} rows, probe every \
@@ -420,23 +385,12 @@ fn main() {
     let mut floor_violations = 0usize;
     for (topo_idx, topo) in TOPOS.iter().enumerate() {
         for (rate_idx, &rate) in rates.iter().enumerate() {
-            let mut arms: Vec<ArmResult> = Vec::with_capacity(2);
-            for arm in ARMS {
-                let key = format!("{task}@{topo}#r{rate_idx}:{arm}");
-                let result = checkpoint
-                    .as_ref()
-                    .and_then(|ck| replay_arm(ck, &key, windows))
-                    .unwrap_or_else(|| {
-                        let r = sweep.run_arm(topo, rate_idx, rate, arm);
-                        if let Some(ck) = &checkpoint {
-                            record_arm(ck, &key, &r);
-                        }
-                        r
-                    });
-                arms.push(result);
-            }
-            let mission = arms.pop().unwrap();
-            let blind = arms.pop().unwrap();
+            let [blind, mission] = ARMS.map(|arm| {
+                let key = format!("{task}@{topo}:{arm}");
+                resume(BIN, checkpoint.as_ref(), &key, rate_idx, 0, || {
+                    sweep.run_arm(topo, rate_idx, rate, arm)
+                })
+            });
             if mission.final_accuracy < blind.final_accuracy {
                 eprintln!(
                     "{BIN}: FLOOR VIOLATION at {topo} rate={rate}: mission {} < blind {}",
@@ -497,7 +451,7 @@ fn main() {
 
     let mut record = JsonMap::new()
         .str("bin", BIN)
-        .str("task", &task)
+        .str("task", task)
         .str_list(
             "topos",
             &TOPOS.iter().map(|t| t.to_string()).collect::<Vec<_>>(),
@@ -520,54 +474,57 @@ fn main() {
             .iter()
             .filter(|(t, _, _, _)| *t == topo_idx)
             .collect();
-        let col =
-            |f: &dyn Fn(&CellRow) -> f64| -> Vec<f64> { cells.iter().map(|c| f(c)).collect() };
-        let opt_col = |f: &dyn Fn(&CellRow) -> Option<f64>| -> Vec<Option<f64>> {
-            cells.iter().map(|c| f(c)).collect()
-        };
-        record = record
-            .num_list(
-                &format!("{topo}_blind_final"),
-                &col(&|c| c.2.final_accuracy),
-            )
-            .num_list(
-                &format!("{topo}_mission_final"),
-                &col(&|c| c.3.final_accuracy),
-            )
-            .num_list(
-                &format!("{topo}_blind_availability"),
-                &col(&|c| c.2.availability),
-            )
-            .num_list(
-                &format!("{topo}_mission_availability"),
-                &col(&|c| c.3.availability),
-            )
-            .num_list(&format!("{topo}_mission_arrivals"), &col(&|c| c.3.arrivals))
-            .num_list(&format!("{topo}_mission_detected"), &col(&|c| c.3.detected))
-            .opt_num_list(
-                &format!("{topo}_mission_detection_latency"),
-                &opt_col(&|c| c.3.detection_latency),
-            )
-            .opt_num_list(
-                &format!("{topo}_mission_recovery_epochs"),
-                &opt_col(&|c| c.3.recovery_epochs),
-            )
-            .num_list(&format!("{topo}_mission_episodes"), &col(&|c| c.3.episodes))
-            .num_list(
-                &format!("{topo}_mission_quarantined"),
-                &col(&|c| c.3.quarantined),
-            )
-            .num_list(&format!("{topo}_mission_state"), &col(&|c| c.3.state));
+        // `opt_num_list` renders a present value exactly as `num_list`.
+        let curves: [Curve; 11] = [
+            ("blind_final", |c| Some(c.2.final_accuracy)),
+            ("mission_final", |c| Some(c.3.final_accuracy)),
+            ("blind_availability", |c| Some(c.2.availability)),
+            ("mission_availability", |c| Some(c.3.availability)),
+            ("mission_arrivals", |c| Some(c.3.arrivals)),
+            ("mission_detected", |c| Some(c.3.detected)),
+            ("mission_detection_latency", |c| c.3.detection_latency),
+            ("mission_recovery_epochs", |c| c.3.recovery_epochs),
+            ("mission_episodes", |c| Some(c.3.episodes)),
+            ("mission_quarantined", |c| Some(c.3.quarantined)),
+            ("mission_state", |c| Some(c.3.state)),
+        ];
+        for (name, curve) in curves {
+            let values: Vec<Option<f64>> = cells.iter().map(|c| curve(c)).collect();
+            record = record.opt_num_list(&format!("{topo}_{name}"), &values);
+        }
     }
-    record = record.num("wall_s", wall_s);
-    if let Err(e) = record.write(bench_out) {
-        eprintln!("{BIN}: writing {bench_out}: {e}");
-        std::process::exit(1);
-    }
-    println!("perf record written to {bench_out}");
+    args.write_record("BENCH_mission.json", record.num("wall_s", wall_s));
 
     if floor_violations > 0 {
         eprintln!("{BIN}: {floor_violations} floor violation(s) — mission arm below blind arm");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arm_journal_line_round_trips_absent_means() {
+        let arm = ArmResult {
+            window_accuracy: vec![0.5, 0.75, 1.0],
+            window_availability: vec![1.0, 0.5, 1.0],
+            final_accuracy: 0.9,
+            availability: 5.0 / 6.0,
+            arrivals: 3.0,
+            detected: 0.0,
+            detection_latency: None,
+            recovery_epochs: Some(4.5),
+            episodes: 1.0,
+            quarantined: 0.0,
+            state: state_code(HealthState::Degraded),
+        };
+        let values = arm.to_values();
+        assert_eq!(values.len(), 2 * 3 + 9);
+        assert_eq!(ArmResult::from_values(&values), Some(arm));
+        // A row of the wrong shape is not an arm.
+        assert_eq!(ArmResult::from_values(&values[1..]), None);
+        assert_eq!(ArmResult::from_values(&values[..8]), None);
     }
 }

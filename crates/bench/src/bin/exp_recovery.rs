@@ -28,13 +28,10 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use dta_bench::twin;
-use dta_bench::{pct, require_task, rule, Args, JsonMap};
+use dta_bench::twin::{self, TwinSweep};
+use dta_bench::{pct, rule, Args, JsonMap};
 use dta_circuits::FaultModel;
-use dta_core::{
-    detection_rate, localization_precision, Accelerator, RecoveryPolicy, RecoveryRung, RungBudget,
-};
-use dta_datasets::{Dataset, TaskSpec};
+use dta_core::{detection_rate, localization_precision, Accelerator, RecoveryRung};
 
 const BIN: &str = "exp_recovery";
 
@@ -47,78 +44,39 @@ struct CellResult {
     final_rung: RecoveryRung,
 }
 
-/// Everything shared by every cell of the sweep.
-struct Sweep<'a> {
-    spec: &'a TaskSpec,
-    ds: &'a Dataset,
-    epochs: usize,
-    policy_base: RecoveryPolicy,
-    target_drop: f64,
-    seed: u64,
-}
+fn run_cell(sweep: &TwinSweep, defects: usize, rep: usize) -> CellResult {
+    let label = format!("defects={defects} rep={rep}");
+    let race = sweep.race(
+        &label,
+        defects,
+        rep,
+        Accelerator::new,
+        |accel, cell_seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0xFA11);
+            accel
+                .inject_defects(defects, FaultModel::TransistorLevel, &mut rng)
+                .unwrap_or_else(|e| twin::die(BIN, &label, "injection", &e));
+        },
+    );
 
-impl Sweep<'_> {
-    fn run_cell(&self, defects: usize, rep: usize) -> CellResult {
-        let (spec, ds, epochs) = (self.spec, self.ds, self.epochs);
-        let cell_seed = self.seed ^ (defects as u64) << 24 ^ (rep as u64) << 8;
-        let folds = ds.k_folds(5, self.seed ^ rep as u64);
-        let fold = &folds[0];
-
-        let commission = || {
-            twin::commission(
-                BIN,
-                Accelerator::new(),
-                spec,
-                ds,
-                &fold.train,
-                epochs,
-                cell_seed,
-            )
-        };
-        let race = twin::run_twin_race(
-            BIN,
-            &format!("defects={defects} rep={rep}"),
-            || {
-                let mut accel = commission();
-                let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0xFA11);
-                accel
-                    .inject_defects(defects, FaultModel::TransistorLevel, &mut rng)
-                    .unwrap_or_else(|e| {
-                        twin::die(
-                            BIN,
-                            &format!("defects={defects} rep={rep}"),
-                            "injection",
-                            &e,
-                        )
-                    });
-                accel
-            },
-            commission,
-            ds,
-            fold,
-            &self.policy_base,
-            self.target_drop,
-            cell_seed,
-        );
-
-        // Score the diagnosis against the injected ground truth (the
-        // truth list is injection-order and immutable under recovery).
-        let truth = race.full_accel.faults().sites().to_vec();
-        CellResult {
-            twin: race.cell,
-            detection: detection_rate(&truth, &race.diagnosis.flagged),
-            precision: localization_precision(&truth, &race.diagnosis.flagged),
-            final_rung: race
-                .full_report
-                .final_rung()
-                .unwrap_or(RecoveryRung::Retrain),
-        }
+    // Score the diagnosis against the injected ground truth (the truth
+    // list is injection-order and immutable under recovery).
+    let truth = race.full_accel.faults().sites().to_vec();
+    CellResult {
+        twin: race.cell,
+        detection: detection_rate(&truth, &race.diagnosis.flagged),
+        precision: localization_precision(&truth, &race.diagnosis.flagged),
+        final_rung: race
+            .full_report
+            .final_rung()
+            .unwrap_or(RecoveryRung::Retrain),
     }
 }
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["iris"])[0].clone();
+    let spec = args.task("iris");
+    let task = spec.name;
     let counts = args.get_usize_list("counts", &[0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
     let reps = args.get("reps", 2usize);
     let epochs = args.get("epochs", 30usize);
@@ -126,27 +84,14 @@ fn main() {
     let budget_ms = args.get("budget-ms", 60_000u64);
     let target_drop = args.get("target-drop", 0.02f64);
     let seed = args.get("seed", 0x6EC0u64);
-    let bench_out = args
-        .get_opt_str("bench-out")
-        .unwrap_or("BENCH_recovery.json");
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
-    let budget = RungBudget {
-        max_epochs: recovery_epochs,
-        wall_clock_ms: budget_ms,
-    };
-    let sweep = Sweep {
+    let sweep = TwinSweep {
+        bin: BIN,
         spec: &spec,
         ds: &ds,
         epochs,
-        policy_base: RecoveryPolicy {
-            retrain: budget,
-            remap: budget,
-            learning_rate: spec.learning_rate,
-            momentum: 0.1,
-            ..RecoveryPolicy::default()
-        },
+        policy_base: twin::base_policy(&spec, recovery_epochs, budget_ms),
         target_drop,
         seed,
     };
@@ -172,20 +117,16 @@ fn main() {
     let start = Instant::now();
     let mut agg_detection = Vec::new();
     let mut agg_precision = Vec::new();
-    let mut agg_clean = Vec::new();
-    let mut agg_faulty = Vec::new();
-    let mut agg_blind = Vec::new();
-    let mut agg_recovered = Vec::new();
+    let mut means = Vec::new();
     for &defects in &counts {
-        let cells: Vec<CellResult> = (0..reps).map(|rep| sweep.run_cell(defects, rep)).collect();
+        let cells: Vec<CellResult> = (0..reps)
+            .map(|rep| run_cell(&sweep, defects, rep))
+            .collect();
         let twins: Vec<twin::TwinCell> = cells.iter().map(|c| c.twin).collect();
         twin::assert_twin_floor(&twins, &format!("defects={defects}"));
         let detections: Vec<f64> = cells.iter().filter_map(|c| c.detection).collect();
         let precisions: Vec<f64> = cells.iter().filter_map(|c| c.precision).collect();
-        let clean = twin::mean(&twins.iter().map(|c| c.clean).collect::<Vec<_>>());
-        let faulty = twin::mean(&twins.iter().map(|c| c.faulty).collect::<Vec<_>>());
-        let blind = twin::mean(&twins.iter().map(|c| c.blind).collect::<Vec<_>>());
-        let recovered = twin::mean(&twins.iter().map(|c| c.recovered).collect::<Vec<_>>());
+        let m = twin::TwinCell::mean(&twins);
         let detection = twin::mean(&detections);
         let precision = twin::mean(&precisions);
         let rungs: Vec<usize> = [
@@ -205,27 +146,20 @@ fn main() {
             }
         };
         println!(
-            "{:<8}{:>8}{:>8}{:>8}{:>8}{:>8}{:>10}{:>8}{:>22}",
+            "{:<8}{:>8}{:>8}{}{:>22}",
             defects,
             fmt_opt(detection),
             fmt_opt(precision),
-            pct(clean),
-            pct(faulty),
-            pct(blind),
-            pct(recovered),
-            pct(recovered - blind),
+            m.columns(),
             format!("{}/{}/{}", rungs[0], rungs[1], rungs[2]),
         );
         println!(
-            "data {task} {defects} {detection:?} {precision:?} {clean:?} {faulty:?} \
-             {blind:?} {recovered:?}"
+            "data {task} {defects} {detection:?} {precision:?} {:?} {:?} {:?} {:?}",
+            m.clean, m.faulty, m.blind, m.recovered
         );
         agg_detection.push(detection);
         agg_precision.push(precision);
-        agg_clean.push(clean);
-        agg_faulty.push(faulty);
-        agg_blind.push(blind);
-        agg_recovered.push(recovered);
+        means.push(m);
     }
     let wall_s = start.elapsed().as_secs_f64();
     rule(88);
@@ -234,9 +168,9 @@ fn main() {
          column is what diagnosis-guided remapping adds on top of blind retraining."
     );
 
-    let json = JsonMap::new()
-        .str("bin", "exp_recovery")
-        .str("task", &task)
+    let record = JsonMap::new()
+        .str("bin", BIN)
+        .str("task", task)
         .int_list("counts", &counts)
         .int("reps", reps as u64)
         .int("epochs", epochs as u64)
@@ -246,14 +180,7 @@ fn main() {
         .int("seed", seed)
         .num_list("detection", &agg_detection)
         .num_list("precision", &agg_precision)
-        .num_list("clean", &agg_clean)
-        .num_list("faulty", &agg_faulty)
-        .num_list("blind", &agg_blind)
-        .num_list("recovered", &agg_recovered)
+        .twin_curves("", &means)
         .num("wall_s", wall_s);
-    if let Err(e) = json.write(bench_out) {
-        eprintln!("exp_recovery: writing {bench_out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {bench_out} ({wall_s:.1}s)");
+    args.write_record("BENCH_recovery.json", record);
 }

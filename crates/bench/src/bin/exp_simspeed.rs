@@ -94,13 +94,23 @@ fn main() {
     let default_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let defect_counts = args.get_usize_list("defects", default_counts);
     let seed = args.get("seed", 0x51E5Du64);
-    let activation = match args.get_str_list("activation", &["permanent"])[0].as_str() {
-        "transient" => Activation::Transient {
-            per_eval_probability: 0.5,
-        },
-        "intermittent" => Activation::Intermittent { period: 8, duty: 3 },
-        _ => Activation::Permanent,
-    };
+    let (activation_name, activation) = args.choice(
+        "activation",
+        "permanent",
+        &[
+            ("permanent", Activation::Permanent),
+            (
+                "transient",
+                Activation::Transient {
+                    per_eval_probability: 0.5,
+                },
+            ),
+            (
+                "intermittent",
+                Activation::Intermittent { period: 8, duty: 3 },
+            ),
+        ],
+    );
     let measure_switch = args.get_bool("switch", !smoke);
 
     let mul = FxMulCircuit::new();
@@ -455,13 +465,9 @@ fn main() {
             })
             .collect()
     };
-    let out_path = args.get("bench-out", "BENCH_simspeed.json".to_string());
     let mut record = JsonMap::new()
         .str("bin", "exp_simspeed")
-        .str(
-            "activation",
-            args.get_str_list("activation", &["permanent"])[0].as_str(),
-        )
+        .str("activation", activation_name)
         .int("rows", rows as u64)
         .int_list("defect_counts", &defect_counts);
     for (suffix, per_count) in [("", &dense_counts), ("_sparse", &sparse_counts)] {
@@ -521,9 +527,5 @@ fn main() {
             )
             .num("fused_cache_hit_rate", fh as f64 / (fh + fm).max(1) as f64);
     }
-    record = record.host();
-    match record.write(&out_path) {
-        Ok(()) => println!("perf record written to {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
+    args.write_record("BENCH_simspeed.json", record);
 }

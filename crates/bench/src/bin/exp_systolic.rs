@@ -19,9 +19,9 @@
 //! `Accel` trait — so the table is a like-for-like comparison of how
 //! each fault surface degrades and how much topology-native repair
 //! recovers. The pipeline arm can never end below the blind arm; the
-//! binary asserts this floor at every cell. With `--checkpoint`,
-//! finished cells land in a fingerprint-guarded journal (pseudo-task
-//! `task@topology#arm`) and a killed sweep resumes byte-identical.
+//! binary asserts this floor at every cell. With `--checkpoint`, each
+//! finished cell lands in a fingerprint-guarded journal as one line
+//! (keyed `task@topology`) and a killed sweep resumes byte-identical.
 //!
 //! ```sh
 //! cargo run --release -p dta-bench --bin exp_systolic
@@ -34,11 +34,10 @@ use std::time::Instant;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use dta_bench::twin::{self, TwinCell};
-use dta_bench::{pct, require_task, rule, Args, JsonMap};
+use dta_bench::twin::{self, TwinCell, TwinSweep};
+use dta_bench::{open_checkpoint, pct, resume, rule, Args, JsonMap};
 use dta_circuits::{Activation, FaultModel};
-use dta_core::{Accelerator, RecoveryPolicy, RungBudget};
-use dta_datasets::{Dataset, TaskSpec};
+use dta_core::Accelerator;
 use dta_systolic::SystolicAccelerator;
 
 const BIN: &str = "exp_systolic";
@@ -46,93 +45,36 @@ const BIN: &str = "exp_systolic";
 /// The two topologies of the comparison, in run order.
 const TOPOS: [&str; 2] = ["spatial", "systolic"];
 
-/// Everything shared by every cell of the sweep.
-struct Sweep<'a> {
-    spec: &'a TaskSpec,
-    ds: &'a Dataset,
-    epochs: usize,
-    policy_base: RecoveryPolicy,
-    target_drop: f64,
-    seed: u64,
-}
-
-impl Sweep<'_> {
-    fn run_cell(&self, topo: &str, defects: usize, rep: usize) -> TwinCell {
-        let (spec, ds, epochs) = (self.spec, self.ds, self.epochs);
-        let cell_seed = self.seed ^ (defects as u64) << 24 ^ (rep as u64) << 8;
-        let folds = ds.k_folds(5, self.seed ^ rep as u64);
-        let fold = &folds[0];
-        let label = format!("{topo} defects={defects} rep={rep}");
-
-        if topo == "spatial" {
-            let commission = || {
-                twin::commission(
-                    BIN,
-                    Accelerator::new(),
-                    spec,
-                    ds,
-                    &fold.train,
-                    epochs,
-                    cell_seed,
-                )
-            };
-            twin::run_twin_race(
-                BIN,
-                &label,
-                || {
-                    let mut accel = commission();
-                    let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0xFA11);
-                    accel
-                        .inject_defects(defects, FaultModel::TransistorLevel, &mut rng)
-                        .unwrap_or_else(|e| twin::die(BIN, &label, "defect injection", &e));
-                    accel
-                },
-                commission,
-                ds,
-                fold,
-                &self.policy_base,
-                self.target_drop,
-                cell_seed,
-            )
+/// Races one cell on topology `topo`, damaged with `defects` defects.
+fn run_cell(sweep: &TwinSweep, topo: &str, defects: usize, rep: usize) -> TwinCell {
+    let label = format!("{topo} defects={defects} rep={rep}");
+    let die = |e: &dyn std::fmt::Display| -> ! { twin::die(BIN, &label, "defect injection", e) };
+    let rng = |cell_seed: u64| ChaCha8Rng::seed_from_u64(cell_seed ^ 0xFA11);
+    if topo == "spatial" {
+        let damage = |accel: &mut Accelerator, cell_seed| {
+            accel
+                .inject_defects(defects, FaultModel::TransistorLevel, &mut rng(cell_seed))
+                .unwrap_or_else(|e| die(&e));
+        };
+        sweep
+            .race(&label, defects, rep, Accelerator::new, damage)
             .cell
-        } else {
-            let commission = || {
-                twin::commission(
-                    BIN,
-                    SystolicAccelerator::new(),
-                    spec,
-                    ds,
-                    &fold.train,
-                    epochs,
-                    cell_seed,
-                )
-            };
-            twin::run_twin_race(
-                BIN,
-                &label,
-                || {
-                    let mut accel = commission();
-                    let mut rng = ChaCha8Rng::seed_from_u64(cell_seed ^ 0xFA11);
-                    accel
-                        .inject_defects(defects, Activation::Permanent, &mut rng)
-                        .unwrap_or_else(|e| twin::die(BIN, &label, "defect injection", &e));
-                    accel
-                },
-                commission,
-                ds,
-                fold,
-                &self.policy_base,
-                self.target_drop,
-                cell_seed,
-            )
+    } else {
+        let damage = |accel: &mut SystolicAccelerator, cell_seed| {
+            accel
+                .inject_defects(defects, Activation::Permanent, &mut rng(cell_seed))
+                .unwrap_or_else(|e| die(&e));
+        };
+        sweep
+            .race(&label, defects, rep, SystolicAccelerator::new, damage)
             .cell
-        }
     }
 }
 
 fn main() {
     let args = Args::parse();
-    let task = args.get_str_list("task", &["iris"])[0].clone();
+    let spec = args.task("iris");
+    let task = spec.name;
     let counts = args.get_usize_list("counts", &[0, 4, 8, 16, 24, 32, 48]);
     let reps = args.get("reps", 2usize);
     let epochs = args.get("epochs", 30usize);
@@ -144,28 +86,14 @@ fn main() {
     let budget_ms = args.get("budget-ms", 60_000u64);
     let target_drop = args.get("target-drop", 0.02f64);
     let seed = args.get("seed", 0x5A57u64);
-    let bench_out = args
-        .get_opt_str("bench-out")
-        .unwrap_or("BENCH_systolic.json");
-    let checkpoint_path = args.get_opt_str("checkpoint");
 
-    let spec = require_task(&task);
     let ds = spec.dataset();
-    let budget = RungBudget {
-        max_epochs: recovery_epochs,
-        wall_clock_ms: budget_ms,
-    };
-    let sweep = Sweep {
+    let sweep = TwinSweep {
+        bin: BIN,
         spec: &spec,
         ds: &ds,
         epochs,
-        policy_base: RecoveryPolicy {
-            retrain: budget,
-            remap: budget,
-            learning_rate: spec.learning_rate,
-            momentum: 0.1,
-            ..RecoveryPolicy::default()
-        },
+        policy_base: twin::base_policy(&spec, recovery_epochs, budget_ms),
         target_drop,
         seed,
     };
@@ -180,7 +108,9 @@ fn main() {
          seed={seed:#x} grid=rows:{},cols:{},spares:{}",
         geom.rows, geom.cols, geom.spare_rows
     );
-    let checkpoint = checkpoint_path.map(|p| twin::open_checkpoint(BIN, p, &fingerprint));
+    let checkpoint = args
+        .get_opt_str("checkpoint")
+        .map(|p| open_checkpoint(BIN, p, &fingerprint));
 
     println!(
         "Spatial vs. systolic recovery sweep on {task}: {reps} rep(s) per defect count per \
@@ -196,8 +126,8 @@ fn main() {
 
     let start = Instant::now();
     let mut json = JsonMap::new()
-        .str("bin", "exp_systolic")
-        .str("task", &task)
+        .str("bin", BIN)
+        .str("task", task)
         .int_list("counts", &counts)
         .int("reps", reps as u64)
         .int("epochs", epochs as u64)
@@ -210,60 +140,28 @@ fn main() {
         .int("grid_spare_rows", geom.spare_rows as u64);
     let mut gain_means = Vec::new();
     for topo in TOPOS {
-        let mut agg_clean = Vec::new();
-        let mut agg_faulty = Vec::new();
-        let mut agg_blind = Vec::new();
-        let mut agg_recovered = Vec::new();
+        let mut means = Vec::new();
         for &defects in &counts {
             let key = format!("{task}@{topo}");
             let cells: Vec<TwinCell> = (0..reps)
                 .map(|rep| {
-                    if let Some(cell) = checkpoint
-                        .as_ref()
-                        .and_then(|ck| twin::replay_twin(ck, &key, defects, rep))
-                    {
-                        return cell;
-                    }
-                    let cell = sweep.run_cell(topo, defects, rep);
-                    if let Some(ck) = &checkpoint {
-                        twin::record_twin(BIN, ck, &key, defects, rep, &cell);
-                    }
-                    cell
+                    resume(BIN, checkpoint.as_ref(), &key, defects, rep, || {
+                        run_cell(&sweep, topo, defects, rep)
+                    })
                 })
                 .collect();
             twin::assert_twin_floor(&cells, &format!("{topo} defects={defects}"));
-            let clean = twin::mean(&cells.iter().map(|c| c.clean).collect::<Vec<_>>());
-            let faulty = twin::mean(&cells.iter().map(|c| c.faulty).collect::<Vec<_>>());
-            let blind = twin::mean(&cells.iter().map(|c| c.blind).collect::<Vec<_>>());
-            let recovered = twin::mean(&cells.iter().map(|c| c.recovered).collect::<Vec<_>>());
-
+            let m = TwinCell::mean(&cells);
+            println!("{topo:<10}{defects:<8}{}", m.columns());
             println!(
-                "{:<10}{:<8}{:>8}{:>8}{:>8}{:>10}{:>8}",
-                topo,
-                defects,
-                pct(clean),
-                pct(faulty),
-                pct(blind),
-                pct(recovered),
-                pct(recovered - blind),
+                "data {task} {topo} {defects} {:?} {:?} {:?} {:?}",
+                m.clean, m.faulty, m.blind, m.recovered
             );
-            println!("data {task} {topo} {defects} {clean:?} {faulty:?} {blind:?} {recovered:?}");
-            agg_clean.push(clean);
-            agg_faulty.push(faulty);
-            agg_blind.push(blind);
-            agg_recovered.push(recovered);
+            means.push(m);
         }
-        let gains: Vec<f64> = agg_recovered
-            .iter()
-            .zip(&agg_blind)
-            .map(|(r, b)| r - b)
-            .collect();
+        let gains: Vec<f64> = means.iter().map(|m| m.recovered - m.blind).collect();
         gain_means.push(twin::mean(&gains));
-        json = json
-            .num_list(&format!("{topo}_clean"), &agg_clean)
-            .num_list(&format!("{topo}_faulty"), &agg_faulty)
-            .num_list(&format!("{topo}_blind"), &agg_blind)
-            .num_list(&format!("{topo}_recovered"), &agg_recovered);
+        json = json.twin_curves(&format!("{topo}_"), &means);
         rule(60);
     }
     let wall_s = start.elapsed().as_secs_f64();
@@ -280,9 +178,5 @@ fn main() {
         .num("spatial_gain_mean", gain_means[0])
         .num("systolic_gain_mean", gain_means[1])
         .num("wall_s", wall_s);
-    if let Err(e) = json.write(bench_out) {
-        eprintln!("exp_systolic: writing {bench_out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {bench_out} ({wall_s:.1}s)");
+    args.write_record("BENCH_systolic.json", json);
 }

@@ -12,13 +12,12 @@
 
 use dta_ann::hyper::{search, HyperSpace};
 use dta_bench::{pct, rule, Args};
-use dta_datasets::suite;
 
 fn main() {
     let args = Args::parse();
     let full = args.get_bool("full", false);
     let folds = args.get("folds", if full { 10 } else { 3 });
-    let task_names = args.get_str_list("tasks", &["iris", "wine", "glass", "vehicle"]);
+    let specs = args.tasks(&["iris", "wine", "glass", "vehicle"]);
     let seed = args.get("seed", 0x7AB1Eu64);
 
     let space = if full {
@@ -43,11 +42,7 @@ fn main() {
         "task", "lr", "epochs", "hidden", "momentum", "accuracy"
     );
     rule(86);
-    for name in &task_names {
-        let Some(spec) = suite::specs().into_iter().find(|s| s.name == name) else {
-            eprintln!("unknown task `{name}`, skipping");
-            continue;
-        };
+    for spec in &specs {
         let ds = spec.dataset();
         let result = search(&ds, &space, folds, seed);
         println!(

@@ -33,12 +33,12 @@
 
 use std::time::Instant;
 
-use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::{Activation, FaultModel};
+use dta_bench::{open_checkpoint, rule, Args, JsonMap, FAULT_MODELS};
+use dta_circuits::Activation;
 use dta_core::campaign::{defect_tolerance_curve_resumable, CampaignConfig, ChaosCell, CurvePoint};
-use dta_core::checkpoint::Checkpoint;
 use dta_core::parallel::effective_threads;
-use dta_datasets::{suite, TaskSpec};
+
+const BIN: &str = "exp_transient";
 
 /// Parses `--chaos defects:rep:attempts[,..]`.
 fn parse_chaos(spec: &str) -> Vec<ChaosCell> {
@@ -70,14 +70,7 @@ fn parse_chaos(spec: &str) -> Vec<ChaosCell> {
 
 fn main() {
     let args = Args::parse();
-    let task_names = {
-        let requested = args.get_str_list("tasks", &["iris"]);
-        if requested == ["all"] {
-            suite::specs().iter().map(|s| s.name.to_string()).collect()
-        } else {
-            requested
-        }
-    };
+    let specs = args.tasks(&["iris"]);
     let epochs = args.get("epochs", 20usize);
     let p = args.get("p", 0.05f64);
     let period = args.get("period", 50u32);
@@ -87,36 +80,27 @@ fn main() {
         .map(parse_chaos)
         .unwrap_or_default();
 
-    let classes: Vec<(&str, Activation)> = {
-        let requested = args.get_str_list("classes", &["permanent", "transient", "intermittent"]);
-        requested
-            .iter()
-            .map(|name| match name.as_str() {
-                "permanent" => ("permanent", Activation::Permanent),
-                "transient" => (
-                    "transient",
-                    Activation::Transient {
-                        per_eval_probability: p,
-                    },
-                ),
-                "intermittent" => ("intermittent", Activation::Intermittent { period, duty }),
-                other => {
-                    eprintln!("unknown activation class `{other}`");
-                    std::process::exit(2);
-                }
-            })
-            .collect()
-    };
+    let classes = args.choices(
+        "classes",
+        &["permanent", "transient", "intermittent"],
+        &[
+            ("permanent", Activation::Permanent),
+            (
+                "transient",
+                Activation::Transient {
+                    per_eval_probability: p,
+                },
+            ),
+            ("intermittent", Activation::Intermittent { period, duty }),
+        ],
+    );
 
     let base_cfg = CampaignConfig {
         defect_counts: args.get_usize_list("counts", &[0, 4, 8, 12, 18]),
         repetitions: args.get("reps", 3usize),
         folds: args.get("folds", 2usize),
         epochs: if epochs == 0 { None } else { Some(epochs) },
-        model: match args.get_str_list("model", &["transistor"])[0].as_str() {
-            "gate" => FaultModel::GateLevel,
-            _ => FaultModel::TransistorLevel,
-        },
+        model: args.choice("model", "transistor", FAULT_MODELS).1,
         activation: Activation::Permanent,
         seed: args.get("seed", 0x7A41u64),
         threads: args.get("threads", 1usize),
@@ -124,17 +108,6 @@ fn main() {
         mem: None,
         combined: false,
     };
-
-    let specs: Vec<TaskSpec> = task_names
-        .iter()
-        .filter_map(|name| {
-            let spec = suite::specs().into_iter().find(|s| s.name == name);
-            if spec.is_none() {
-                eprintln!("unknown task `{name}`, skipping");
-            }
-            spec
-        })
-        .collect();
 
     println!("Fault-lifetime comparison — accuracy vs. #defects after retraining");
     println!(
@@ -164,26 +137,11 @@ fn main() {
             // One journal per class: the activation is part of the
             // fingerprint, so the classes cannot share a file.
             let checkpoint = args.get_opt_str("checkpoint").map(|base| {
-                let path = format!("{base}.{class_name}");
-                match Checkpoint::open(&path, &cfg.fingerprint()) {
-                    Ok(ck) => {
-                        if ck.completed() > 0 {
-                            eprintln!(
-                                "resuming {class_name} from {path}: {} cells journaled",
-                                ck.completed()
-                            );
-                        }
-                        ck
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    }
-                }
+                open_checkpoint(BIN, &format!("{base}.{class_name}"), &cfg.fingerprint())
             });
             let curve = defect_tolerance_curve_resumable(spec, &cfg, checkpoint.as_ref())
                 .unwrap_or_else(|e| {
-                    eprintln!("campaign failed: {e}");
+                    eprintln!("{BIN}: campaign failed: {e}");
                     std::process::exit(1);
                 });
 
@@ -227,9 +185,8 @@ fn main() {
          {failed_cells} failed, {retried_cells} retried"
     );
 
-    let out_path = args.get("bench-out", "BENCH_transient.json".to_string());
     let record = JsonMap::new()
-        .str("bin", "exp_transient")
+        .str("bin", BIN)
         .str_list(
             "tasks",
             &specs.iter().map(|s| s.name.to_string()).collect::<Vec<_>>(),
@@ -252,8 +209,5 @@ fn main() {
         .int("retried_cells", retried_cells as u64)
         .num("wall_s", wall_s)
         .num("cells_per_s", cells as f64 / wall_s);
-    match record.write(&out_path) {
-        Ok(()) => println!("perf record written to {out_path}"),
-        Err(e) => eprintln!("could not write {out_path}: {e}"),
-    }
+    args.write_record("BENCH_transient.json", record);
 }

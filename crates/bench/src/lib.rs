@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 
 //! Shared plumbing for the experiment binaries: a tiny `--key value`
-//! argument parser and table-printing helpers.
+//! argument parser with task and enumerated-option resolvers, the
+//! checkpoint resume helper, the perf-record writer and table-printing
+//! helpers.
 //!
 //! Every experiment binary (`exp_*`) regenerates one table or figure of
 //! the paper; run them with `cargo run --release -p dta-bench --bin
@@ -14,15 +16,15 @@ use std::collections::HashMap;
 use std::fmt::Display;
 use std::str::FromStr;
 
+use dta_circuits::FaultModel;
+use dta_core::Checkpoint;
+use dta_datasets::{suite, TaskSpec};
+
 pub mod twin;
 
-pub use twin::{
-    assert_twin_floor, commission, mean, open_checkpoint, record_twin, replay_twin, run_twin_race,
-    TwinCell, TwinRace, TWIN_ARMS,
-};
-
 /// The `--key value` options the experiment binaries read, with one-line
-/// help. Not every binary reads every key; unread keys are ignored.
+/// help. Any other key is refused; a listed key that a given binary
+/// does not read is ignored.
 const KNOWN_KEYS: &[(&str, &str)] = &[
     ("tasks", "comma-separated task list, or `all`"),
     ("task", "single benchmark task"),
@@ -56,6 +58,18 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
         "exp_simspeed: defect counts for the network-level shootout",
     ),
     ("smoke", "exp_simspeed: reduced grid for CI smoke lanes"),
+    (
+        "activation",
+        "exp_simspeed: defect activation: permanent | transient | intermittent",
+    ),
+    (
+        "switch",
+        "exp_simspeed: also time the switch-level reference (default: unless --smoke)",
+    ),
+    (
+        "phys-neurons",
+        "exp_ablation_spatial: physical neurons of the time-multiplexed design",
+    ),
     (
         "checkpoint",
         "journal file for resumable campaigns (per-class suffix in exp_transient)",
@@ -105,7 +119,10 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
     ),
     ("windows", "exp_mission: reporting windows in the trace"),
     ("batches", "exp_mission: traffic batches per window"),
-    ("rows", "exp_mission: dataset rows served per batch"),
+    (
+        "rows",
+        "exp_mission: dataset rows served per batch; exp_simspeed: stimulus rows",
+    ),
     (
         "probe-interval",
         "exp_mission: batches between incremental BIST probes",
@@ -124,6 +141,12 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
     ),
 ];
 
+/// The accepted `--model` values, for [`Args::choice`].
+pub const FAULT_MODELS: &[(&str, FaultModel)] = &[
+    ("transistor", FaultModel::TransistorLevel),
+    ("gate", FaultModel::GateLevel),
+];
+
 /// Parsed `--key value` command-line options.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
@@ -133,43 +156,40 @@ pub struct Args {
 impl Args {
     /// Parses `std::env::args()`.
     ///
-    /// On `--help`/`-h`, a bare argument, or a dangling `--key` without
-    /// a value, prints a usage summary listing the accepted keys and
-    /// exits with status 0.
+    /// `--help`/`-h` prints a usage summary listing the accepted keys
+    /// and exits with status 0. A key outside that list, a bare
+    /// argument or a dangling `--key` without a value prints the
+    /// problem plus the usage summary and exits with status 2.
     pub fn parse() -> Args {
         match Args::try_parse(std::env::args().skip(1)) {
             Ok(args) => args,
-            Err(HelpRequested(detail)) => {
-                if let Some(detail) = detail {
-                    println!("{detail}\n");
-                }
+            Err(ArgError::Help) => {
                 print_usage();
                 std::process::exit(0);
             }
+            Err(ArgError::Usage(msg)) => bad_value(&msg),
         }
     }
 
     /// Parses an explicit argument stream (without the program name).
-    /// `Err` carries the message to print above the usage text, if any.
-    fn try_parse<I: Iterator<Item = String>>(iter: I) -> Result<Args, HelpRequested> {
+    fn try_parse<I: Iterator<Item = String>>(mut iter: I) -> Result<Args, ArgError> {
         let mut values = HashMap::new();
-        let mut iter = iter.peekable();
         while let Some(arg) = iter.next() {
             if arg == "--help" || arg == "-h" {
-                return Err(HelpRequested(None));
+                return Err(ArgError::Help);
             }
-            if let Some(key) = arg.strip_prefix("--") {
-                match iter.next() {
-                    Some(value) => {
-                        values.insert(key.to_string(), value);
-                    }
-                    None => return Err(HelpRequested(Some(format!("--{key} needs a value")))),
-                }
-            } else {
-                return Err(HelpRequested(Some(format!(
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(ArgError::Usage(format!(
                     "unexpected argument `{arg}` (use --key value)"
-                ))));
+                )));
+            };
+            if !KNOWN_KEYS.iter().any(|(known, _)| *known == key) {
+                return Err(ArgError::Usage(format!("unknown option --{key}")));
             }
+            let Some(value) = iter.next() else {
+                return Err(ArgError::Usage(format!("--{key} needs a value")));
+            };
+            values.insert(key.to_string(), value);
         }
         Ok(Args { values })
     }
@@ -191,21 +211,18 @@ impl Args {
 
     /// Fetches a comma-separated list of `usize`, or the default.
     pub fn get_usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.values.get(key) {
-            None => default.to_vec(),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|e| bad_value(&format!("--{key} `{s}`: {e}")))
-                })
-                .collect(),
-        }
+        self.get_list(key, default)
     }
 
     /// Fetches a comma-separated list of `f64`, or the default.
     pub fn get_f64_list(&self, key: &str, default: &[f64]) -> Vec<f64> {
+        self.get_list(key, default)
+    }
+
+    fn get_list<T: FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T>
+    where
+        T::Err: Display,
+    {
         match self.values.get(key) {
             None => default.to_vec(),
             Some(v) => v
@@ -242,45 +259,176 @@ impl Args {
             Some(_) => true,
         }
     }
+
+    /// The suite tasks named by `--tasks` (comma-separated, or `all`
+    /// for the whole suite), or by `default`. An unknown name prints
+    /// the available tasks plus the usage summary and exits with
+    /// status 2 — a typo is user error, not a crash.
+    pub fn tasks(&self, default: &[&str]) -> Vec<TaskSpec> {
+        let names = self.get_str_list("tasks", default);
+        if names == ["all"] {
+            return suite::specs();
+        }
+        names
+            .iter()
+            .map(|name| find_task(name).unwrap_or_else(|e| bad_value(&e)))
+            .collect()
+    }
+
+    /// The suite task named by `--task`, or by `default`; an unknown
+    /// name exits with status 2 like [`tasks`](Args::tasks).
+    pub fn task(&self, default: &str) -> TaskSpec {
+        let name = self.get_opt_str("task").unwrap_or(default);
+        find_task(name).unwrap_or_else(|e| bad_value(&e))
+    }
+
+    /// Reads an enumerated option: `--key` (or `default`) must name one
+    /// of `choices`. Returns the accepted name with its value; any
+    /// other name prints the accepted ones plus the usage summary and
+    /// exits with status 2.
+    pub fn choice<T: Clone>(
+        &self,
+        key: &str,
+        default: &str,
+        choices: &[(&'static str, T)],
+    ) -> (&'static str, T) {
+        let name = self.get_opt_str(key).unwrap_or(default);
+        pick(key, name, choices).unwrap_or_else(|e| bad_value(&e))
+    }
+
+    /// [`choice`](Args::choice) over a comma-separated list of names.
+    pub fn choices<T: Clone>(
+        &self,
+        key: &str,
+        default: &[&str],
+        choices: &[(&'static str, T)],
+    ) -> Vec<(&'static str, T)> {
+        self.get_str_list(key, default)
+            .iter()
+            .map(|name| pick(key, name, choices).unwrap_or_else(|e| bad_value(&e)))
+            .collect()
+    }
+
+    /// Writes a perf record, with the host facts appended, to
+    /// `--bench-out` (or `default_path`). A failed write exits with
+    /// status 1: a run whose record is lost must not look green.
+    pub fn write_record(&self, default_path: &str, record: JsonMap) {
+        let path = self.get_opt_str("bench-out").unwrap_or(default_path);
+        match record.host().write(path) {
+            Ok(()) => println!("perf record written to {path}"),
+            Err(e) => {
+                eprintln!("could not write perf record {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
-/// Internal marker: the argument stream asked for (or forced) the usage
-/// text. The payload is an optional explanation line.
-struct HelpRequested(Option<String>);
+/// Why an argument stream yielded no options.
+#[derive(Debug)]
+enum ArgError {
+    /// `--help`/`-h`: print the usage text and succeed.
+    Help,
+    /// A usage error, explained by the message.
+    Usage(String),
+}
 
 fn print_usage() {
     println!("usage: exp_* [--key value]...\n");
-    println!("accepted keys (unread keys are ignored by a given binary):");
+    println!("accepted keys (a binary ignores the ones it does not read):");
     for (key, help) in KNOWN_KEYS {
         println!("  --{key:<12} {help}");
     }
 }
 
-/// Reports an unparseable option value and exits with status 2.
+/// Reports an unusable option and exits with status 2.
 fn bad_value(msg: &str) -> ! {
     eprintln!("{msg}\n");
     print_usage();
     std::process::exit(2);
 }
 
-/// Looks up one task of the benchmark suite by name. An unknown name
-/// prints the available tasks plus the usage summary and exits with
-/// status 2 — a typo in `--task` is user error, not a crash.
-pub fn require_task(name: &str) -> dta_datasets::TaskSpec {
-    if let Some(spec) = dta_datasets::suite::specs()
+fn find_task(name: &str) -> Result<TaskSpec, String> {
+    let specs = suite::specs();
+    let names: Vec<&str> = specs.iter().map(|s| s.name).collect();
+    let available = names.join(", ");
+    specs
         .into_iter()
         .find(|s| s.name == name)
-    {
-        return spec;
-    }
-    let names: Vec<&str> = dta_datasets::suite::specs()
+        .ok_or_else(|| format!("unknown task `{name}` (available: {available})"))
+}
+
+fn pick<T: Clone>(
+    key: &str,
+    name: &str,
+    choices: &[(&'static str, T)],
+) -> Result<(&'static str, T), String> {
+    choices
         .iter()
-        .map(|s| s.name)
-        .collect();
-    bad_value(&format!(
-        "unknown task `{name}` (available: {})",
-        names.join(", ")
-    ))
+        .find(|(accepted, _)| *accepted == name)
+        .cloned()
+        .ok_or_else(|| {
+            let accepted: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+            format!("--{key} {name}: expected one of {}", accepted.join(" | "))
+        })
+}
+
+/// Opens (or resumes) a fingerprint-guarded checkpoint journal,
+/// reporting how many cells were already journaled. A journal that
+/// cannot be used (unreadable, corrupt, another format version or a
+/// different fingerprint) exits with status 1.
+pub fn open_checkpoint(bin: &str, path: &str, fingerprint: &str) -> Checkpoint {
+    match Checkpoint::open(path, fingerprint) {
+        Ok(ck) => {
+            if ck.completed() > 0 {
+                eprintln!(
+                    "{bin}: resuming from {path} ({} journaled cell(s))",
+                    ck.completed()
+                );
+            }
+            ck
+        }
+        Err(e) => {
+            eprintln!("{bin}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// A result row that journals as one checkpoint line of optional
+/// floats.
+pub trait Journaled: Sized {
+    /// The row's values, in journal order.
+    fn to_values(&self) -> Vec<Option<f64>>;
+
+    /// Rebuilds a row from its journaled values; `None` when they do not
+    /// have this row's shape.
+    fn from_values(values: &[Option<f64>]) -> Option<Self>;
+}
+
+/// Replays cell `(key, idx, rep)` if the journal holds it; otherwise
+/// runs it and journals the result. Without a journal it just runs. A
+/// journal write failure exits with status 1.
+pub fn resume<T: Journaled>(
+    bin: &str,
+    checkpoint: Option<&Checkpoint>,
+    key: &str,
+    idx: usize,
+    rep: usize,
+    run: impl FnOnce() -> T,
+) -> T {
+    let Some(ck) = checkpoint else {
+        return run();
+    };
+    if let Some(row) = ck.values(key, idx, rep).and_then(T::from_values) {
+        return row;
+    }
+    let row = run();
+    if let Err(e) = ck.record_values(key, idx, rep, &row.to_values()) {
+        eprintln!("{bin}: {e}");
+        std::process::exit(1);
+    }
+    row
 }
 
 /// A hand-rolled flat JSON object writer — enough to emit the
@@ -323,40 +471,34 @@ impl JsonMap {
 
     /// Adds an optional float field (`null` when absent or non-finite).
     pub fn opt_num(mut self, key: &str, value: Option<f64>) -> JsonMap {
-        self.push(key, value.map_or_else(|| "null".into(), format_json_number));
+        self.push(key, opt_json_number(value));
+        self
+    }
+
+    fn list(mut self, key: &str, items: impl Iterator<Item = String>) -> JsonMap {
+        self.push(key, format!("[{}]", items.collect::<Vec<_>>().join(", ")));
         self
     }
 
     /// Adds a list-of-integers field.
-    pub fn int_list(mut self, key: &str, values: &[usize]) -> JsonMap {
-        let body: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        self.push(key, format!("[{}]", body.join(", ")));
-        self
+    pub fn int_list(self, key: &str, values: &[usize]) -> JsonMap {
+        self.list(key, values.iter().map(usize::to_string))
     }
 
     /// Adds a list-of-floats field (non-finite values become `null`).
-    pub fn num_list(mut self, key: &str, values: &[f64]) -> JsonMap {
-        let body: Vec<String> = values.iter().copied().map(format_json_number).collect();
-        self.push(key, format!("[{}]", body.join(", ")));
-        self
+    pub fn num_list(self, key: &str, values: &[f64]) -> JsonMap {
+        self.list(key, values.iter().copied().map(format_json_number))
     }
 
     /// Adds a list of optional floats (`null` where absent or
     /// non-finite).
-    pub fn opt_num_list(mut self, key: &str, values: &[Option<f64>]) -> JsonMap {
-        let body: Vec<String> = values
-            .iter()
-            .map(|v| v.map_or_else(|| "null".into(), format_json_number))
-            .collect();
-        self.push(key, format!("[{}]", body.join(", ")));
-        self
+    pub fn opt_num_list(self, key: &str, values: &[Option<f64>]) -> JsonMap {
+        self.list(key, values.iter().map(|v| opt_json_number(*v)))
     }
 
     /// Adds a list-of-strings field.
-    pub fn str_list(mut self, key: &str, values: &[String]) -> JsonMap {
-        let body: Vec<String> = values.iter().map(|v| json_string(v)).collect();
-        self.push(key, format!("[{}]", body.join(", ")));
-        self
+    pub fn str_list(self, key: &str, values: &[String]) -> JsonMap {
+        self.list(key, values.iter().map(|v| json_string(v)))
     }
 
     /// Renders the object as pretty-printed JSON with a trailing newline.
@@ -373,7 +515,7 @@ impl JsonMap {
     /// Adds the host facts that make perf records comparable across
     /// machines and commits: `nproc` and the checked-out `git_rev`
     /// (each `null` when unknown, e.g. outside a git checkout).
-    pub fn host(mut self) -> JsonMap {
+    fn host(mut self) -> JsonMap {
         let nproc = std::thread::available_parallelism().map(|n| n.get()).ok();
         self.push(
             "nproc",
@@ -400,6 +542,10 @@ pub fn format_json_number(value: f64) -> String {
     } else {
         "null".into()
     }
+}
+
+fn opt_json_number(value: Option<f64>) -> String {
+    value.map_or_else(|| "null".into(), format_json_number)
 }
 
 /// The commit the working directory is checked out at, if git can tell.
@@ -503,14 +649,102 @@ mod tests {
 
     #[test]
     fn try_parse_requests_help_instead_of_panicking() {
-        assert!(Args::try_parse(argv(&["--help"])).is_err());
-        assert!(Args::try_parse(argv(&["-h"])).is_err());
-        assert!(Args::try_parse(argv(&["stray"])).is_err());
-        let dangling = Args::try_parse(argv(&["--reps"]));
-        let Err(HelpRequested(Some(detail))) = dangling else {
+        assert!(matches!(
+            Args::try_parse(argv(&["--help"])),
+            Err(ArgError::Help)
+        ));
+        assert!(matches!(
+            Args::try_parse(argv(&["-h"])),
+            Err(ArgError::Help)
+        ));
+        assert!(matches!(
+            Args::try_parse(argv(&["stray"])),
+            Err(ArgError::Usage(_))
+        ));
+        let Err(ArgError::Usage(detail)) = Args::try_parse(argv(&["--reps"])) else {
             panic!("dangling key must carry an explanation");
         };
         assert!(detail.contains("--reps"));
+    }
+
+    #[test]
+    fn unknown_keys_are_refused() {
+        let Err(ArgError::Usage(detail)) = Args::try_parse(argv(&["--rep", "5"])) else {
+            panic!("a misspelled key must not silently run the default");
+        };
+        assert!(detail.contains("--rep"), "{detail}");
+    }
+
+    #[test]
+    fn enumerated_options_accept_only_listed_names() {
+        let models = [("transistor", 0u8), ("gate", 1)];
+        let Ok(args) = Args::try_parse(argv(&["--model", "gate"])) else {
+            panic!("valid argument stream rejected");
+        };
+        assert_eq!(args.choice("model", "transistor", &models), ("gate", 1));
+        assert_eq!(
+            Args::default().choice("model", "transistor", &models),
+            ("transistor", 0)
+        );
+        let Ok(args) = Args::try_parse(argv(&["--model", "gat"])) else {
+            panic!("the value is checked by the reader, not the parser");
+        };
+        let err = pick("model", args.get_opt_str("model").unwrap(), &models).unwrap_err();
+        assert!(err.contains("transistor | gate"), "{err}");
+    }
+
+    /// Every option a binary reads is documented in `KNOWN_KEYS` (or
+    /// `Args::parse` would refuse it), and every documented key is read
+    /// somewhere.
+    #[test]
+    fn known_keys_match_the_keys_binaries_read() {
+        // Readers whose first argument is the key, and readers that
+        // imply one.
+        const KEYED: [&str; 8] = [
+            ".get(",
+            ".get_bool(",
+            ".get_opt_str(",
+            ".get_str_list(",
+            ".get_usize_list(",
+            ".get_f64_list(",
+            ".choice(",
+            ".choices(",
+        ];
+        const IMPLIED: [(&str, &str); 3] = [
+            (".tasks(", "tasks"),
+            (".task(", "task"),
+            (".write_record(", "bench-out"),
+        ];
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut read = std::collections::BTreeSet::new();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            for method in KEYED {
+                for (at, _) in src.match_indices(method) {
+                    let rest = src[at + method.len()..].trim_start();
+                    if let Some(quoted) = rest.strip_prefix('"') {
+                        read.insert(quoted[..quoted.find('"').unwrap()].to_string());
+                    }
+                }
+            }
+            for (method, key) in IMPLIED {
+                if src.contains(method) {
+                    read.insert(key.to_string());
+                }
+            }
+        }
+        let documented: std::collections::BTreeSet<String> =
+            KNOWN_KEYS.iter().map(|(k, _)| k.to_string()).collect();
+        let undocumented: Vec<_> = read.difference(&documented).collect();
+        assert!(
+            undocumented.is_empty(),
+            "read but not in KNOWN_KEYS: {undocumented:?}"
+        );
+        let unread: Vec<_> = documented.difference(&read).collect();
+        assert!(
+            unread.is_empty(),
+            "in KNOWN_KEYS but never read: {unread:?}"
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! This module holds the protocol once, generically over
 //! [`Accel`](dta_core::accel::Accel), so a new topology gets the whole
 //! campaign machinery — twin construction, state-clean diagnosis,
-//! unified blind policy, fingerprint-guarded checkpoint journaling —
-//! by implementing the trait.
+//! unified blind policy — by implementing the trait. A cell's four
+//! accuracies journal as one checkpoint line through
+//! [`resume`](crate::resume).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,11 +22,10 @@ use rand_chacha::ChaCha8Rng;
 use dta_ann::{Mlp, Topology};
 use dta_core::accel::Accel;
 use dta_core::recover::{recover, RecoveryReport};
-use dta_core::{BistConfig, CellOutcome, Checkpoint, Diagnosis, RecoveryPolicy};
-use dta_datasets::{Dataset, Fold, TaskSpec};
+use dta_core::{BistConfig, Diagnosis, RecoveryPolicy, RungBudget};
+use dta_datasets::{Dataset, TaskSpec};
 
-/// The four journal pseudo-tasks one twin cell fans out into.
-pub const TWIN_ARMS: [&str; 4] = ["clean", "faulty", "blind", "full"];
+use crate::{pct, Journaled, JsonMap};
 
 /// One cell's journaled accuracies. Only quantities that fit the
 /// checkpoint journal live here — anything else would differ between a
@@ -90,93 +90,147 @@ pub fn commission<A: Accel>(
     accel
 }
 
-/// Runs one cell of the twin-arm protocol.
-///
-/// `arm` builds one damaged, commissioned accelerator (called twice —
-/// the twins must be bit-identical, so it must derive all randomness
-/// from the cell seed); `pristine` builds the undamaged third copy the
-/// clean reference is measured on. The pipeline arm is diagnosed with a
-/// state-clean BIST (leaving it bit-identical to its twin), then both
-/// arms recover: the blind arm under a unified blind policy (no remap,
-/// no memory repair) against an empty diagnosis, the pipeline arm under
-/// `policy_base` with `target_accuracy` set `target_drop` below the
-/// measured clean accuracy and the cell seed installed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_twin_race<A: Accel>(
-    bin: &str,
-    label: &str,
-    mut arm: impl FnMut() -> A,
-    pristine: impl FnOnce() -> A,
-    ds: &Dataset,
-    fold: &Fold,
-    policy_base: &RecoveryPolicy,
-    target_drop: f64,
-    cell_seed: u64,
-) -> TwinRace<A> {
-    let fail = |what: &str, e: &dyn std::fmt::Display| -> ! { die(bin, label, what, e) };
+/// The recovery policy every cell of a twin sweep starts from:
+/// `max_epochs` epochs and `wall_clock_ms` per retrain and remap rung,
+/// at the task's learning rate.
+pub fn base_policy(spec: &TaskSpec, max_epochs: usize, wall_clock_ms: u64) -> RecoveryPolicy {
+    let budget = RungBudget {
+        max_epochs,
+        wall_clock_ms,
+    };
+    RecoveryPolicy {
+        retrain: budget,
+        remap: budget,
+        learning_rate: spec.learning_rate,
+        momentum: 0.1,
+        ..RecoveryPolicy::default()
+    }
+}
 
-    // Twin arrays with identical weights and identical damage: one for
-    // the blind-retrain baseline, one for the full pipeline.
-    let mut blind_accel = arm();
-    let mut full_accel = arm();
+/// Everything shared by every cell of a twin-arm sweep.
+pub struct TwinSweep<'a> {
+    /// The experiment binary, for error messages.
+    pub bin: &'a str,
+    /// The benchmark task.
+    pub spec: &'a TaskSpec,
+    /// Its dataset.
+    pub ds: &'a Dataset,
+    /// Commissioning (clean-training) epochs.
+    pub epochs: usize,
+    /// The pipeline arm's policy; each cell installs its own target
+    /// accuracy and seed.
+    pub policy_base: RecoveryPolicy,
+    /// Accepted accuracy drop below the measured clean accuracy.
+    pub target_drop: f64,
+    /// Master seed.
+    pub seed: u64,
+}
 
-    let clean = {
+impl TwinSweep<'_> {
+    /// Runs cell `(idx, rep)` of the twin-arm protocol.
+    ///
+    /// `new` builds the topology; each arm is commissioned on it from
+    /// the cell seed, and `damage` plants the cell's defects in the two
+    /// damaged copies from the cell seed it is given (the twins must be
+    /// bit-identical, so it must derive all randomness from that seed).
+    /// A third, undamaged copy measures the clean reference. The
+    /// pipeline arm is diagnosed with a state-clean BIST (leaving it
+    /// bit-identical to its twin), then both arms recover: the blind
+    /// arm under a unified blind policy (no remap, no memory repair)
+    /// against an empty diagnosis, the pipeline arm under
+    /// `policy_base` with `target_accuracy` set `target_drop` below the
+    /// clean accuracy and the cell seed installed.
+    pub fn race<A: Accel>(
+        &self,
+        label: &str,
+        idx: usize,
+        rep: usize,
+        new: fn() -> A,
+        damage: impl Fn(&mut A, u64),
+    ) -> TwinRace<A> {
+        let fail = |what: &str, e: &dyn std::fmt::Display| -> ! { die(self.bin, label, what, e) };
+        let ds = self.ds;
+        let cell_seed = self.seed ^ (idx as u64) << 24 ^ (rep as u64) << 8;
+        let folds = ds.k_folds(5, self.seed ^ rep as u64);
+        let fold = &folds[0];
+        let commission = || {
+            commission(
+                self.bin,
+                new(),
+                self.spec,
+                ds,
+                &fold.train,
+                self.epochs,
+                cell_seed,
+            )
+        };
+        let arm = || {
+            let mut accel = commission();
+            damage(&mut accel, cell_seed);
+            accel
+        };
+
+        // Twin arrays with identical weights and identical damage: one
+        // for the blind-retrain baseline, one for the full pipeline.
+        let mut blind_accel = arm();
+        let mut full_accel = arm();
+
         // Measured before injection would be ideal, but the twin
         // construction makes it available on a third copy for free.
-        let mut p = pristine();
-        p.evaluate(ds, &fold.test)
-            .unwrap_or_else(|e| fail("clean evaluation", &e))
-    };
-    let faulty = full_accel
-        .evaluate(ds, &fold.test)
-        .unwrap_or_else(|e| fail("faulty evaluation", &e));
+        let clean = commission()
+            .evaluate(ds, &fold.test)
+            .unwrap_or_else(|e| fail("clean evaluation", &e));
+        let faulty = full_accel
+            .evaluate(ds, &fold.test)
+            .unwrap_or_else(|e| fail("faulty evaluation", &e));
 
-    // Detect and diagnose (pipeline arm only — the BIST is state-clean,
-    // so it leaves the arm bit-identical to its twin).
-    let diagnosis = full_accel
-        .self_test(&BistConfig::default())
-        .unwrap_or_else(|e| fail("selftest", &e));
+        // Detect and diagnose (pipeline arm only — the BIST is
+        // state-clean, so it leaves the arm bit-identical to its twin).
+        let diagnosis = full_accel
+            .self_test(&BistConfig::default())
+            .unwrap_or_else(|e| fail("selftest", &e));
 
-    let policy = RecoveryPolicy {
-        target_accuracy: (clean - target_drop).max(0.0),
-        seed: cell_seed,
-        ..policy_base.clone()
-    };
-    let blind_policy = RecoveryPolicy {
-        use_remap: false,
-        use_memory_repair: false,
-        ..policy.clone()
-    };
-    let blind_report = recover(
-        &mut blind_accel,
-        ds,
-        &fold.train,
-        &fold.test,
-        &Diagnosis::default(),
-        &blind_policy,
-    )
-    .unwrap_or_else(|e| fail("blind recovery", &e));
-    let full_report = recover(
-        &mut full_accel,
-        ds,
-        &fold.train,
-        &fold.test,
-        &diagnosis,
-        &policy,
-    )
-    .unwrap_or_else(|e| fail("pipeline recovery", &e));
+        let policy = RecoveryPolicy {
+            target_accuracy: (clean - self.target_drop).max(0.0),
+            seed: cell_seed,
+            ..self.policy_base.clone()
+        };
+        let blind_policy = RecoveryPolicy {
+            use_remap: false,
+            use_memory_repair: false,
+            ..policy.clone()
+        };
+        let blind_report = recover(
+            &mut blind_accel,
+            ds,
+            &fold.train,
+            &fold.test,
+            &Diagnosis::default(),
+            &blind_policy,
+        )
+        .unwrap_or_else(|e| fail("blind recovery", &e));
+        let full_report = recover(
+            &mut full_accel,
+            ds,
+            &fold.train,
+            &fold.test,
+            &diagnosis,
+            &policy,
+        )
+        .unwrap_or_else(|e| fail("pipeline recovery", &e));
 
-    TwinRace {
-        cell: TwinCell {
-            clean,
-            faulty,
-            blind: blind_report.accuracy,
-            recovered: full_report.accuracy,
-        },
-        diagnosis,
-        blind_report,
-        full_report,
-        full_accel,
+        TwinRace {
+            cell: TwinCell {
+                clean,
+                faulty,
+                blind: blind_report.accuracy,
+                recovered: full_report.accuracy,
+            },
+            diagnosis,
+            blind_report,
+            full_report,
+            full_accel,
+        }
     }
 }
 
@@ -191,55 +245,62 @@ pub fn assert_twin_floor(cells: &[TwinCell], label: &str) {
     }
 }
 
-/// Opens (or resumes) a fingerprint-guarded checkpoint journal,
-/// reporting how many arms were already journaled. A fingerprint
-/// mismatch exits with status 1.
-pub fn open_checkpoint(bin: &str, path: &str, fingerprint: &str) -> Checkpoint {
-    match Checkpoint::open(path, fingerprint) {
-        Ok(ck) => {
-            if ck.completed() > 0 {
-                eprintln!(
-                    "{bin}: resuming from {} ({} journaled arm(s))",
-                    ck.path().display(),
-                    ck.completed()
-                );
-            }
-            ck
+impl TwinCell {
+    /// The field-wise mean of a batch of cells (`NaN` fields when
+    /// empty).
+    pub fn mean(cells: &[TwinCell]) -> TwinCell {
+        let field = |f: fn(&TwinCell) -> f64| mean(&cells.iter().map(f).collect::<Vec<_>>());
+        TwinCell {
+            clean: field(|c| c.clean),
+            faulty: field(|c| c.faulty),
+            blind: field(|c| c.blind),
+            recovered: field(|c| c.recovered),
         }
-        Err(e) => {
-            eprintln!("{bin}: {e}");
-            std::process::exit(1);
-        }
+    }
+
+    /// The table columns `clean faulty blind recovered gain`, as
+    /// percentages.
+    pub fn columns(&self) -> String {
+        format!(
+            "{:>8}{:>8}{:>8}{:>10}{:>8}",
+            pct(self.clean),
+            pct(self.faulty),
+            pct(self.blind),
+            pct(self.recovered),
+            pct(self.recovered - self.blind)
+        )
     }
 }
 
-/// Replays a journaled cell under pseudo-task key `key` (e.g. the task
-/// name, or `task@topology`), if all four of its arms were recorded.
-pub fn replay_twin(ck: &Checkpoint, key: &str, idx: usize, rep: usize) -> Option<TwinCell> {
-    let acc = |arm: &str| match ck.lookup(&format!("{key}#{arm}"), idx, rep) {
-        Some(CellOutcome::Completed { accuracy, .. }) => Some(accuracy),
-        _ => None,
-    };
-    Some(TwinCell {
-        clean: acc(TWIN_ARMS[0])?,
-        faulty: acc(TWIN_ARMS[1])?,
-        blind: acc(TWIN_ARMS[2])?,
-        recovered: acc(TWIN_ARMS[3])?,
-    })
+impl JsonMap {
+    /// Adds a twin sweep's four curves, one point per cell mean, as
+    /// `{prefix}clean`, `{prefix}faulty`, `{prefix}blind` and
+    /// `{prefix}recovered`.
+    pub fn twin_curves(self, prefix: &str, means: &[TwinCell]) -> JsonMap {
+        let curve = |f: fn(&TwinCell) -> f64| means.iter().map(f).collect::<Vec<_>>();
+        self.num_list(&format!("{prefix}clean"), &curve(|c| c.clean))
+            .num_list(&format!("{prefix}faulty"), &curve(|c| c.faulty))
+            .num_list(&format!("{prefix}blind"), &curve(|c| c.blind))
+            .num_list(&format!("{prefix}recovered"), &curve(|c| c.recovered))
+    }
 }
 
-/// Journals a finished cell's four arms under pseudo-task key `key`.
-/// A write failure exits with status 1.
-pub fn record_twin(bin: &str, ck: &Checkpoint, key: &str, idx: usize, rep: usize, cell: &TwinCell) {
-    let values = [cell.clean, cell.faulty, cell.blind, cell.recovered];
-    for (arm, accuracy) in TWIN_ARMS.iter().zip(values) {
-        let outcome = CellOutcome::Completed {
-            accuracy,
-            retried: false,
-        };
-        if let Err(e) = ck.record(&format!("{key}#{arm}"), idx, rep, &outcome) {
-            eprintln!("{bin}: checkpoint write failed: {e}");
-            std::process::exit(1);
+impl Journaled for TwinCell {
+    fn to_values(&self) -> Vec<Option<f64>> {
+        [self.clean, self.faulty, self.blind, self.recovered]
+            .map(Some)
+            .to_vec()
+    }
+
+    fn from_values(values: &[Option<f64>]) -> Option<TwinCell> {
+        match *values {
+            [Some(clean), Some(faulty), Some(blind), Some(recovered)] => Some(TwinCell {
+                clean,
+                faulty,
+                blind,
+                recovered,
+            }),
+            _ => None,
         }
     }
 }
@@ -256,6 +317,8 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resume;
+    use dta_core::Checkpoint;
 
     #[test]
     fn mean_of_empty_is_nan() {
@@ -275,13 +338,24 @@ mod tests {
             blind: 0.8,
             recovered: 0.9,
         };
-        assert!(replay_twin(&ck, "iris@systolic", 1, 0).is_none());
-        record_twin("test", &ck, "iris@systolic", 1, 0, &cell);
+        assert_eq!(
+            resume("test", Some(&ck), "iris@systolic", 1, 0, || cell),
+            cell
+        );
         let ck = Checkpoint::open(&path, "twin test v1").unwrap();
-        assert_eq!(replay_twin(&ck, "iris@systolic", 1, 0), Some(cell));
+        // The journaled cell replays without running, on one line.
+        let replayed = resume("test", Some(&ck), "iris@systolic", 1, 0, || -> TwinCell {
+            panic!("a journaled cell must not rerun")
+        });
+        assert_eq!(replayed, cell);
+        assert_eq!(ck.completed(), 1);
         // A different key or index misses.
-        assert!(replay_twin(&ck, "iris@spatial", 1, 0).is_none());
-        assert!(replay_twin(&ck, "iris@systolic", 2, 0).is_none());
+        assert!(ck.values("iris@spatial", 1, 0).is_none());
+        assert!(ck.values("iris@systolic", 2, 0).is_none());
+        assert_eq!(
+            TwinCell::from_values(&[Some(1.0), None, Some(1.0), Some(1.0)]),
+            None
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,28 +1,42 @@
-//! Line-oriented campaign checkpoints: every finished grid cell is
-//! appended to a journal file, so an interrupted campaign resumes by
-//! replaying recorded outcomes instead of recomputing them.
+//! Line-oriented checkpoints: every finished grid cell is appended to a
+//! journal file, so an interrupted campaign resumes by replaying
+//! recorded outcomes instead of recomputing them.
 //!
 //! The journal is one JSON object per line. The first line is a header
-//! carrying the campaign's configuration fingerprint (everything that
-//! determines cell results — thread count deliberately excluded, since
-//! it never changes them); each following line is one completed cell:
+//! carrying the format version and the campaign's configuration
+//! fingerprint (everything that determines cell results — thread count
+//! deliberately excluded, since it never changes them); each following
+//! line is one completed cell, keyed by `(task, defects, rep)`:
 //!
 //! ```text
-//! {"campaign_checkpoint":1,"fingerprint":"v1 seed=0xd7a ..."}
-//! {"task":"iris","defects":8,"rep":2,"status":"ok","retried":false,"acc":0.9333333333333333}
+//! {"campaign_checkpoint":2,"fingerprint":"v1 seed=0xd7a ..."}
+//! {"task":"iris","defects":8,"rep":2,"status":"ok","values":[0.9333333333333333]}
+//! {"task":"iris","defects":8,"rep":4,"status":"ok","retried":true,"values":[0.9]}
 //! {"task":"iris","defects":8,"rep":3,"status":"failed","panic":"..."}
+//! {"task":"iris@spatial:mission","defects":1,"rep":0,"status":"ok","values":[0.9,1.0,null]}
 //! ```
 //!
-//! Accuracies are written with Rust's `{:?}` float formatting — the
+//! A finished cell carries a list of optional floats: a Figure 10
+//! campaign cell is a one-element list (its accuracy), an experiment
+//! binary stores a whole result row (a twin race's four accuracies, a
+//! mission arm's trace) on one line. `null` marks an absent value;
+//! finite values are written with Rust's `{:?}` float formatting — the
 //! shortest string that round-trips — and parsed back with
 //! `str::parse::<f64>`, so a resumed curve is **byte-identical** to an
-//! uninterrupted run. No JSON dependency: the writer emits the fixed
-//! shape above and the reader is a small scanner over it.
+//! uninterrupted run. `retried` appears only when the first attempt
+//! panicked.
+//!
+//! Each record goes out as one newline-terminated write, so a killed
+//! process can leave at most an unterminated final line. [`Checkpoint::open`]
+//! drops that torn tail and truncates it from the file before appending;
+//! any other line that does not parse is corruption and is refused. No
+//! JSON dependency: the writer emits the fixed shape above and the
+//! reader is a small scanner over flat objects.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -30,8 +44,25 @@ use crate::campaign::{CampaignError, CellOutcome};
 
 const HEADER_KEY: &str = "campaign_checkpoint";
 
-/// An append-only journal of completed campaign cells, keyed by
-/// `(task, defect count, repetition)`. Open it with the campaign's
+/// The journal format this build writes and reads.
+const VERSION: &str = "2";
+
+/// One journaled cell.
+#[derive(Clone, Debug, PartialEq)]
+enum Entry {
+    Ok {
+        values: Vec<Option<f64>>,
+        retried: bool,
+    },
+    Failed {
+        panic: String,
+    },
+}
+
+type Key = (String, usize, usize);
+
+/// An append-only journal of completed cells, keyed by `(task, defect
+/// count, repetition)`. Open it with the campaign's
 /// [fingerprint](crate::campaign::CampaignConfig::fingerprint); cells
 /// already journaled are skipped on the next run and their recorded
 /// outcomes replayed verbatim.
@@ -39,18 +70,21 @@ const HEADER_KEY: &str = "campaign_checkpoint";
 pub struct Checkpoint {
     path: PathBuf,
     writer: Mutex<File>,
-    done: HashMap<(String, usize, usize), CellOutcome>,
+    done: HashMap<Key, Entry>,
 }
 
 impl Checkpoint {
     /// Opens (or creates) a journal at `path` for a campaign with the
-    /// given configuration fingerprint.
+    /// given configuration fingerprint. A torn final line left by a
+    /// killed process is dropped and cut from the file, so the next
+    /// record starts on a line of its own.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Checkpoint`] if the file cannot be read or
-    /// created, if its header carries a different fingerprint (the
-    /// journal belongs to a different campaign), or if an entry line is
+    /// [`CampaignError::Checkpoint`] if the file cannot be read,
+    /// truncated or created, if its header is missing, carries another
+    /// format version or a different fingerprint (the journal belongs
+    /// to a different campaign), or if any complete entry line is
     /// malformed.
     pub fn open(path: impl AsRef<Path>, fingerprint: &str) -> Result<Checkpoint, CampaignError> {
         let path = path.as_ref().to_path_buf();
@@ -62,17 +96,28 @@ impl Checkpoint {
         let mut done = HashMap::new();
         let exists = path.exists();
         if exists {
-            let reader =
-                BufReader::new(File::open(&path).map_err(|e| fail(format!("open failed: {e}")))?);
-            let mut lines = reader.lines();
+            let bytes = std::fs::read(&path).map_err(|e| fail(format!("read failed: {e}")))?;
+            // Everything after the last newline is the record a killed
+            // process was writing — possibly cut inside a UTF-8 sequence,
+            // so it is split off before decoding.
+            let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let text = std::str::from_utf8(&bytes[..complete])
+                .map_err(|e| fail(format!("journal is not UTF-8: {e}")))?;
+            let mut lines = text.lines();
             let header = lines
                 .next()
-                .ok_or_else(|| fail("journal is empty (missing header)".into()))?
-                .map_err(|e| fail(format!("read failed: {e}")))?;
-            if raw_field(&header, HEADER_KEY).is_none() {
-                return Err(fail("first line is not a checkpoint header".into()));
+                .ok_or_else(|| fail("journal has no complete header line".into()))?;
+            let fields = parse_object(header)
+                .ok_or_else(|| fail("first line is not a checkpoint header".into()))?;
+            let version = raw_field(&fields, HEADER_KEY)
+                .ok_or_else(|| fail("first line is not a checkpoint header".into()))?;
+            if version != VERSION {
+                return Err(fail(format!(
+                    "journal format version {version} is not supported (this build reads \
+                     version {VERSION}); delete the journal to start over"
+                )));
             }
-            let found = str_field(&header, "fingerprint")
+            let found = str_field(&fields, "fingerprint")
                 .ok_or_else(|| fail("header has no fingerprint".into()))?;
             if found != fingerprint {
                 return Err(fail(format!(
@@ -81,25 +126,16 @@ impl Checkpoint {
                 )));
             }
             for (lineno, line) in lines.enumerate() {
-                let line = line.map_err(|e| fail(format!("read failed: {e}")))?;
-                if line.trim().is_empty() {
-                    // A run killed mid-write can leave a final empty
-                    // line; everything before it is intact.
-                    continue;
-                }
-                match parse_entry(&line) {
-                    Some((key, outcome)) => {
-                        done.insert(key, outcome);
-                    }
-                    None => {
-                        // A torn final line (the process died mid-append)
-                        // is tolerated; a torn middle line means the file
-                        // is corrupt.
-                        if lines_remaining_hint(&line) {
-                            return Err(fail(format!("malformed entry at line {}", lineno + 2)));
-                        }
-                    }
-                }
+                let (key, entry) = parse_entry(line)
+                    .ok_or_else(|| fail(format!("malformed entry at line {}", lineno + 2)))?;
+                done.insert(key, entry);
+            }
+            if complete < bytes.len() {
+                OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(complete as u64))
+                    .map_err(|e| fail(format!("truncating the torn final line failed: {e}")))?;
             }
         }
 
@@ -109,15 +145,13 @@ impl Checkpoint {
             .open(&path)
             .map_err(|e| fail(format!("open for append failed: {e}")))?;
         if !exists {
-            writeln!(
-                writer,
-                "{{\"{HEADER_KEY}\":1,\"fingerprint\":\"{}\"}}",
+            let header = format!(
+                "{{\"{HEADER_KEY}\":{VERSION},\"fingerprint\":\"{}\"}}\n",
                 escape(fingerprint)
-            )
-            .map_err(|e| fail(format!("header write failed: {e}")))?;
+            );
             writer
-                .flush()
-                .map_err(|e| fail(format!("flush failed: {e}")))?;
+                .write_all(header.as_bytes())
+                .map_err(|e| fail(format!("header write failed: {e}")))?;
         }
         Ok(Checkpoint {
             path,
@@ -126,24 +160,40 @@ impl Checkpoint {
         })
     }
 
-    /// The journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Number of cells already journaled.
     pub fn completed(&self) -> usize {
         self.done.len()
     }
 
-    /// The recorded outcome of a cell, if it was already journaled.
+    /// The recorded outcome of a campaign cell, if it was already
+    /// journaled as one.
     pub fn lookup(&self, task: &str, defects: usize, rep: usize) -> Option<CellOutcome> {
-        self.done.get(&(task.to_string(), defects, rep)).cloned()
+        match self.done.get(&(task.to_string(), defects, rep))? {
+            Entry::Ok { values, retried } => match values[..] {
+                [Some(accuracy)] => Some(CellOutcome::Completed {
+                    accuracy,
+                    retried: *retried,
+                }),
+                _ => None,
+            },
+            Entry::Failed { panic } => Some(CellOutcome::Failed {
+                panic: panic.clone(),
+            }),
+        }
     }
 
-    /// Appends one finished cell to the journal (flushed and synced to
-    /// the device immediately, so a killed process — or a power cut —
-    /// loses at most the cell being written).
+    /// The recorded values of a finished cell, if it was already
+    /// journaled (failed cells have none).
+    pub fn values(&self, task: &str, idx: usize, rep: usize) -> Option<&[Option<f64>]> {
+        match self.done.get(&(task.to_string(), idx, rep))? {
+            Entry::Ok { values, .. } => Some(values),
+            Entry::Failed { .. } => None,
+        }
+    }
+
+    /// Appends one finished campaign cell to the journal (flushed and
+    /// synced to the device immediately, so a killed process — or a
+    /// power cut — loses at most the cell being written).
     ///
     /// # Errors
     ///
@@ -158,6 +208,47 @@ impl Checkpoint {
         rep: usize,
         outcome: &CellOutcome,
     ) -> Result<(), CampaignError> {
+        let entry = match outcome {
+            CellOutcome::Completed { accuracy, retried } => Entry::Ok {
+                values: vec![Some(*accuracy)],
+                retried: *retried,
+            },
+            CellOutcome::Failed { panic } => Entry::Failed {
+                panic: panic.clone(),
+            },
+        };
+        self.append(task, defects, rep, &entry)
+    }
+
+    /// Appends one finished cell's values (`None` = absent) — a whole
+    /// result row on one line, with the same durability as
+    /// [`record`](Checkpoint::record).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Checkpoint`] if a value is not finite or the
+    /// journal can no longer be written.
+    pub fn record_values(
+        &self,
+        task: &str,
+        idx: usize,
+        rep: usize,
+        values: &[Option<f64>],
+    ) -> Result<(), CampaignError> {
+        let entry = Entry::Ok {
+            values: values.to_vec(),
+            retried: false,
+        };
+        self.append(task, idx, rep, &entry)
+    }
+
+    fn append(
+        &self,
+        task: &str,
+        defects: usize,
+        rep: usize,
+        entry: &Entry,
+    ) -> Result<(), CampaignError> {
         let fail = |detail: String| CampaignError::Checkpoint {
             path: self.path.display().to_string(),
             detail,
@@ -166,18 +257,33 @@ impl Checkpoint {
             "{{\"task\":\"{}\",\"defects\":{defects},\"rep\":{rep}",
             escape(task)
         );
-        match outcome {
-            CellOutcome::Completed { accuracy, retried } => {
-                // `{:?}` prints the shortest representation that parses
-                // back to the identical f64 — the byte-identity of
-                // resumed curves rests on this.
-                write!(
-                    line,
-                    ",\"status\":\"ok\",\"retried\":{retried},\"acc\":{accuracy:?}"
-                )
-                .expect("writing to a String cannot fail");
+        match entry {
+            Entry::Ok { values, retried } => {
+                line.push_str(",\"status\":\"ok\"");
+                if *retried {
+                    line.push_str(",\"retried\":true");
+                }
+                line.push_str(",\"values\":[");
+                for (i, value) in values.iter().enumerate() {
+                    if i > 0 {
+                        line.push(',');
+                    }
+                    match value {
+                        // `{:?}` prints the shortest representation that
+                        // parses back to the identical f64 — the
+                        // byte-identity of resumed curves rests on this.
+                        Some(v) if v.is_finite() => {
+                            write!(line, "{v:?}").expect("writing to a String cannot fail")
+                        }
+                        Some(v) => {
+                            return Err(fail(format!("cannot journal non-finite value {v}")))
+                        }
+                        None => line.push_str("null"),
+                    }
+                }
+                line.push(']');
             }
-            CellOutcome::Failed { panic } => {
+            Entry::Failed { panic } => {
                 write!(
                     line,
                     ",\"status\":\"failed\",\"panic\":\"{}\"",
@@ -186,20 +292,21 @@ impl Checkpoint {
                 .expect("writing to a String cannot fail");
             }
         }
-        line.push('}');
-        // A thread that panicked mid-`record` poisons the mutex but
-        // leaves at most a torn trailing line, which the reader already
-        // tolerates — recover the guard instead of panicking every
+        line.push_str("}\n");
+        // A thread that panicked mid-`append` poisons the mutex but
+        // leaves at most a torn trailing line, which `open` already
+        // drops — recover the guard instead of panicking every
         // subsequent writer.
         let mut w = self
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(w, "{line}").map_err(|e| fail(format!("append failed: {e}")))?;
-        w.flush().map_err(|e| fail(format!("flush failed: {e}")))?;
-        // `flush` only drains the userspace buffer; `sync_data` pushes
-        // the bytes to the device, so the journal survives power loss,
-        // not just process death.
+        // One write per record: a kill leaves either the whole line or
+        // an unterminated prefix of it, never a line glued to the next.
+        w.write_all(line.as_bytes())
+            .map_err(|e| fail(format!("append failed: {e}")))?;
+        // `sync_data` pushes the bytes to the device, so the journal
+        // survives power loss, not just process death.
         w.sync_data().map_err(|e| fail(format!("sync failed: {e}")))
     }
 
@@ -211,59 +318,103 @@ impl Checkpoint {
     }
 }
 
-/// Heuristic used when a line fails to parse: a line ending in `}` was
-/// written completely and is genuinely malformed; anything else looks
-/// like a torn final append and is ignored.
-fn lines_remaining_hint(line: &str) -> bool {
-    line.trim_end().ends_with('}')
+/// A field value of a flat journal object.
+enum Field {
+    /// A quoted string, unescaped.
+    Str(String),
+    /// A bare token: number, `true`/`false` or `null`.
+    Raw(String),
+    /// A list of bare tokens.
+    List(Vec<String>),
 }
 
-fn parse_entry(line: &str) -> Option<((String, usize, usize), CellOutcome)> {
-    let task = str_field(line, "task")?;
-    let defects: usize = raw_field(line, "defects")?.parse().ok()?;
-    let rep: usize = raw_field(line, "rep")?.parse().ok()?;
-    let outcome = match str_field(line, "status")?.as_str() {
-        "ok" => CellOutcome::Completed {
-            accuracy: raw_field(line, "acc")?.parse().ok()?,
-            retried: raw_field(line, "retried")?.parse().ok()?,
-        },
-        "failed" => CellOutcome::Failed {
-            panic: str_field(line, "panic")?,
+fn parse_entry(line: &str) -> Option<(Key, Entry)> {
+    let fields = parse_object(line)?;
+    let task = str_field(&fields, "task")?;
+    let defects = raw_field(&fields, "defects")?.parse().ok()?;
+    let rep = raw_field(&fields, "rep")?.parse().ok()?;
+    let entry = match str_field(&fields, "status")?.as_str() {
+        "ok" => {
+            let Some(Field::List(tokens)) = field(&fields, "values") else {
+                return None;
+            };
+            let values = tokens
+                .iter()
+                .map(|t| match t.as_str() {
+                    "null" => Some(None),
+                    t => t.parse::<f64>().ok().filter(|v| v.is_finite()).map(Some),
+                })
+                .collect::<Option<Vec<_>>>()?;
+            let retried = match raw_field(&fields, "retried") {
+                None => false,
+                Some(r) => r.parse().ok()?,
+            };
+            Entry::Ok { values, retried }
+        }
+        "failed" => Entry::Failed {
+            panic: str_field(&fields, "panic")?,
         },
         _ => return None,
     };
-    Some(((task, defects, rep), outcome))
+    Some(((task, defects, rep), entry))
 }
 
-/// Extracts the raw (unquoted) value after `"key":`, up to the next
-/// `,` or `}`. The writer emits numeric/bool fields before any string
-/// that could contain a lookalike pattern, and `find` returns the
-/// first occurrence, so this never reads inside a string value.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// Parses one flat JSON object whose values are strings, bare tokens or
+/// lists of bare tokens. `None` on anything else, including trailing
+/// bytes after the closing brace.
+fn parse_object(line: &str) -> Option<Vec<(String, Field)>> {
+    let mut rest = line.trim().strip_prefix('{')?;
+    let mut fields = Vec::new();
+    loop {
+        let (key, after) = parse_string(rest.strip_prefix('"')?)?;
+        rest = after.strip_prefix(':')?;
+        let value = if let Some(r) = rest.strip_prefix('"') {
+            let (s, r) = parse_string(r)?;
+            rest = r;
+            Field::Str(s)
+        } else if let Some(r) = rest.strip_prefix('[') {
+            let end = r.find(']')?;
+            let body = r[..end].trim();
+            rest = &r[end + 1..];
+            let tokens = if body.is_empty() {
+                Vec::new()
+            } else {
+                body.split(',').map(|t| t.trim().to_string()).collect()
+            };
+            Field::List(tokens)
+        } else {
+            let end = rest.find([',', '}'])?;
+            let token = rest[..end].trim();
+            rest = &rest[end..];
+            if token.is_empty() {
+                return None;
+            }
+            Field::Raw(token.to_string())
+        };
+        fields.push((key, value));
+        match rest.strip_prefix(',') {
+            Some(r) => rest = r,
+            None => return (rest == "}").then_some(fields),
+        }
+    }
 }
 
-/// Extracts and unescapes the string value after `"key":"`.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
+/// Unescapes a string body (the opening quote already consumed) and
+/// returns it with the input after the closing quote.
+fn parse_string(s: &str) -> Option<(String, &str)> {
     let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
+    let mut chars = s.char_indices();
+    while let Some((i, c)) = chars.next() {
         match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
+            '"' => return Some((out, &s[i + 1..])),
+            '\\' => match chars.next()?.1 {
                 '"' => out.push('"'),
                 '\\' => out.push('\\'),
                 'n' => out.push('\n'),
                 'r' => out.push('\r'),
                 't' => out.push('\t'),
                 'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
+                    let hex: String = (&mut chars).take(4).map(|(_, c)| c).collect();
                     out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
                 }
                 _ => return None,
@@ -272,6 +423,24 @@ fn str_field(line: &str, key: &str) -> Option<String> {
         }
     }
     None
+}
+
+fn field<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a Field> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+fn raw_field<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a str> {
+    match field(fields, key)? {
+        Field::Raw(token) => Some(token),
+        _ => None,
+    }
+}
+
+fn str_field(fields: &[(String, Field)], key: &str) -> Option<String> {
+    match field(fields, key)? {
+        Field::Str(s) => Some(s.clone()),
+        _ => None,
+    }
 }
 
 fn escape(s: &str) -> String {
@@ -372,31 +541,115 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn ok(accuracy: f64) -> CellOutcome {
+        CellOutcome::Completed {
+            accuracy,
+            retried: false,
+        }
+    }
+
+    fn append_raw(path: &Path, text: &str) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        write!(f, "{text}").unwrap();
+    }
+
     #[test]
     fn torn_final_line_is_tolerated_and_not_recorded() {
         let path = tmp("torn");
+        // Simulate crashes mid-append: a partial trailing line, torn
+        // after a field, inside a key and inside a UTF-8 sequence.
+        let failed_panic =
+            "{\"task\":\"iris\",\"defects\":1,\"rep\":0,\"status\":\"failed\",\"panic\":\"\u{2014}";
+        for torn in [
+            "{\"task\":\"iris\",\"defects\":12,".as_bytes(),
+            "{\"task\":\"iris\",\"defe".as_bytes(),
+            // Cut inside the three-byte UTF-8 sequence of an em dash.
+            &failed_panic.as_bytes()[..failed_panic.len() - 1],
+        ] {
+            let _ = std::fs::remove_file(&path);
+            Checkpoint::open(&path, "fp")
+                .unwrap()
+                .record("iris", 3, 0, &ok(0.5))
+                .unwrap();
+            OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap()
+                .write_all(torn)
+                .unwrap();
+            let ck = Checkpoint::open(&path, "fp").unwrap();
+            assert_eq!(ck.completed(), 1, "torn line must be dropped");
+            // The next record must land on a line of its own, not glue
+            // onto the torn fragment.
+            ck.record("wine", 6, 1, &ok(0.75)).unwrap();
+            let ck = Checkpoint::open(&path, "fp").unwrap();
+            assert_eq!(ck.lookup("wine", 6, 1), Some(ok(0.75)));
+            assert_eq!(ck.lookup("iris", 12, 1), None);
+            assert_eq!(ck.completed(), 2);
+        }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn malformed_middle_line_is_an_error() {
+        let path = tmp("middle");
+        for bad in [
+            "{\"task\":\"iris\",\"defe",
+            "garbage}",
+            "",
+            "{\"task\":\"x\"}",
+        ] {
+            let _ = std::fs::remove_file(&path);
+            Checkpoint::open(&path, "fp")
+                .unwrap()
+                .record("iris", 3, 0, &ok(0.5))
+                .unwrap();
+            append_raw(&path, &format!("{bad}\n{{\"task\":\"iris\",\"defe"));
+            let err = Checkpoint::open(&path, "fp").unwrap_err();
+            assert!(
+                err.to_string().contains("malformed entry at line 3"),
+                "{bad:?}: {err}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_one_journal_is_refused() {
+        let path = tmp("v1");
+        std::fs::write(
+            &path,
+            "{\"campaign_checkpoint\":1,\"fingerprint\":\"fp\"}\n\
+             {\"task\":\"iris\",\"defects\":8,\"rep\":2,\"status\":\"ok\",\"retried\":false,\"acc\":0.5}\n",
+        )
+        .unwrap();
+        let err = Checkpoint::open(&path, "fp").unwrap_err();
+        assert!(matches!(err, CampaignError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn value_rows_round_trip_with_nulls() {
+        let path = tmp("rows");
+        let _ = std::fs::remove_file(&path);
+        let row = [Some(0.1 + 0.2), None, Some(0.0), Some(3.0), None];
         {
             let ck = Checkpoint::open(&path, "fp").unwrap();
-            ck.record(
-                "iris",
-                3,
-                0,
-                &CellOutcome::Completed {
-                    accuracy: 0.5,
-                    retried: false,
-                },
-            )
-            .unwrap();
-        }
-        // Simulate a crash mid-append: a partial trailing line.
-        {
-            use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"task\":\"iris\",\"defe").unwrap();
+            ck.record_values("iris@spatial:mission", 1, 0, &row)
+                .unwrap();
+            ck.record_values("empty", 0, 0, &[]).unwrap();
+            let err = ck
+                .record_values("bad", 0, 0, &[Some(f64::NAN)])
+                .unwrap_err();
+            assert!(err.to_string().contains("non-finite"), "{err}");
         }
         let ck = Checkpoint::open(&path, "fp").unwrap();
-        assert_eq!(ck.completed(), 1, "torn line must be dropped");
+        assert_eq!(ck.values("iris@spatial:mission", 1, 0), Some(&row[..]));
+        assert_eq!(ck.values("empty", 0, 0), Some(&[][..]));
+        assert_eq!(ck.values("bad", 0, 0), None);
+        // A multi-value row is not a campaign cell.
+        assert_eq!(ck.lookup("iris@spatial:mission", 1, 0), None);
         let _ = std::fs::remove_file(&path);
     }
 
