@@ -329,16 +329,6 @@ impl NeuronFaults {
         }
     }
 
-    /// Evaluates a batch of activations (one LUT sweep per 64 inputs
-    /// through a vectorizable faulty unit). Identical to mapping
-    /// [`NeuronFaults::activation`].
-    pub fn activation_batch(&mut self, xs: &[Fx], lut: &SigmoidLut) -> Vec<Fx> {
-        match self.act.as_mut() {
-            Some(hw) => hw.eval_batch(xs),
-            None => xs.iter().map(|&x| lut.eval(x)).collect(),
-        }
-    }
-
     /// True if every faulty operator of this neuron is combinational,
     /// i.e. safe for lane-parallel evaluation. Permanent latch
     /// stuck-bit masks are pure functions and never disqualify; dynamic

@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, LutExec, OptStats};
-use dta_logic::{NodeId, SlotMap};
+use dta_logic::{optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, OptStats};
+use dta_logic::{LutInstr, LutProgram, Netlist, NodeId, SlotMap};
 
 use crate::fault::{FaultPlan, Layer, NeuronFaults};
 use crate::mlp::{ForwardTrace, Mlp};
@@ -75,10 +75,10 @@ struct OpKey {
 }
 
 impl OpKey {
-    fn new(net: usize, ex: &LutExec) -> OpKey {
+    fn new(net: usize, instrs: &[LutInstr]) -> OpKey {
         OpKey {
             net,
-            tables: ex.instrs().iter().map(|i| i.table).collect(),
+            tables: instrs.iter().map(|i| i.table).collect(),
         }
     }
 }
@@ -638,20 +638,17 @@ fn zip_bind(local: &[u32], fused: &[u32]) -> impl Iterator<Item = (u32, u32)> {
         .into_iter()
 }
 
-/// Appends one patched operator stream, binding its two operand buses,
-/// and returns the local→fused slot map.
+/// Appends one patched operator stream of circuit `net`, binding its
+/// operand buses, and returns the local→fused slot map.
 fn append_op(
     fb: &mut FuseBuilder,
-    ex: &LutExec,
+    net: &Arc<Netlist>,
+    instrs: &[LutInstr],
     binds: impl Iterator<Item = (u32, u32)>,
 ) -> Vec<u32> {
     let bind: Vec<(u32, u32)> = binds.collect();
-    fb.append(
-        ex.instrs(),
-        ex.program().n_slots(),
-        ex.program().latch_slots(),
-        &bind,
-    )
+    let prog = LutProgram::cached(net);
+    fb.append(instrs, prog.n_slots(), prog.latch_slots(), &bind)
 }
 
 /// Groups the sorted faulty-adder synapses of one neuron into maximal
@@ -670,7 +667,7 @@ fn add_runs(adds: &[usize]) -> Vec<(usize, usize)> {
 /// Compiles one layer's gate segments into the shared builder: one
 /// multiplier stage, `max_runs` chained-adder stages, one activation
 /// stage, with barriers between them. Returns `None` when a faulty
-/// operator has no patched LUT stream (not fusable).
+/// operator has no patched instruction stream (not fusable).
 #[allow(clippy::too_many_arguments)]
 fn compile_layer(
     plan: &FaultPlan,
@@ -736,13 +733,14 @@ fn compile_layer(
         };
         for &syn in &sk.mul_syns {
             let hw = sk.nf.mul_at(syn).expect("skeleton lists faulty synapses");
-            let ex = hw.lut_stream()?;
+            let instrs = hw.patched_instrs()?;
             let c = hw.circuit();
             let w = fb.fresh_bus(c.a_bus().len());
             let x = fb.fresh_bus(c.b_bus().len());
             let map = append_op(
                 fb,
-                ex,
+                c.netlist(),
+                instrs,
                 zip_bind(&bus_u32(c.a_bus()), &w).chain(zip_bind(&bus_u32(c.b_bus()), &x)),
             );
             let out: Vec<u32> = bus_u32(c.out_bus())
@@ -784,7 +782,7 @@ fn compile_layer(
             let mut prev: Vec<u32> = Vec::new();
             for syn in start..end {
                 let hw = sk.nf.add_at(syn).expect("run spans faulty adders");
-                let ex = hw.lut_stream()?;
+                let instrs = hw.patched_instrs()?;
                 let c = hw.circuit();
                 let a = if prev.is_empty() {
                     let fresh = fb.fresh_bus(c.a_bus().len());
@@ -806,7 +804,8 @@ fn compile_layer(
                 };
                 let map = append_op(
                     fb,
-                    ex,
+                    c.netlist(),
+                    instrs,
                     zip_bind(&bus_u32(c.a_bus()), &a).chain(zip_bind(&bus_u32(c.b_bus()), &b)),
                 );
                 prev = bus_u32(c.out_bus())
@@ -836,13 +835,13 @@ fn compile_layer(
     let act_stage = *stage;
     for sk in &skels {
         let Some(hw) = sk.nf.act_ref() else { continue };
-        let ex = hw.lut_stream()?;
+        let instrs = hw.patched_instrs()?;
         let c = hw.circuit();
         let NeuronPlan::Gated(g) = &mut plans[sk.idx] else {
             unreachable!()
         };
         let x = fb.fresh_bus(c.x_bus().len());
-        let map = append_op(fb, ex, zip_bind(&bus_u32(c.x_bus()), &x));
+        let map = append_op(fb, c.netlist(), instrs, zip_bind(&bus_u32(c.x_bus()), &x));
         let out: Vec<u32> = bus_u32(c.out_bus())
             .iter()
             .map(|&n| map[n as usize])
@@ -928,11 +927,11 @@ fn neuron_key(nf: &NeuronFaults, lane: usize, n_logical: usize) -> Option<Neuron
     for i in 0..n_eff {
         if let Some(hw) = nf.mul_at(i) {
             let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            muls.push((i, OpKey::new(net, hw.lut_stream()?)));
+            muls.push((i, OpKey::new(net, hw.patched_instrs()?)));
         }
         if let Some(hw) = nf.add_at(i) {
             let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            adds.push((i, OpKey::new(net, hw.lut_stream()?)));
+            adds.push((i, OpKey::new(net, hw.patched_instrs()?)));
         }
         let (and, or) = nf.latch_masks(i);
         if (and, or) != (0xFFFF, 0) {
@@ -942,7 +941,7 @@ fn neuron_key(nf: &NeuronFaults, lane: usize, n_logical: usize) -> Option<Neuron
     let act = match nf.act_ref() {
         Some(hw) => {
             let net = Arc::as_ptr(hw.circuit().netlist()) as usize;
-            Some(OpKey::new(net, hw.lut_stream()?))
+            Some(OpKey::new(net, hw.patched_instrs()?))
         }
         None => None,
     };

@@ -53,36 +53,6 @@ fn bench_gate_sim(c: &mut Criterion) {
             black_box(act.compute(&mut sim_act, Fx::from_raw(i as i16)))
         })
     });
-
-    // 64-lane LUT instruction stream vs. 64 scalar evaluations.
-    let adder16 = AdderCircuit::new(16);
-    let a_bus: Vec<_> = (0..16)
-        .map(|i| adder16.netlist().input(&format!("a[{i}]")).unwrap())
-        .collect();
-    let b_bus: Vec<_> = (0..16)
-        .map(|i| adder16.netlist().input(&format!("b[{i}]")).unwrap())
-        .collect();
-    let words: Vec<u64> = (0..64u64).map(|i| i * 997 % 65536).collect();
-    let mut v = dta_logic::LutExec::new(dta_logic::LutProgram::cached(adder16.netlist()));
-    c.bench_function("adder16_64lanes_lut", |b| {
-        b.iter(|| {
-            v.set_input_words(&a_bus, &words);
-            v.set_input_words(&b_bus, &words);
-            v.exec();
-            black_box(v.read_word_lane(&a_bus, 63))
-        })
-    });
-    let mut s = adder16.simulator();
-    c.bench_function("adder16_64lanes_scalar", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &w in &words {
-                let (sum, _) = adder16.compute(&mut s, w, w);
-                acc ^= sum;
-            }
-            black_box(acc)
-        })
-    });
 }
 
 criterion_group! {

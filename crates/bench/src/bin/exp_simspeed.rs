@@ -1,6 +1,6 @@
 //! Simulation-speed shootout for the faulty-multiplier workload: the
-//! same stream of multiplications evaluated by every engine the
-//! operator layer has, slowest to fastest.
+//! same stream of multiplications under permanent defects, evaluated by
+//! every scalar settle strategy, slowest to fastest.
 //!
 //! * `switch` — the uncached switch-level evaluator (every faulty gate
 //!   re-solved through its transistor network per settle);
@@ -9,12 +9,7 @@
 //!   settle), driven through the multiplier's public buses;
 //! * `event` — the production scalar engine and oracle: only gates
 //!   whose inputs changed are re-evaluated, seeded from the per-gate
-//!   fan-out lists;
-//! * `lut` — the compiled LUT instruction stream: the netlist is
-//!   topologically ranked once into straight-line table-lookup
-//!   instructions, permanent faults patch truth words in place, and
-//!   dynamic faults drop only the affected instructions to per-lane
-//!   evaluation (works for every activation class).
+//!   fan-out lists.
 //!
 //! Every strategy must produce bit-identical products; the binary
 //! asserts this before reporting throughput. The stimulus mimics the
@@ -41,24 +36,23 @@
 //! ```
 //!
 //! A machine-readable record goes to `BENCH_simspeed.json`
-//! (`--bench-out` overrides), including `min_speedup_lut_vs_compiled`
-//! and `min_speedup_fused_vs_scalar` (CI floors, see
-//! `.github/workflows`) and the host's core count and git revision.
-//! `--breakdown true` adds compile-vs-execute timing and memoization
-//! hit rates for the lut and fused strategies.
+//! (`--bench-out` overrides), including `min_speedup_fused_vs_scalar`
+//! (CI floor, see `.github/workflows`) and the host's core count and
+//! git revision. `--breakdown true` adds compile-vs-execute timing and
+//! memoization hit rates for the program and fused compilations.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dta_ann::{FaultPlan, FusedForward, Mlp, Topology};
 use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::{Activation, DefectPlan, FaultModel, FxMulCircuit};
+use dta_circuits::{DefectPlan, FaultModel, FxMulCircuit};
 use dta_fixed::{Fx, SigmoidLut};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The operator-level strategies, slowest to fastest.
-const STRATEGIES: [&str; 4] = ["switch", "compiled", "event", "lut"];
+const STRATEGIES: [&str; 3] = ["switch", "compiled", "event"];
 
 /// One measured strategy: name, throughput, and the products it
 /// computed (for the cross-strategy identity check).
@@ -75,14 +69,12 @@ fn time_run(rows: usize, f: impl FnOnce() -> Vec<Fx>) -> (f64, Vec<Fx>) {
     (rows as f64 / t, out)
 }
 
-/// Builds a fresh defect plan with `n` defects. Rebuilding (rather
-/// than reusing) gives every strategy its own activation-stream state,
-/// so transient/intermittent runs replay the same per-eval sequence.
-fn build_plan(mul: &FxMulCircuit, n: usize, activation: Activation, seed: u64) -> DefectPlan {
+/// Builds the permanent defect plan with `n` defects.
+fn build_plan(mul: &FxMulCircuit, n: usize, seed: u64) -> DefectPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (n as u64) << 24);
     let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
     for _ in 0..n {
-        plan.add_random_with(mul.netlist(), mul.cells(), activation, &mut rng);
+        plan.add_random(mul.netlist(), mul.cells(), &mut rng);
     }
     plan
 }
@@ -94,23 +86,6 @@ fn main() {
     let default_counts: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let defect_counts = args.get_usize_list("defects", default_counts);
     let seed = args.get("seed", 0x51E5Du64);
-    let (activation_name, activation) = args.choice(
-        "activation",
-        "permanent",
-        &[
-            ("permanent", Activation::Permanent),
-            (
-                "transient",
-                Activation::Transient {
-                    per_eval_probability: 0.5,
-                },
-            ),
-            (
-                "intermittent",
-                Activation::Intermittent { period: 8, duty: 3 },
-            ),
-        ],
-    );
     let measure_switch = args.get_bool("switch", !smoke);
 
     let mul = FxMulCircuit::new();
@@ -133,24 +108,24 @@ fn main() {
         .collect();
     let b = vec![weight; rows];
 
-    println!("Simulation speed — faulty 16-bit multiplier, {rows} rows, {activation:?} defects");
+    println!("Simulation speed — faulty 16-bit multiplier, {rows} rows, permanent defects");
     println!("(evals/s; every strategy is bit-identical to the switch-level path)\n");
 
-    let measure = |stim: &str, a: &[Fx]| -> Vec<(usize, Vec<Measurement>, f64)> {
+    let measure = |stim: &str, a: &[Fx]| -> Vec<Vec<Measurement>> {
         print!("{:<18}", format!("{stim}/defects"));
         for name in STRATEGIES {
             print!("{name:>12}");
         }
-        println!("{:>12}", "lut/comp");
-        rule(18 + 12 * 5);
+        println!();
+        rule(18 + 12 * STRATEGIES.len());
 
-        let mut per_count: Vec<(usize, Vec<Measurement>, f64)> = Vec::new();
+        let mut per_count: Vec<Vec<Measurement>> = Vec::new();
         for &n in &defect_counts {
             let mut ms: Vec<Measurement> = Vec::new();
 
             if measure_switch {
                 let mut sim = mul.simulator();
-                build_plan(&mul, n, activation, seed).apply_switch_level(&mut sim);
+                build_plan(&mul, n, seed).apply_switch_level(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
@@ -167,7 +142,7 @@ fn main() {
             {
                 // Memoized truth tables, compiled full sweep per row.
                 let mut sim = mul.simulator();
-                build_plan(&mul, n, activation, seed).apply(&mut sim);
+                build_plan(&mul, n, seed).apply(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
@@ -188,7 +163,7 @@ fn main() {
 
             {
                 let mut sim = mul.simulator();
-                build_plan(&mul, n, activation, seed).apply(&mut sim);
+                build_plan(&mul, n, seed).apply(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
@@ -197,20 +172,6 @@ fn main() {
                 });
                 ms.push(Measurement {
                     name: "event",
-                    evals_per_s,
-                    out,
-                });
-            }
-
-            {
-                // The compiled LUT instruction stream handles every
-                // activation class: permanent faults as in-place truth
-                // word patches, dynamic ones as per-lane overrides.
-                let mut ex = mul.lut_exec();
-                build_plan(&mul, n, activation, seed).apply_lut(&mut ex);
-                let (evals_per_s, out) = time_run(rows, || mul.compute_lut(&mut ex, a, &b));
-                ms.push(Measurement {
-                    name: "lut",
                     evals_per_s,
                     out,
                 });
@@ -226,7 +187,6 @@ fn main() {
             }
 
             let rate = |name: &str| ms.iter().find(|m| m.name == name).map(|m| m.evals_per_s);
-            let lut_vs_compiled = rate("lut").unwrap() / rate("compiled").unwrap();
             print!("{n:<18}");
             for name in STRATEGIES {
                 match rate(name) {
@@ -234,8 +194,8 @@ fn main() {
                     None => print!("{:>12}", "-"),
                 }
             }
-            println!("{lut_vs_compiled:>11.1}x");
-            per_count.push((n, ms, lut_vs_compiled));
+            println!();
+            per_count.push(ms);
         }
         println!();
         per_count
@@ -273,26 +233,19 @@ fn main() {
         .collect();
 
     // Rebuild the plan per strategy from the same injection-seed list
-    // so each run replays the same activation stream (mirrors
-    // `build_plan`).
+    // so each run starts from fresh fault state.
     let build_net_plan = |seeds: &[u64]| -> FaultPlan {
         let mut plan = FaultPlan::new(topo.inputs + 2);
         for &s in seeds {
             let mut rng = ChaCha8Rng::seed_from_u64(s);
-            plan.inject_random_hidden_with(
-                topo.hidden,
-                FaultModel::TransistorLevel,
-                activation,
-                &mut rng,
-            );
+            plan.inject_random_hidden(topo.hidden, FaultModel::TransistorLevel, &mut rng);
         }
         plan
     };
     // Transistor-level injections are not always patchable, and a
     // whole-plan rebuild is only batchable when *every* injection is —
     // rejection-sample injection by injection so dense plans stay
-    // measurable. Stateful activation classes are never vectorizable,
-    // so their rows refuse entirely (scalar reference only).
+    // measurable.
     let vectorizable_seeds = |n: usize| -> Option<Vec<u64>> {
         let mut accepted: Vec<u64> = Vec::new();
         let mut cand = seed ^ ((n as u64) << 32);
@@ -310,7 +263,7 @@ fn main() {
     };
 
     println!(
-        "\nNetwork forward pass — {}x{}x{} MLP, {net_rows} rows, {activation:?} defects",
+        "\nNetwork forward pass — {}x{}x{} MLP, {net_rows} rows, permanent defects",
         topo.inputs, topo.hidden, topo.outputs
     );
     println!("(network evals/s; `-` = strategy refuses this configuration)\n");
@@ -425,7 +378,7 @@ fn main() {
         let lut_compile_ms = t.elapsed().as_secs_f64() * 1e3;
         println!("compilation amortization (--breakdown):");
         println!(
-            "  per-op lut : one program compile {lut_compile_ms:.2} ms; \
+            "  per-op program: one compile {lut_compile_ms:.2} ms; \
              memo {ph} hits / {pm} misses ({})",
             dta_bench::pct(ph as f64 / (ph + pm).max(1) as f64)
         );
@@ -442,23 +395,13 @@ fn main() {
         );
     }
 
-    // The floor runs on the dense (training-like) stimulus.
-    let min_speedup_lut = dense_counts
-        .iter()
-        .map(|&(_, _, s)| s)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "LUT instruction stream vs compiled full sweep (dense): >= {min_speedup_lut:.1}x \
-         at every defect count"
-    );
-
     // A strategy that refused a configuration has no measurement; NaN
     // renders as JSON `null`, so a dead strategy can never be confused
     // with a measured zero.
-    let rates = |per_count: &[(usize, Vec<Measurement>, f64)], name: &str| -> Vec<f64> {
+    let rates = |per_count: &[Vec<Measurement>], name: &str| -> Vec<f64> {
         per_count
             .iter()
-            .map(|(_, ms, _)| {
+            .map(|ms| {
                 ms.iter()
                     .find(|m| m.name == name)
                     .map_or(f64::NAN, |m| m.evals_per_s)
@@ -467,7 +410,6 @@ fn main() {
     };
     let mut record = JsonMap::new()
         .str("bin", "exp_simspeed")
-        .str("activation", activation_name)
         .int("rows", rows as u64)
         .int_list("defect_counts", &defect_counts);
     for (suffix, per_count) in [("", &dense_counts), ("_sparse", &sparse_counts)] {
@@ -478,12 +420,6 @@ fn main() {
             }
         }
     }
-    record = record
-        .num_list(
-            "speedup_lut_vs_compiled",
-            &dense_counts.iter().map(|&(_, _, s)| s).collect::<Vec<_>>(),
-        )
-        .num("min_speedup_lut_vs_compiled", min_speedup_lut);
     // Network-level engines. Refused configurations are `null`, never
     // 0.0 (see EXPERIMENTS.md for the refusal rule).
     record = record

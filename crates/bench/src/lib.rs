@@ -59,10 +59,6 @@ const KNOWN_KEYS: &[(&str, &str)] = &[
     ),
     ("smoke", "exp_simspeed: reduced grid for CI smoke lanes"),
     (
-        "activation",
-        "exp_simspeed: defect activation: permanent | transient | intermittent",
-    ),
-    (
         "switch",
         "exp_simspeed: also time the switch-level reference (default: unless --smoke)",
     ),

@@ -26,7 +26,9 @@ use rand::seq::IndexedRandom;
 use rand::Rng;
 
 use dta_logic::gate::GateBehavior;
-use dta_logic::{LutExec, Netlist, Node, NodeId, Simulator, StuckAt, StuckPort, StuckSet};
+use dta_logic::{
+    LutInstr, LutProgram, Netlist, Node, NodeId, Simulator, StuckAt, StuckPort, StuckSet,
+};
 use dta_transistor::{
     Activation, ActivationState, CachedCell, CellTable, CmosCell, Defect, DynamicCell,
     DynamicDefect, DynamicRefCell, FaultyCell,
@@ -369,50 +371,33 @@ impl DefectPlan {
         }
     }
 
-    /// Lowers this plan onto a compiled LUT executor (the
-    /// instruction-stream backend). Permanent combinational faults are
-    /// *patched into the instruction's truth word* — transistor-level
-    /// cells through their memoized [`CellTable::lut_patch`], gate-level
-    /// stuck-at sets by collapsing the set over all pin assignments — so
-    /// the faulty sweep costs exactly as much as the healthy sweep.
-    /// Everything else (cells with reachable memory state or delay
-    /// defects, dynamically activated faults) installs a per-lane
-    /// behavioral override, which [`LutExec::exec`] evaluates in lane
-    /// order for bit-identity with the scalar event-driven engine.
-    ///
-    /// Returns `true` when every fault lowered to a pure truth-word
-    /// patch (the sweep stays fully branchless and word-parallel).
-    pub fn apply_lut(&self, ex: &mut LutExec) -> bool {
-        let mut fully_patched = true;
+    /// Lowers this plan onto `prog`, the circuit's compiled LUT
+    /// instruction stream: every faulty gate's truth word is replaced by
+    /// its faulty cell's — transistor-level cells through their memoized
+    /// [`CellTable::lut_patch`], gate-level stuck-at sets by collapsing
+    /// the set over all pin assignments. Returns the patched stream, or
+    /// `None` at the first cell that is stateful (reachable memory
+    /// state, a delay defect) or dynamically activated: such a plan runs
+    /// on the scalar [`Simulator`] only.
+    pub fn lower_patches(&self, prog: &LutProgram) -> Option<Vec<LutInstr>> {
+        let mut instrs = prog.instrs().to_vec();
+        let mut patch = |gate: NodeId, table: u16| {
+            let pos = prog.instr_index(gate).expect("defects sit on gates");
+            instrs[pos].table = table;
+        };
         for (&gate, tg) in &self.trans_cells {
-            let patch = if tg.dynamic.is_empty() {
-                CellTable::cached(&tg.cell).lut_patch()
-            } else {
-                None
-            };
-            match patch {
-                Some(word) => ex.patch_gate(gate, word),
-                None => {
-                    fully_patched = false;
-                    if tg.dynamic.is_empty() {
-                        ex.override_gate(gate, Box::new(CachedCell::new(&tg.cell)));
-                    } else {
-                        let dynamic = DynamicCell::new(tg.cell.clone(), Self::dynamic_defects(tg))
-                            .expect("dynamic sites were drawn from this cell");
-                        ex.override_gate(gate, Box::new(dynamic));
-                    }
-                }
+            if !tg.dynamic.is_empty() {
+                return None;
             }
+            patch(gate, CellTable::cached(&tg.cell).lut_patch()?);
         }
         for (&gate, sg) in &self.stuck_sets {
-            if sg.dynamic.is_empty() {
-                ex.patch_gate(gate, Self::stuck_table(&sg.set));
-            } else {
-                fully_patched = false;
-                ex.override_gate(gate, Self::stuck_behavior(sg));
+            if !sg.dynamic.is_empty() {
+                return None;
             }
+            patch(gate, Self::stuck_table(&sg.set));
         }
-        fully_patched
+        Some(instrs)
     }
 
     /// Collapses a permanent stuck-at set into a LUT truth word by
@@ -449,6 +434,7 @@ mod tests {
     use crate::adder::AdderCircuit;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::sync::Arc;
 
     #[test]
     fn transistor_plan_accumulates_and_applies() {
@@ -632,116 +618,111 @@ mod tests {
         assert_eq!(a.random::<u64>(), b.random::<u64>(), "RNG streams aligned");
     }
 
-    #[test]
-    fn apply_lut_matches_scalar_apply() {
-        // Lowering a permanent plan onto the LUT instruction stream —
-        // truth-word patches for combinational cells, per-lane stateful
-        // overrides otherwise — must stay bit-identical to the scalar
-        // simulator over a whole batch.
-        use crate::multiplier::FxMulCircuit;
-        use dta_fixed::Fx;
-        let mul = FxMulCircuit::new();
-        for seed in 0..8u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
-            for _ in 0..3 {
-                plan.add_random(mul.netlist(), mul.cells(), &mut rng);
-            }
-            let mut sim = mul.simulator();
-            plan.apply(&mut sim);
-            let mut ex = mul.lut_exec();
-            let fully = plan.apply_lut(&mut ex);
-            assert_eq!(fully, ex.fully_patched());
-            let mut data = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
-            let a: Vec<Fx> = (0..100).map(|_| Fx::from_bits(data.random())).collect();
-            let b: Vec<Fx> = (0..100).map(|_| Fx::from_bits(data.random())).collect();
-            let want: Vec<Fx> = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| mul.compute(&mut sim, x, y))
-                .collect();
-            let got = mul.compute_lut(&mut ex, &a, &b);
-            assert_eq!(got, want, "seed {seed}: LUT diverged from scalar");
-        }
-    }
-
-    #[test]
-    fn apply_lut_matches_scalar_apply_dynamic() {
-        // Transient and intermittent defects become per-lane overrides;
-        // lanes advance the seeded activation streams in lane order, so
-        // a batch must equal the same inputs fed one by one to the
-        // scalar simulator.
-        use crate::multiplier::FxMulCircuit;
-        use dta_fixed::Fx;
-        let mul = FxMulCircuit::new();
-        for (seed, activation) in [
-            (
-                11u64,
+    /// Random plans on one operator circuit, for both fault models and
+    /// every activation class. A plan whose patch lowering succeeds must,
+    /// run as a one-segment fused stream, equal the scalar simulator row
+    /// for row; a plan with a stateful or dynamic cell must be refused.
+    fn patch_lowering_matches_scalar(
+        net: &Arc<Netlist>,
+        cells: &[Vec<NodeId>],
+        ins: &[&[NodeId]],
+        out: &[NodeId],
+    ) {
+        use dta_logic::{FuseBuilder, FusedExec};
+        let prog = LutProgram::compile(Arc::clone(net));
+        let (mut accepted, mut refused) = (0, 0);
+        for model in [FaultModel::TransistorLevel, FaultModel::GateLevel] {
+            for activation in [
+                Activation::Permanent,
                 Activation::Transient {
                     per_eval_probability: 0.3,
                 },
-            ),
-            (12, Activation::Intermittent { period: 5, duty: 2 }),
-        ] {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
-            for i in 0..3 {
-                let act = if i % 2 == 0 {
-                    activation
-                } else {
-                    Activation::Permanent
-                };
-                plan.add_random_with(mul.netlist(), mul.cells(), act, &mut rng);
+                Activation::Intermittent { period: 5, duty: 2 },
+            ] {
+                for seed in 0..6u64 {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut plan = DefectPlan::new(model);
+                    for _ in 0..=seed {
+                        plan.add_random_with(net, cells, activation, &mut rng);
+                    }
+                    let stateful = plan.has_dynamic()
+                        || plan
+                            .trans_cells
+                            .values()
+                            .any(|g| CellTable::cached(&g.cell).lut_patch().is_none());
+                    let case = format!("{model} {activation} seed {seed}");
+                    let Some(instrs) = plan.lower_patches(&prog) else {
+                        assert!(stateful, "{case}: refused a patchable plan");
+                        refused += 1;
+                        continue;
+                    };
+                    assert!(!stateful, "{case}: lowered a stateful plan");
+                    accepted += 1;
+
+                    let mut fb = FuseBuilder::new();
+                    let buses: Vec<Vec<u32>> = ins.iter().map(|b| fb.fresh_bus(b.len())).collect();
+                    let bind: Vec<(u32, u32)> = ins
+                        .iter()
+                        .zip(&buses)
+                        .flat_map(|(b, f)| b.iter().map(|id| id.index() as u32).zip(f.clone()))
+                        .collect();
+                    let map = fb.append(&instrs, prog.n_slots(), prog.latch_slots(), &bind);
+                    let out_slots: Vec<u32> = out.iter().map(|id| map[id.index()]).collect();
+                    let mut ex = FusedExec::new(Arc::new(fb.finish()));
+                    let mut sim = Simulator::new(Arc::clone(net));
+                    plan.apply(&mut sim);
+
+                    let mut data = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF);
+                    let rows: Vec<Vec<u64>> = (0..100)
+                        .map(|_| {
+                            ins.iter()
+                                .map(|b| data.random::<u64>() & ((1 << b.len()) - 1))
+                                .collect()
+                        })
+                        .collect();
+                    for chunk in rows.chunks(64) {
+                        for (k, bus) in buses.iter().enumerate() {
+                            let words: Vec<u64> = chunk.iter().map(|r| r[k]).collect();
+                            ex.set_bus_words(bus, &words);
+                        }
+                        ex.exec();
+                        for (lane, row) in chunk.iter().enumerate() {
+                            for (bus, &w) in ins.iter().zip(row) {
+                                sim.set_input_word(bus, w);
+                            }
+                            sim.settle();
+                            assert_eq!(
+                                ex.read_word_lane(&out_slots, lane),
+                                sim.read_word(out),
+                                "{case}: fused diverged from scalar on {row:?}"
+                            );
+                        }
+                    }
+                }
             }
-            assert!(plan.has_dynamic());
-            let mut sim = mul.simulator();
-            plan.apply(&mut sim);
-            let mut ex = mul.lut_exec();
-            assert!(!plan.apply_lut(&mut ex), "dynamic plans cannot fully patch");
-            assert!(ex.override_count() > 0);
-            let mut data = ChaCha8Rng::seed_from_u64(seed ^ 0xF00D);
-            let a: Vec<Fx> = (0..100).map(|_| Fx::from_bits(data.random())).collect();
-            let b: Vec<Fx> = (0..100).map(|_| Fx::from_bits(data.random())).collect();
-            let want: Vec<Fx> = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| mul.compute(&mut sim, x, y))
-                .collect();
-            let got = mul.compute_lut(&mut ex, &a, &b);
-            assert_eq!(got, want, "{activation}: LUT diverged from scalar");
         }
+        assert!(
+            accepted > 0 && refused > 0,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 
     #[test]
-    fn apply_lut_patches_permanent_stuck_faults() {
-        // Gate-level stuck faults collapse to plain truth-word patches:
-        // no overrides, full-speed execution, same outputs as scalar.
-        use crate::multiplier::FxMulCircuit;
-        use dta_fixed::Fx;
-        let mul = FxMulCircuit::new();
-        for seed in 20..26u64 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut plan = DefectPlan::new(FaultModel::GateLevel);
-            for _ in 0..2 {
-                plan.add_random(mul.netlist(), mul.cells(), &mut rng);
-            }
-            let mut sim = mul.simulator();
-            plan.apply(&mut sim);
-            let mut ex = mul.lut_exec();
-            assert!(plan.apply_lut(&mut ex), "permanent stuck plans fully patch");
-            assert_eq!(ex.override_count(), 0);
-            assert!(ex.patched_count() > 0);
-            let mut data = ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF);
-            let a: Vec<Fx> = (0..80).map(|_| Fx::from_bits(data.random())).collect();
-            let b: Vec<Fx> = (0..80).map(|_| Fx::from_bits(data.random())).collect();
-            let want: Vec<Fx> = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| mul.compute(&mut sim, x, y))
-                .collect();
-            let got = mul.compute_lut(&mut ex, &a, &b);
-            assert_eq!(got, want, "seed {seed}: stuck patch diverged from scalar");
-        }
+    fn adder_patch_lowering_matches_scalar() {
+        let c = crate::SatAdderCircuit::new();
+        patch_lowering_matches_scalar(c.netlist(), c.cells(), &[c.a_bus(), c.b_bus()], c.out_bus());
+    }
+
+    #[test]
+    fn multiplier_patch_lowering_matches_scalar() {
+        let c = crate::FxMulCircuit::new();
+        patch_lowering_matches_scalar(c.netlist(), c.cells(), &[c.a_bus(), c.b_bus()], c.out_bus());
+    }
+
+    #[test]
+    fn sigmoid_patch_lowering_matches_scalar() {
+        let c = crate::SigmoidUnitCircuit::new();
+        patch_lowering_matches_scalar(c.netlist(), c.cells(), &[c.x_bus()], c.out_bus());
     }
 
     #[test]

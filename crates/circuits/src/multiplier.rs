@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dta_fixed::Fx;
-use dta_logic::{GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator};
+use dta_logic::{GateKind, Netlist, NetlistBuilder, NodeId, Simulator};
 
 use crate::adder::full_adder;
 
@@ -316,40 +316,6 @@ impl FxMulCircuit {
     /// The LSB-first product output bus.
     pub fn out_bus(&self) -> &[NodeId] {
         &self.out
-    }
-
-    /// Creates a fresh LUT instruction-stream executor for this circuit,
-    /// compiling (or reusing the process-wide memoized compilation of)
-    /// its netlist — see [`dta_logic::LutProgram::cached`].
-    pub fn lut_exec(&self) -> LutExec {
-        LutExec::new(LutProgram::cached(&self.net))
-    }
-
-    /// Multiplies a whole batch through the compiled LUT instruction
-    /// stream, 64 products per straight-line sweep. Valid for *any*
-    /// fault lowering ([`crate::DefectPlan::apply_lut`]): permanent
-    /// combinational faults are truth-word patches at full speed, and
-    /// stateful/dynamic ones advance per lane in lane order — identical
-    /// to repeated [`FxMulCircuit::compute`] calls either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` differ in length.
-    pub fn compute_lut(&self, ex: &mut LutExec, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        assert_eq!(a.len(), b.len(), "operand batches must match");
-        let mut out = Vec::with_capacity(a.len());
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let wa: Vec<u64> = ca.iter().map(|v| v.to_bits() as u64).collect();
-            let wb: Vec<u64> = cb.iter().map(|v| v.to_bits() as u64).collect();
-            ex.set_active_lanes(ca.len());
-            ex.set_input_words(&self.a, &wa);
-            ex.set_input_words(&self.b, &wb);
-            ex.exec();
-            out.extend(
-                (0..ca.len()).map(|l| Fx::from_bits(ex.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
     }
 }
 

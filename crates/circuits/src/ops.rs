@@ -9,19 +9,15 @@
 //! `Fx -> Fx` interface that `dta-ann` calls for marked neurons while
 //! every healthy operator runs native Q6.10 arithmetic.
 //!
-//! Each operator holds two engines:
-//!
-//! - `sim`, the event-driven scalar [`dta_logic::Simulator`] with the
-//!   plan's faulty-gate behaviors installed. It serves every scalar call
-//!   and is the reference every faster path is tested against.
-//! - `lut`, a compiled 64-lane [`dta_logic::LutExec`], present iff every
-//!   defect lowered to a truth-word patch (see [`DefectPlan::apply_lut`]).
-//!
-//! A batch runs native when the operator is healthy, through `lut` when
-//! it is present, and otherwise as a loop of scalar calls on `sim`, so
-//! stateful faults (memory effects, delay defects, transient and
-//! intermittent activations) advance exactly one state step per row and
-//! batch and scalar calls share that state.
+//! Each faulty operator evaluates on `sim`, the event-driven scalar
+//! [`dta_logic::Simulator`] with the plan's faulty-gate behaviors
+//! installed: the reference every faster path is tested against.
+//! Stateful faults (memory effects, delay defects, transient and
+//! intermittent activations) advance exactly one state step per call.
+//! When every defect lowers to a truth-word patch (see
+//! [`DefectPlan::lower_patches`]) the operator also keeps its circuit's
+//! patched LUT instruction stream, which network-level fusion
+//! (`dta-ann`) stitches into one 64-lane program.
 
 use std::sync::{Arc, OnceLock};
 
@@ -47,12 +43,13 @@ macro_rules! hw_operator {
         pub struct $name {
             circuit: Arc<$circuit>,
             /// Event-driven scalar engine with the plan installed: serves
-            /// scalar calls and stateful batches, and is the oracle.
+            /// every call and is the oracle.
             sim: dta_logic::Simulator,
-            /// Compiled LUT instruction stream, present iff the plan
-            /// lowered entirely to truth-word patches (see
-            /// [`DefectPlan::apply_lut`]).
-            lut: Option<dta_logic::LutExec>,
+            /// The circuit's LUT instruction stream with the plan's truth
+            /// words patched in, present iff the plan is non-empty and
+            /// lowered entirely to patches (see
+            /// [`DefectPlan::lower_patches`]).
+            patched: Option<Vec<dta_logic::LutInstr>>,
             plan: DefectPlan,
         }
 
@@ -69,44 +66,33 @@ macro_rules! hw_operator {
                 Self {
                     circuit,
                     sim,
-                    lut: None,
+                    patched: None,
                     plan: DefectPlan::new(FaultModel::TransistorLevel),
                 }
             }
 
-            /// Lowers the current plan onto a fresh LUT executor and
-            /// keeps it iff every defect became a truth-word patch.
-            fn rebuild_lut(&mut self) {
-                self.lut = None;
-                if !self.plan.is_empty() {
-                    let mut ex = self.circuit.lut_exec();
-                    if self.plan.apply_lut(&mut ex) {
-                        self.lut = Some(ex);
-                    }
-                }
+            /// Lowers the current plan to a patched instruction stream.
+            fn lower(&mut self) {
+                self.patched = if self.plan.is_empty() {
+                    None
+                } else {
+                    let prog = dta_logic::LutProgram::cached(self.circuit.netlist());
+                    self.plan.lower_patches(&prog)
+                };
             }
 
-            /// True if batch entry points run lane-parallel: the
-            /// operator is healthy (native) or its plan lowered to
-            /// truth-word patches. Otherwise batches are scalar loops.
+            /// True if the operator can run lane-parallel: it is healthy
+            /// (native) or its plan lowered to truth-word patches.
             pub fn vectorizable(&self) -> bool {
-                self.plan.is_empty() || self.lut.is_some()
+                self.plan.is_empty() || self.patched.is_some()
             }
 
-            /// True if the current plan lowered entirely to truth-word
-            /// patches on the compiled LUT instruction stream, i.e. the
-            /// batch entry points run the straight-line schedule instead
-            /// of event-driven settles.
-            pub fn lut_ready(&self) -> bool {
-                self.lut.is_some()
-            }
-
-            /// The operator's patched LUT executor, when the plan
-            /// lowered entirely to truth-word patches. Network-level
-            /// fusion reads the patched instruction stream from here and
-            /// stitches it into one program across operators.
-            pub fn lut_stream(&self) -> Option<&dta_logic::LutExec> {
-                self.lut.as_ref()
+            /// The circuit's instruction stream with the plan's truth
+            /// words patched in, when the plan is non-empty and lowered
+            /// entirely to patches. Network-level fusion stitches it into
+            /// one program across operators.
+            pub fn patched_instrs(&self) -> Option<&[dta_logic::LutInstr]> {
+                self.patched.as_deref()
             }
 
             /// Injects `n` random **permanent** defects under the given
@@ -152,7 +138,7 @@ macro_rules! hw_operator {
                     );
                 }
                 self.plan.apply(&mut self.sim);
-                self.rebuild_lut();
+                self.lower();
                 self.plan
                     .records()
                     .iter()
@@ -165,7 +151,7 @@ macro_rules! hw_operator {
                 self.plan.remove(&mut self.sim);
                 plan.apply(&mut self.sim);
                 self.plan = plan;
-                self.rebuild_lut();
+                self.lower();
             }
 
             /// Number of injected defects.
@@ -182,9 +168,6 @@ macro_rules! hw_operator {
             /// previous evaluations (call between independent runs).
             pub fn reset_state(&mut self) {
                 self.sim.reset_state();
-                if let Some(lut) = self.lut.as_mut() {
-                    lut.reset_state();
-                }
             }
         }
 
@@ -223,23 +206,6 @@ impl HwAdder {
         }
         self.circuit.compute(&mut self.sim, a, b)
     }
-
-    /// Computes a whole batch of sums — native when healthy, the
-    /// compiled LUT instruction stream when the fault set lowered to
-    /// truth-word patches, scalar settles otherwise. Identical to
-    /// mapping [`HwAdder::add`] over the pairs.
-    pub fn add_batch(&mut self, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        if self.plan.is_empty() {
-            return a.iter().zip(b).map(|(&x, &y)| x + y).collect();
-        }
-        if let Some(lut) = self.lut.as_mut() {
-            return self.circuit.compute_lut(lut, a, b);
-        }
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| self.circuit.compute(&mut self.sim, x, y))
-            .collect()
-    }
 }
 
 hw_operator!(
@@ -269,23 +235,6 @@ impl HwMultiplier {
         }
         self.circuit.compute(&mut self.sim, a, b)
     }
-
-    /// Computes a whole batch of products — native when healthy, the
-    /// compiled LUT instruction stream when the fault set lowered to
-    /// truth-word patches, scalar settles otherwise. Identical to
-    /// mapping [`HwMultiplier::mul`] over the pairs.
-    pub fn mul_batch(&mut self, a: &[Fx], b: &[Fx]) -> Vec<Fx> {
-        if self.plan.is_empty() {
-            return a.iter().zip(b).map(|(&x, &y)| x * y).collect();
-        }
-        if let Some(lut) = self.lut.as_mut() {
-            return self.circuit.compute_lut(lut, a, b);
-        }
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| self.circuit.compute(&mut self.sim, x, y))
-            .collect()
-    }
 }
 
 hw_operator!(
@@ -314,23 +263,6 @@ impl HwSigmoid {
             return sigmoid_lut().eval(x);
         }
         self.circuit.compute(&mut self.sim, x)
-    }
-
-    /// Computes a whole batch of activations — native when healthy, the
-    /// compiled LUT instruction stream when the fault set lowered to
-    /// truth-word patches, scalar settles otherwise. Identical to
-    /// mapping [`HwSigmoid::eval`] over the inputs.
-    pub fn eval_batch(&mut self, xs: &[Fx]) -> Vec<Fx> {
-        if self.plan.is_empty() {
-            let lut = sigmoid_lut();
-            return xs.iter().map(|&x| lut.eval(x)).collect();
-        }
-        if let Some(lut) = self.lut.as_mut() {
-            return self.circuit.compute_lut(lut, xs);
-        }
-        xs.iter()
-            .map(|&x| self.circuit.compute(&mut self.sim, x))
-            .collect()
     }
 }
 
@@ -399,209 +331,6 @@ mod tests {
             raw += 640;
         }
         assert!(diffs > 0, "30 defects must corrupt some products");
-    }
-
-    #[test]
-    fn batch_matches_scalar_for_combinational_faults() {
-        // Hunt for a seed whose defects stay combinational, then check
-        // the LUT stream against element-wise evaluation.
-        let mut found = false;
-        for seed in 0..20 {
-            let mut mul = HwMultiplier::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            mul.inject_random(FaultModel::TransistorLevel, 4, &mut rng);
-            if !mul.vectorizable() {
-                continue;
-            }
-            found = true;
-            let a: Vec<Fx> = (0..150).map(|i| Fx::from_raw((i * 431) as i16)).collect();
-            let b: Vec<Fx> = (0..150)
-                .map(|i| Fx::from_raw((i * 77 - 999) as i16))
-                .collect();
-            let batch = mul.mul_batch(&a, &b);
-            let scalar: Vec<Fx> = a.iter().zip(&b).map(|(&x, &y)| mul.mul(x, y)).collect();
-            assert_eq!(batch, scalar, "seed {seed}");
-        }
-        assert!(
-            found,
-            "no combinational 4-defect seed in 0..20 is suspicious"
-        );
-    }
-
-    #[test]
-    fn healthy_batch_paths_are_vectorized_and_exact() {
-        let mut add = HwAdder::new();
-        let mut mul = HwMultiplier::new();
-        let mut act = HwSigmoid::new();
-        assert!(add.vectorizable());
-        assert!(mul.vectorizable());
-        assert!(act.vectorizable());
-        let lut = SigmoidLut::new();
-        let a: Vec<Fx> = (0..100)
-            .map(|i| Fx::from_raw((i * 653 - 30000) as i16))
-            .collect();
-        let b: Vec<Fx> = (0..100)
-            .map(|i| Fx::from_raw((i * 389 + 11) as i16))
-            .collect();
-        let sums = add.add_batch(&a, &b);
-        let prods = mul.mul_batch(&a, &b);
-        let acts = act.eval_batch(&a);
-        for i in 0..a.len() {
-            assert_eq!(sums[i], a[i] + b[i]);
-            assert_eq!(prods[i], a[i] * b[i]);
-            assert_eq!(acts[i], lut.eval(a[i]));
-        }
-    }
-
-    /// Runs rows `0..150` through `run` in alternating scalar and batch
-    /// chunks whose sizes straddle the 64-lane edge.
-    fn interleaved<T>(
-        op: &mut T,
-        mut run: impl FnMut(&mut T, std::ops::Range<usize>, bool) -> Vec<Fx>,
-    ) -> Vec<Fx> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        for (k, len) in [1usize, 70, 3, 64, 12].into_iter().enumerate() {
-            out.extend(run(op, start..start + len, k % 2 == 1));
-            start += len;
-        }
-        out
-    }
-
-    /// First operator (over seeds) whose plan is stateful: it cannot
-    /// lower to truth-word patches, so batches run on the scalar engine.
-    fn stateful<T>(
-        make: impl Fn() -> T,
-        inject: impl Fn(&mut T, &mut ChaCha8Rng),
-        lut_ready: impl Fn(&T) -> bool,
-    ) -> T {
-        for seed in 0..64 {
-            let mut op = make();
-            inject(&mut op, &mut ChaCha8Rng::seed_from_u64(seed));
-            if !lut_ready(&op) {
-                return op;
-            }
-        }
-        panic!("no stateful plan in 64 seeds");
-    }
-
-    #[test]
-    fn stateful_batches_continue_the_scalar_sequence() {
-        // Batch and scalar calls share one engine and its fault state,
-        // so interleaving them on a stateful plan must replay the
-        // all-scalar sequence exactly (BIST probes followed by
-        // retraining rely on this).
-        let a: Vec<Fx> = (0..150)
-            .map(|i| Fx::from_raw((i * 431 - 9000) as i16))
-            .collect();
-        let b: Vec<Fx> = (0..150)
-            .map(|i| Fx::from_raw((i * 77 - 999) as i16))
-            .collect();
-        for activation in activation_classes() {
-            let model = FaultModel::TransistorLevel;
-
-            let mut add = stateful(
-                HwAdder::new,
-                |op, rng| drop(op.inject_random_with(model, activation, 6, rng)),
-                HwAdder::lut_ready,
-            );
-            add.reset_state();
-            let want: Vec<Fx> = (0..150).map(|i| add.add(a[i], b[i])).collect();
-            add.reset_state();
-            let got = interleaved(&mut add, |op, r, batch| {
-                if batch {
-                    op.add_batch(&a[r.clone()], &b[r])
-                } else {
-                    r.map(|i| op.add(a[i], b[i])).collect()
-                }
-            });
-            assert_eq!(got, want, "add, {activation}");
-
-            let mut mul = stateful(
-                HwMultiplier::new,
-                |op, rng| drop(op.inject_random_with(model, activation, 6, rng)),
-                HwMultiplier::lut_ready,
-            );
-            mul.reset_state();
-            let want: Vec<Fx> = (0..150).map(|i| mul.mul(a[i], b[i])).collect();
-            mul.reset_state();
-            let got = interleaved(&mut mul, |op, r, batch| {
-                if batch {
-                    op.mul_batch(&a[r.clone()], &b[r])
-                } else {
-                    r.map(|i| op.mul(a[i], b[i])).collect()
-                }
-            });
-            assert_eq!(got, want, "mul, {activation}");
-
-            let mut act = stateful(
-                HwSigmoid::new,
-                |op, rng| drop(op.inject_random_with(model, activation, 6, rng)),
-                HwSigmoid::lut_ready,
-            );
-            act.reset_state();
-            let want: Vec<Fx> = a.iter().map(|&x| act.eval(x)).collect();
-            act.reset_state();
-            let got = interleaved(&mut act, |op, r, batch| {
-                if batch {
-                    op.eval_batch(&a[r])
-                } else {
-                    r.map(|i| op.eval(a[i])).collect()
-                }
-            });
-            assert_eq!(got, want, "act, {activation}");
-        }
-    }
-
-    /// The lifetime classes a campaign can draw, in a fixed order.
-    fn activation_classes() -> [dta_transistor::Activation; 3] {
-        use dta_transistor::Activation;
-        [
-            Activation::Permanent,
-            Activation::Transient {
-                per_eval_probability: 0.3,
-            },
-            Activation::Intermittent { period: 5, duty: 2 },
-        ]
-    }
-
-    #[test]
-    fn vectorizable_iff_lut_ready_on_random_plans() {
-        // Every non-empty plan the batch paths can run lane-parallel is
-        // one that lowers to pure truth-word patches, and vice versa.
-        let (mut accepted, mut refused) = (0, 0);
-        for model in [FaultModel::TransistorLevel, FaultModel::GateLevel] {
-            for activation in activation_classes() {
-                for n in 1..=16usize {
-                    for seed in 0..4u64 {
-                        let s = seed * 1000 + n as u64;
-                        let mut rng = ChaCha8Rng::seed_from_u64(s);
-                        let mut add = HwAdder::new();
-                        add.inject_random_with(model, activation, n, &mut rng);
-                        let mut mul = HwMultiplier::new();
-                        mul.inject_random_with(model, activation, n, &mut rng);
-                        let mut act = HwSigmoid::new();
-                        act.inject_random_with(model, activation, n, &mut rng);
-                        for (op, v, l) in [
-                            ("add", add.vectorizable(), add.lut_ready()),
-                            ("mul", mul.vectorizable(), mul.lut_ready()),
-                            ("act", act.vectorizable(), act.lut_ready()),
-                        ] {
-                            assert_eq!(v, l, "{op} {model} {activation} n={n} seed={s}");
-                            if v {
-                                accepted += 1;
-                            } else {
-                                refused += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            accepted > 0 && refused > 0,
-            "{accepted} accepted, {refused} refused"
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator};
+use dta_logic::{GateKind, Netlist, NetlistBuilder, NodeId, Simulator};
 
 use crate::adder::full_adder;
 
@@ -260,30 +260,6 @@ impl SigmoidUnitCircuit {
     /// The LSB-first activation output bus.
     pub fn out_bus(&self) -> &[NodeId] {
         &self.out
-    }
-
-    /// Creates a fresh LUT instruction-stream executor for this circuit,
-    /// compiling (or reusing the process-wide memoized compilation of)
-    /// its netlist — see [`dta_logic::LutProgram::cached`].
-    pub fn lut_exec(&self) -> LutExec {
-        LutExec::new(LutProgram::cached(&self.net))
-    }
-
-    /// Evaluates a whole batch of activations through the compiled LUT
-    /// instruction stream — see [`crate::FxMulCircuit::compute_lut`].
-    /// Identical to repeated [`SigmoidUnitCircuit::compute`] calls.
-    pub fn compute_lut(&self, ex: &mut LutExec, xs: &[Fx]) -> Vec<Fx> {
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in xs.chunks(64) {
-            let wx: Vec<u64> = chunk.iter().map(|v| v.to_bits() as u64).collect();
-            ex.set_active_lanes(chunk.len());
-            ex.set_input_words(&self.x, &wx);
-            ex.exec();
-            out.extend(
-                (0..chunk.len()).map(|l| Fx::from_bits(ex.read_word_lane(&self.out, l) as u16)),
-            );
-        }
-        out
     }
 }
 

@@ -112,9 +112,16 @@ impl fmt::Display for AccelError {
     }
 }
 
-/// Validates training hyperparameters shared by [`Accelerator::retrain`]
-/// and [`Accelerator::online_step`].
-fn check_hyperparameters(
+/// Validates training hyperparameters shared by [`Accelerator::retrain`],
+/// [`Accelerator::online_step`] and every other [`crate::Accel`]
+/// topology's retraining.
+///
+/// # Errors
+///
+/// [`AccelError::BadHyperparameter`] when the learning rate is not
+/// positive and finite, the momentum is outside `[0, 1)`, or `epochs`
+/// is zero.
+pub fn check_hyperparameters(
     learning_rate: f64,
     momentum: f64,
     epochs: usize,

@@ -74,7 +74,7 @@ pub mod selftest;
 pub mod time_multiplexed;
 
 pub use accel::{Accel, StructuralOutcome};
-pub use accelerator::{AccelError, Accelerator};
+pub use accelerator::{check_hyperparameters, AccelError, Accelerator};
 pub use campaign::{
     AmplitudePoint, CampaignConfig, CampaignError, CellOutcome, ChaosCell, CurvePoint,
 };

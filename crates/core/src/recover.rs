@@ -762,13 +762,9 @@ fn sigmoid_visibility_of(
     let xs: Vec<Fx> = (0..samples)
         .map(|_| Fx::from_raw(rand::Rng::random::<i16>(&mut rng)))
         .collect();
-    // Batch entry point: rides the compiled LUT stream when the unit's
-    // plan lowered to truth-word patches, the scalar engine otherwise.
-    let got = nf.activation_batch(&xs, lut);
-    let visible = got
+    let visible = xs
         .iter()
-        .zip(&xs)
-        .filter(|&(&y, &x)| y != lut.eval(x))
+        .filter(|&&x| nf.activation(x, lut) != lut.eval(x))
         .count();
     visible as f64 / samples.max(1) as f64
 }

@@ -361,7 +361,6 @@ fn screen_lanes(
 fn probe_operators(accel: &mut Accelerator, cfg: &BistConfig) -> (Vec<FaultSite>, usize) {
     let phys = accel.geometry();
     let vectors = bist_vectors(cfg.vectors_per_operator, cfg.seed ^ 0x0B15);
-    let (va, vb): (Vec<Fx>, Vec<Fx>) = vectors.iter().copied().unzip();
     let lut = SigmoidLut::new();
     let plan = accel.faults_mut();
     plan.reset_state();
@@ -398,12 +397,11 @@ fn probe_operators(accel: &mut Accelerator, cfg: &BistConfig) -> (Vec<FaultSite>
                     synapse: Some(s),
                 });
             }
+            // Every vector is applied even after a mismatch, so stateful
+            // faults advance through the whole probe sequence.
             if let Some(hw) = nf.multiplier_mut(s) {
                 probed += 1;
-                // Batch entry point: rides the compiled LUT stream when
-                // the unit's plan lowered to truth-word patches, the
-                // scalar engine otherwise.
-                let got = hw.mul_batch(&va, &vb);
+                let got: Vec<Fx> = vectors.iter().map(|&(a, b)| hw.mul(a, b)).collect();
                 if got.iter().zip(&vectors).any(|(&p, &(a, b))| p != a * b) {
                     flagged.insert(FaultSite {
                         layer,
@@ -415,7 +413,7 @@ fn probe_operators(accel: &mut Accelerator, cfg: &BistConfig) -> (Vec<FaultSite>
             }
             if let Some(hw) = nf.adder_mut(s) {
                 probed += 1;
-                let got = hw.add_batch(&va, &vb);
+                let got: Vec<Fx> = vectors.iter().map(|&(a, b)| hw.add(a, b)).collect();
                 if got.iter().zip(&vectors).any(|(&s, &(a, b))| s != a + b) {
                     flagged.insert(FaultSite {
                         layer,
@@ -427,8 +425,15 @@ fn probe_operators(accel: &mut Accelerator, cfg: &BistConfig) -> (Vec<FaultSite>
             }
         }
         probed += 1;
-        let got = nf.activation_batch(&va, &lut);
-        if got.iter().zip(&va).any(|(&y, &x)| y != lut.eval(x)) {
+        let got: Vec<Fx> = vectors
+            .iter()
+            .map(|&(x, _)| nf.activation(x, &lut))
+            .collect();
+        if got
+            .iter()
+            .zip(&vectors)
+            .any(|(&y, &(x, _))| y != lut.eval(x))
+        {
             flagged.insert(FaultSite {
                 layer,
                 neuron,

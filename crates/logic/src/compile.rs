@@ -6,11 +6,11 @@
 //! *compiles* a netlist once: gates are packed into k-input LUT
 //! instructions — a truth-table word plus operand slot indices into a
 //! flat register file — and emitted as a static straight-line schedule
-//! ordered by topological rank. [`crate::LutExec`] then evaluates the
-//! stream as branchless 64-lane table lookups, and faulty gates are
-//! handled by *patching the truth word in place* (permanent defects) or
-//! by per-lane behavioral re-evaluation (stateful/intermittent defects),
-//! so defect sweeps run at the same speed as the healthy circuit.
+//! ordered by topological rank. A permanent combinational defect is
+//! lowered by *patching its gate's truth word* in a copy of the stream,
+//! and [`crate::FuseBuilder`] stitches patched streams into the one
+//! program that [`crate::FusedExec`] evaluates as branchless 64-lane
+//! table lookups, so a faulty sweep costs what a healthy one does.
 //!
 //! Ranks (longest-path levels) are recorded per instruction:
 //! instructions inside a rank only read slots written by strictly lower
@@ -140,7 +140,7 @@ pub fn kind_table(kind: GateKind) -> u16 {
 }
 
 /// A latch compiled to register-file bookkeeping: on
-/// [`crate::LutExec::tick`] slot `latch` captures slot `data`.
+/// [`crate::FusedExec::tick`] slot `latch` captures slot `data`.
 #[derive(Clone, Copy, Debug)]
 pub struct LatchSlot {
     /// The latch's own register slot.

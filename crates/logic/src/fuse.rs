@@ -616,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn latched_segments_tick_like_lut_exec() {
+    fn latched_segments_tick_like_the_simulator() {
         let mut b = NetlistBuilder::new();
         let d = b.input("d");
         let q = b.latch(d, true);
@@ -638,24 +638,24 @@ mod tests {
         assert_eq!(fused.latch_slots().len(), 1);
         let mut fx = FusedExec::new(fused);
 
-        let mut lx = crate::LutExec::new(prog);
+        let mut sim = crate::Simulator::new(net);
         for step in 0..6u64 {
-            let lanes = 0x5A5A ^ (step * 0x1111);
-            fx.set_slot(din, lanes);
-            lx.set_input_lanes(d, lanes);
+            let bit = (0x5A5A ^ (step * 0x1111)) & 1 == 1;
+            fx.set_slot_uniform(din, bit);
+            sim.set_input(d, bit);
             fx.exec();
-            lx.exec();
-            assert_eq!(fx.slot(y), lx.lanes(g), "step {step}");
+            sim.settle();
+            assert_eq!(fx.slot(y), if sim.value(g) { !0 } else { 0 }, "step {step}");
             fx.tick();
-            lx.tick();
+            sim.tick();
         }
         fx.reset_state();
-        lx.reset_state();
+        sim.reset_state();
         fx.set_slot(din, 0);
-        lx.set_input_lanes(d, 0);
+        sim.set_input(d, false);
         fx.exec();
-        lx.exec();
-        assert_eq!(fx.slot(y), lx.lanes(g), "after reset");
+        sim.settle();
+        assert_eq!(fx.slot(y) & 1 == 1, sim.value(g), "after reset");
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   order and steps latches on [`Simulator::tick`]; any gate can be
 //!   overridden with a [`GateBehavior`], which is how both fault models
 //!   plug in;
-//! * [`LutProgram`] / [`LutExec`] — the netlist compiled to a 64-lane LUT
-//!   instruction stream, with permanent faults patched into truth words,
-//!   and [`FusedProgram`] / [`FusedExec`], many such streams stitched into
-//!   one program;
+//! * [`LutProgram`] — the netlist compiled to a rank-ordered LUT
+//!   instruction stream, into which permanent faults patch their truth
+//!   words, and [`FusedProgram`] / [`FusedExec`], the 64-lane engine that
+//!   runs one or many such streams stitched into one program;
 //! * [`stuck`] — the classic **gate-level stuck-at fault model** (inputs
 //!   or output of a logic gate stuck at 0/1). The paper uses this model as
 //!   the *inaccurate baseline* that transistor-level injection
@@ -49,7 +49,6 @@
 //! ```
 
 pub mod compile;
-pub mod exec;
 pub mod fuse;
 pub mod gate;
 pub mod netlist;
@@ -58,7 +57,6 @@ pub mod sim;
 pub mod stuck;
 
 pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgram};
-pub use exec::LutExec;
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
 pub use netlist::{Netlist, NetlistBuilder, NetlistError, Node, NodeId};

@@ -13,15 +13,13 @@
 //! must be bit-identical on every surviving register, every lane, every
 //! step, across latch ticks and state resets. Permanent faults are the
 //! only class that lowers into truth words and therefore into fused
-//! streams; dynamic classes (transient/intermittent overrides) are
-//! refused upstream by the network compiler and fall back to the
-//! scalar engine, against which `prop.rs` already pins the per-lane
-//! override path.
+//! streams; stateful and dynamic classes are refused upstream by the
+//! patch lowering and run on the scalar engine only.
 
 use std::sync::Arc;
 
 use dta_logic::{
-    optimize, optimize_with_consts, FuseBuilder, FusedExec, GateBehavior, GateKind, LutExec,
+    optimize, optimize_with_consts, FuseBuilder, FusedExec, GateBehavior, GateKind, LutInstr,
     LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
 };
 use proptest::prelude::*;
@@ -141,16 +139,16 @@ impl Segment {
         }
     }
 
-    /// Patched instruction stream, exactly as the network compiler
-    /// consumes it: permanent faults already lowered into truth words
-    /// by [`LutExec::patch_gate`].
-    fn patched_exec(&self) -> LutExec {
-        let mut ex = LutExec::new(Arc::new(LutProgram::compile(Arc::clone(&self.net))));
+    /// The compiled program and its patched instruction stream, exactly
+    /// as the network compiler consumes it: permanent faults already
+    /// lowered into truth words.
+    fn patched(&self) -> (LutProgram, Vec<LutInstr>) {
+        let prog = LutProgram::compile(Arc::clone(&self.net));
+        let mut instrs = prog.instrs().to_vec();
         for &(g, t) in &self.patches {
-            ex.patch_gate(g, t);
+            instrs[prog.instr_index(g).expect("patch targets are gates")].table = t;
         }
-        assert!(ex.fully_patched());
-        ex
+        (prog, instrs)
     }
 
     /// A scalar event-driven reference with identical overrides.
@@ -207,8 +205,8 @@ proptest! {
     ) {
         let a = Segment::new(seg_a.0, &seg_a.1, &seg_a.2, &seg_a.3, &seg_a.4);
         let b = Segment::new(seg_b.0, &seg_b.1, &seg_b.2, &seg_b.3, &seg_b.4);
-        let ex_a = a.patched_exec();
-        let ex_b = b.patched_exec();
+        let (prog_a, instrs_a) = a.patched();
+        let (prog_b, instrs_b) = b.patched();
 
         // Fuse: fresh slots for A's primary inputs; B's leading inputs
         // bound straight onto A's output registers.
@@ -220,12 +218,7 @@ proptest! {
             .zip(&in_a)
             .map(|(id, &s)| (id.index() as u32, s))
             .collect();
-        let map_a = fb.append(
-            ex_a.instrs(),
-            ex_a.program().n_slots(),
-            ex_a.program().latch_slots(),
-            &bind_a,
-        );
+        let map_a = fb.append(&instrs_a, prog_a.n_slots(), prog_a.latch_slots(), &bind_a);
         if use_barrier {
             fb.barrier();
         }
@@ -242,12 +235,7 @@ proptest! {
             };
             bind_b.push((id.index() as u32, fused));
         }
-        let map_b = fb.append(
-            ex_b.instrs(),
-            ex_b.program().n_slots(),
-            ex_b.program().latch_slots(),
-            &bind_b,
-        );
+        let map_b = fb.append(&instrs_b, prog_b.n_slots(), prog_b.latch_slots(), &bind_b);
         let fused = fb.finish();
 
         // Known-constant primary inputs of A, declared to the optimizer.
@@ -384,7 +372,7 @@ proptest! {
             seg.2.push((0, false)); // the property needs at least one latch
         }
         let s = Segment::new(seg.0, &seg.1, &seg.2, &seg.3, &seg.4);
-        let ex_s = s.patched_exec();
+        let (prog_s, instrs_s) = s.patched();
         let mut fb = FuseBuilder::new();
         let in_s: Vec<u32> = s.inputs.iter().map(|_| fb.fresh_slot()).collect();
         let bind: Vec<(u32, u32)> = s
@@ -393,12 +381,7 @@ proptest! {
             .zip(&in_s)
             .map(|(id, &sl)| (id.index() as u32, sl))
             .collect();
-        let map = fb.append(
-            ex_s.instrs(),
-            ex_s.program().n_slots(),
-            ex_s.program().latch_slots(),
-            &bind,
-        );
+        let map = fb.append(&instrs_s, prog_s.n_slots(), prog_s.latch_slots(), &bind);
         let fused = fb.finish();
         let n_latches = fused.latch_slots().len();
 

@@ -1,11 +1,13 @@
 //! Property tests: random netlists must evaluate identically under the
-//! event-driven scalar engine, its compiled full sweep, the 64-lane LUT
-//! instruction stream, and a direct recursive reference evaluator.
+//! event-driven scalar engine, its compiled full sweep, the 64-lane
+//! fused LUT stream (one segment), and a direct recursive reference
+//! evaluator.
 
 use std::sync::Arc;
 
 use dta_logic::{
-    GateBehavior, GateKind, LutExec, LutProgram, Netlist, NetlistBuilder, Node, NodeId, Simulator,
+    FuseBuilder, FusedExec, GateBehavior, GateKind, LutProgram, Netlist, NetlistBuilder, Node,
+    NodeId, Simulator,
 };
 use proptest::prelude::*;
 
@@ -108,8 +110,8 @@ impl GateBehavior for PeriodicFlip {
     }
 }
 
-/// A stateless truth-word override: the scalar-simulator twin of
-/// [`LutExec::patch_gate`], so patched streams can be checked against
+/// A stateless truth-word override: the scalar-simulator twin of a
+/// patched LUT instruction, so patched streams can be checked against
 /// an identically faulted event-driven engine.
 #[derive(Debug)]
 struct TableBehavior {
@@ -134,6 +136,32 @@ fn table_mask(net: &Netlist, id: NodeId) -> u16 {
         Node::Gate { kind, .. } => ((1u32 << (1usize << kind.arity())) - 1) as u16,
         _ => unreachable!("patch targets are gates"),
     }
+}
+
+/// `net` compiled and run as a one-segment fused program, with
+/// `patches` lowered into truth words. `inputs` are bound to fresh
+/// slots; the returned map sends every node index to its fused slot.
+fn fused(
+    net: &Arc<Netlist>,
+    inputs: &[NodeId],
+    patches: &[(NodeId, u16)],
+) -> (FusedExec, Vec<u32>) {
+    let prog = LutProgram::compile(Arc::clone(net));
+    let mut instrs = prog.instrs().to_vec();
+    for &(g, t) in patches {
+        instrs[prog.instr_index(g).expect("patch targets are gates")].table = t;
+    }
+    let mut fb = FuseBuilder::new();
+    let bind: Vec<(u32, u32)> = inputs
+        .iter()
+        .map(|id| (id.index() as u32, fb.fresh_slot()))
+        .collect();
+    let map = fb.append(&instrs, prog.n_slots(), prog.latch_slots(), &bind);
+    (FusedExec::new(Arc::new(fb.finish())), map)
+}
+
+fn slots(map: &[u32], ids: &[NodeId]) -> Vec<u32> {
+    ids.iter().map(|id| map[id.index()]).collect()
 }
 
 /// Reference: recursively evaluate a node from the netlist structure.
@@ -175,13 +203,14 @@ proptest! {
     ) {
         let (net, inputs, outputs) = build(n_inputs, &recipes);
         let mut scalar = Simulator::new(net.clone());
-        let mut vector = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
+        let (mut vector, map) = fused(&net, &inputs, &[]);
+        let in_slots = slots(&map, &inputs);
 
         for word in &stimulus {
             let word = *word as u64;
             scalar.set_input_word(&inputs, word);
             scalar.settle();
-            vector.set_input_words(&inputs, &[word]);
+            vector.set_bus_words(&in_slots, &[word]);
             vector.exec();
 
             let driven: Vec<(NodeId, bool)> = inputs
@@ -193,7 +222,7 @@ proptest! {
                 let want = reference_eval(&net, out, &driven);
                 prop_assert_eq!(scalar.value(out), want, "scalar vs reference");
                 prop_assert_eq!(
-                    vector.lanes(out) & 1 == 1,
+                    vector.slot(map[out.index()]) & 1 == 1,
                     want,
                     "vector lane 0 vs reference"
                 );
@@ -286,44 +315,39 @@ proptest! {
         }
     }
 
-    /// The compiled LUT instruction stream, run one lane at a time,
-    /// must be bit-identical to the event-driven scalar engine for any
-    /// netlist with latches, any mix of truth-word patches and stateful
-    /// overrides, across settle/tick cycles and state resets.
+    /// A patched one-segment fused stream, read in lane 0, must be
+    /// bit-identical to the event-driven scalar engine with the same
+    /// truth words installed, for any netlist with latches, across
+    /// settle/tick cycles and state resets.
     #[test]
-    fn lut_exec_matches_event_simulator(
+    fn fused_matches_event_simulator(
         n_inputs in 1usize..5,
         pre in prop::collection::vec(recipe_strategy(), 1..20),
         latch_sels in prop::collection::vec((any::<u16>(), any::<bool>()), 1..5),
         post in prop::collection::vec(recipe_strategy(), 1..20),
-        fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 0..3),
         patch_sels in prop::collection::vec((any::<u16>(), any::<u16>()), 0..3),
         stimulus in prop::collection::vec(any::<u8>(), 1..16),
     ) {
         let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
         let mut sim = Simulator::new(net.clone());
-        let mut ex = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
-        ex.set_active_lanes(1);
-        for &(sel, period) in &fault_sels {
-            let g = gates[sel as usize % gates.len()];
-            sim.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-            ex.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-        }
+        let mut patches = Vec::new();
         for &(sel, table) in &patch_sels {
             let g = gates[sel as usize % gates.len()];
             let t = table & table_mask(&net, g);
             sim.override_gate(g, Box::new(TableBehavior { table: t }));
-            ex.patch_gate(g, t);
+            patches.push((g, t));
         }
+        let (mut ex, map) = fused(&net, &inputs, &patches);
+        let in_slots = slots(&map, &inputs);
         for (step, word) in stimulus.iter().enumerate() {
             let w = *word as u64;
             sim.set_input_word(&inputs, w);
             sim.settle();
-            ex.set_input_words(&inputs, &[w]);
+            ex.set_bus_words(&in_slots, &[w]);
             ex.exec();
             for &id in &gates {
                 prop_assert_eq!(
-                    ex.lanes(id) & 1 == 1, sim.value(id),
+                    ex.slot(map[id.index()]) & 1 == 1, sim.value(id),
                     "node {:?} at step {}", id, step
                 );
             }
@@ -339,7 +363,7 @@ proptest! {
     /// 64-lane sweeps over a patched sequential netlist must match an
     /// identically faulted scalar engine run independently per lane.
     #[test]
-    fn lut_exec_lanes_match_per_lane_scalar(
+    fn fused_lanes_match_per_lane_scalar(
         n_inputs in 1usize..5,
         pre in prop::collection::vec(recipe_strategy(), 1..15),
         latch_sels in prop::collection::vec((any::<u16>(), any::<bool>()), 1..4),
@@ -348,27 +372,28 @@ proptest! {
         stimulus in prop::collection::vec(any::<[u8; 6]>(), 1..8),
     ) {
         let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
-        let mut ex = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
         let mut sims: Vec<Simulator> = (0..6).map(|_| Simulator::new(net.clone())).collect();
+        let mut patches = Vec::new();
         for &(sel, table) in &patch_sels {
             let g = gates[sel as usize % gates.len()];
             let t = table & table_mask(&net, g);
-            ex.patch_gate(g, t);
+            patches.push((g, t));
             for sim in &mut sims {
                 sim.override_gate(g, Box::new(TableBehavior { table: t }));
             }
         }
-        prop_assert!(ex.fully_patched());
+        let (mut ex, map) = fused(&net, &inputs, &patches);
+        let in_slots = slots(&map, &inputs);
         for (step, lanes) in stimulus.iter().enumerate() {
             let words: Vec<u64> = lanes.iter().map(|&w| w as u64).collect();
-            ex.set_input_words(&inputs, &words);
+            ex.set_bus_words(&in_slots, &words);
             ex.exec();
             for (lane, sim) in sims.iter_mut().enumerate() {
                 sim.set_input_word(&inputs, words[lane]);
                 sim.settle();
                 for &id in &gates {
                     prop_assert_eq!(
-                        ex.lanes(id) >> lane & 1 == 1, sim.value(id),
+                        ex.slot(map[id.index()]) >> lane & 1 == 1, sim.value(id),
                         "node {:?}, lane {}, step {}", id, lane, step
                     );
                 }
@@ -376,43 +401,6 @@ proptest! {
             ex.tick();
             for sim in &mut sims {
                 sim.tick();
-            }
-        }
-    }
-
-    /// Stateful overrides drop the affected instructions to per-lane
-    /// evaluation in ascending lane order — one batch of N rows must
-    /// equal N consecutive scalar calls.
-    #[test]
-    fn lut_exec_stateful_lanes_replay_scalar_row_order(
-        n_inputs in 1usize..5,
-        recipes in prop::collection::vec(recipe_strategy(), 1..25),
-        fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 1..3),
-        rows in prop::collection::vec(any::<u8>(), 1..20),
-    ) {
-        let (net, inputs, gates, outputs) = build_with_gates(n_inputs, &recipes);
-        let mut ex = LutExec::new(Arc::new(LutProgram::compile(net.clone())));
-        let mut sim = Simulator::new(net.clone());
-        for &(sel, period) in &fault_sels {
-            let g = gates[sel as usize % gates.len()];
-            ex.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-            sim.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-        }
-        prop_assert!(!ex.fully_patched());
-        for chunk in rows.chunks(64) {
-            let words: Vec<u64> = chunk.iter().map(|&w| w as u64).collect();
-            ex.set_active_lanes(words.len());
-            ex.set_input_words(&inputs, &words);
-            ex.exec();
-            for (lane, &w) in words.iter().enumerate() {
-                sim.set_input_word(&inputs, w);
-                sim.settle();
-                for &out in &outputs {
-                    prop_assert_eq!(
-                        ex.lanes(out) >> lane & 1 == 1, sim.value(out),
-                        "output {:?}, row {}", out, lane
-                    );
-                }
             }
         }
     }

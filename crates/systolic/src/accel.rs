@@ -21,7 +21,7 @@ use dta_circuits::Activation;
 use dta_core::accel::{Accel, StructuralOutcome};
 use dta_core::recover::{DegradationEstimate, RecoveryError, RecoveryPolicy, RecoveryRung};
 use dta_core::selftest::{bist_vectors, BistConfig, Diagnosis};
-use dta_core::AccelError;
+use dta_core::{check_hyperparameters, AccelError};
 use dta_datasets::Dataset;
 use dta_fixed::{Fx, SigmoidLut};
 
@@ -452,29 +452,6 @@ fn forward_block(
             output: acc2.iter().map(|accs| lut.eval(accs[s]).to_f64()).collect(),
         })
         .collect()
-}
-
-fn check_hyperparameters(
-    learning_rate: f64,
-    momentum: f64,
-    epochs: usize,
-) -> Result<(), AccelError> {
-    if !(learning_rate > 0.0 && learning_rate.is_finite()) {
-        return Err(AccelError::BadHyperparameter {
-            what: format!("learning rate {learning_rate} must be positive and finite"),
-        });
-    }
-    if !(0.0..1.0).contains(&momentum) {
-        return Err(AccelError::BadHyperparameter {
-            what: format!("momentum {momentum} must be in [0, 1)"),
-        });
-    }
-    if epochs == 0 {
-        return Err(AccelError::BadHyperparameter {
-            what: "epochs must be at least 1".to_string(),
-        });
-    }
-    Ok(())
 }
 
 impl Accel for SystolicAccelerator {

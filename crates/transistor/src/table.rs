@@ -262,11 +262,11 @@ impl CellTable {
 
     /// The collapsed pin table as a LUT instruction patch word, if the
     /// cell is combinational: this is the permanent-defect lowering for
-    /// the compiled instruction-stream backend (`dta_logic::LutExec`),
-    /// which overwrites the faulty gate's truth word in place so the
-    /// defective sweep costs exactly as much as the healthy one. `None`
-    /// when the defect set leaves reachable memory state or a delay
-    /// defect — those must stay on per-lane behavioral evaluation.
+    /// the compiled instruction stream (`dta_logic::LutProgram`), which
+    /// overwrites the faulty gate's truth word so the defective sweep
+    /// costs exactly as much as the healthy one. `None` when the defect
+    /// set leaves reachable memory state or a delay defect — those stay
+    /// on the scalar behavioral evaluation.
     pub fn lut_patch(&self) -> Option<u16> {
         debug_assert!(self.arity <= 4, "library cells have at most 4 pins");
         self.pin_truth.map(|t| t as u16)
