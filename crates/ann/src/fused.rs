@@ -292,8 +292,7 @@ impl FusedForward {
         })
     }
 
-    /// The optimized fused instruction stream (rank partitioning for
-    /// multi-core execution operates on this).
+    /// The optimized fused instruction stream.
     pub fn program(&self) -> &Arc<FusedProgram> {
         &self.prog
     }

@@ -71,6 +71,9 @@ fn main() {
         mem: None,
         combined: false,
     };
+    // Read before the campaign runs, so a bad value is refused at once
+    // even when one thread makes the reference run moot.
+    let serial = args.get_bool("serial", false);
     // `--checkpoint FILE` journals finished grid cells so a killed run
     // resumes where it left off (and reproduces the same curve).
     let checkpoint = args
@@ -138,7 +141,7 @@ fn main() {
     let serial_wall_s = if threads_used == 1 {
         Some(wall_s)
     } else {
-        args.get_bool("serial", false).then(|| {
+        serial.then(|| {
             let serial_cfg = CampaignConfig {
                 threads: 1,
                 ..cfg.clone()

@@ -87,6 +87,7 @@ fn main() {
     let defect_counts = args.get_usize_list("defects", default_counts);
     let seed = args.get("seed", 0x51E5Du64);
     let measure_switch = args.get_bool("switch", !smoke);
+    let breakdown = args.get_bool("breakdown", false);
 
     let mul = FxMulCircuit::new();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -207,7 +208,6 @@ fn main() {
     // ------------------------------------------------------------------
     // Network-level: the whole faulty forward pass under both engines.
     // ------------------------------------------------------------------
-    let breakdown = args.get_bool("breakdown", false);
     // The network section stays at full row count even under --smoke:
     // it finishes in under a second, and the fused-vs-scalar floor is
     // only meaningful once per-batch setup costs are amortized.

@@ -246,13 +246,12 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
-    /// True if `--key true` (or any value other than `false`/`0`) was
-    /// passed.
+    /// Fetches a boolean option (`true`, `false`, `1` or `0`), or the
+    /// default; any other value exits with status 2 and the usage text.
     pub fn get_bool(&self, key: &str, default: bool) -> bool {
-        match self.values.get(key).map(String::as_str) {
+        match self.get_opt_str(key) {
             None => default,
-            Some("false") | Some("0") => false,
-            Some(_) => true,
+            Some(v) => parse_bool(key, v).unwrap_or_else(|e| bad_value(&e)),
         }
     }
 
@@ -367,6 +366,12 @@ fn pick<T: Clone>(
             let accepted: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
             format!("--{key} {name}: expected one of {}", accepted.join(" | "))
         })
+}
+
+/// Parses a boolean option value: only `true`, `false`, `1` and `0`.
+fn parse_bool(key: &str, value: &str) -> Result<bool, String> {
+    const BOOLS: [(&str, bool); 4] = [("true", true), ("false", false), ("1", true), ("0", false)];
+    pick(key, value, &BOOLS).map(|(_, b)| b)
 }
 
 /// Opens (or resumes) a fingerprint-guarded checkpoint journal,
@@ -687,6 +692,25 @@ mod tests {
         };
         let err = pick("model", args.get_opt_str("model").unwrap(), &models).unwrap_err();
         assert!(err.contains("transistor | gate"), "{err}");
+    }
+
+    #[test]
+    fn boolean_options_accept_only_true_false_1_0() {
+        for (v, want) in [("true", true), ("false", false), ("1", true), ("0", false)] {
+            assert_eq!(parse_bool("ecc", v), Ok(want), "{v}");
+        }
+        for v in ["flase", "fals", "yes", "TRUE", ""] {
+            let err = parse_bool("ecc", v).unwrap_err();
+            assert!(
+                err.contains("--ecc") && err.contains("true | false"),
+                "{err}"
+            );
+        }
+        let Ok(args) = Args::try_parse(argv(&["--ecc", "0"])) else {
+            panic!("valid argument stream rejected");
+        };
+        assert!(!args.get_bool("ecc", true));
+        assert!(Args::default().get_bool("ecc", true));
     }
 
     /// Every option a binary reads is documented in `KNOWN_KEYS` (or

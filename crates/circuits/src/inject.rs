@@ -226,22 +226,6 @@ impl DefectPlan {
         self.add_random_in_gate_with(net, gate, bit, activation, rng);
     }
 
-    /// Injects one random **permanent** defect into a specific gate
-    /// instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is not a gate node of `net`.
-    pub fn add_random_in_gate<R: Rng + ?Sized>(
-        &mut self,
-        net: &Netlist,
-        gate: NodeId,
-        bit: usize,
-        rng: &mut R,
-    ) {
-        self.add_random_in_gate_with(net, gate, bit, Activation::Permanent, rng);
-    }
-
     /// Injects one random defect with the given lifetime into a
     /// specific gate instance.
     ///

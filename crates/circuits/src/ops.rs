@@ -146,14 +146,6 @@ macro_rules! hw_operator {
                     .collect()
             }
 
-            /// Installs a prepared defect plan (replacing any previous one).
-            pub fn install_plan(&mut self, plan: DefectPlan) {
-                self.plan.remove(&mut self.sim);
-                plan.apply(&mut self.sim);
-                self.plan = plan;
-                self.lower();
-            }
-
             /// Number of injected defects.
             pub fn defect_count(&self) -> usize {
                 self.plan.len()

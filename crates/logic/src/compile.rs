@@ -6,16 +6,12 @@
 //! *compiles* a netlist once: gates are packed into k-input LUT
 //! instructions — a truth-table word plus operand slot indices into a
 //! flat register file — and emitted as a static straight-line schedule
-//! ordered by topological rank. A permanent combinational defect is
-//! lowered by *patching its gate's truth word* in a copy of the stream,
-//! and [`crate::FuseBuilder`] stitches patched streams into the one
-//! program that [`crate::FusedExec`] evaluates as branchless 64-lane
-//! table lookups, so a faulty sweep costs what a healthy one does.
-//!
-//! Ranks (longest-path levels) are recorded per instruction:
-//! instructions inside a rank only read slots written by strictly lower
-//! ranks, never each other, so any order within a rank is a valid
-//! schedule.
+//! in the netlist's topological gate order, so every operand is written
+//! before it is read. A permanent combinational defect is lowered by
+//! *patching its gate's truth word* in a copy of the stream, and
+//! [`crate::FuseBuilder`] stitches patched streams into the one program
+//! that [`crate::FusedExec`] evaluates as branchless 64-lane table
+//! lookups, so a faulty sweep costs what a healthy one does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,39 +82,23 @@ pub struct LutInstr {
 }
 
 impl LutInstr {
-    /// Evaluates the instruction over 64-lane words, reading operand
-    /// slots through `read`. Branchless per arity class: 2-input cells
-    /// (the bulk of the library) cost four minterm mask-and-merges;
-    /// wider cells add one Shannon level per extra pin.
+    /// Evaluates the instruction over 64-lane words held in a flat
+    /// register file. Branchless per arity class: 2-input cells (the
+    /// bulk of the library) cost four minterm mask-and-merges; wider
+    /// cells add one Shannon level per extra pin.
     #[inline(always)]
-    pub fn eval_with(&self, read: impl Fn(u32) -> u64) -> u64 {
+    pub fn eval(&self, regs: &[u64]) -> u64 {
+        let read = |k: usize| regs[self.pins[k] as usize];
         match self.arity {
             0 => spread(self.table, 0),
             1 => {
-                let a = read(self.pins[0]);
+                let a = read(0);
                 (spread(self.table, 0) & !a) | (spread(self.table, 1) & a)
             }
-            2 => lut2(self.table, read(self.pins[0]), read(self.pins[1])),
-            3 => lut3(
-                self.table,
-                read(self.pins[0]),
-                read(self.pins[1]),
-                read(self.pins[2]),
-            ),
-            _ => lut4(
-                self.table,
-                read(self.pins[0]),
-                read(self.pins[1]),
-                read(self.pins[2]),
-                read(self.pins[3]),
-            ),
+            2 => lut2(self.table, read(0), read(1)),
+            3 => lut3(self.table, read(0), read(1), read(2)),
+            _ => lut4(self.table, read(0), read(1), read(2), read(3)),
         }
-    }
-
-    /// Evaluates the instruction over a flat register file.
-    #[inline(always)]
-    pub fn eval(&self, regs: &[u64]) -> u64 {
-        self.eval_with(|slot| regs[slot as usize])
     }
 }
 
@@ -151,18 +131,15 @@ pub struct LatchSlot {
     pub init: bool,
 }
 
-/// A netlist compiled to a rank-ordered LUT instruction stream.
+/// A netlist compiled to a topological LUT instruction stream.
 ///
-/// Instructions are sorted by topological rank (longest-path level),
-/// stable within a rank, so the stream is itself a valid straight-line
-/// schedule *and* the per-rank ranges can be executed concurrently with
-/// one barrier per rank ([`Netlist`] guarantees the gate DAG is acyclic).
+/// Instruction `i` is gate `i` of the netlist's evaluation schedule,
+/// which [`Netlist`] keeps in topological order (the gate DAG is
+/// acyclic), so the stream is itself a valid straight-line schedule.
 #[derive(Debug)]
 pub struct LutProgram {
     net: Arc<Netlist>,
     instrs: Vec<LutInstr>,
-    /// Rank `r` spans `instrs[rank_start[r] as usize..rank_start[r+1] as usize]`.
-    rank_start: Vec<u32>,
     /// Node index → instruction position (`u32::MAX` for non-gates).
     instr_of: Vec<u32>,
     latches: Vec<LatchSlot>,
@@ -171,62 +148,24 @@ pub struct LutProgram {
 impl LutProgram {
     /// Compiles a netlist into a LUT instruction stream.
     pub fn compile(net: Arc<Netlist>) -> LutProgram {
-        let n = net.len();
-        // Longest-path rank per node: inputs, latches and constants sit
-        // at rank 0; a gate sits one level above its deepest operand.
-        let mut rank = vec![0u32; n];
-        let mut n_ranks = 1u32;
-        for &id in &net.order {
-            if let Node::Gate { inputs, .. } = net.node(id) {
-                let r = inputs
-                    .iter()
-                    .map(|i| rank[i.index()] + 1)
-                    .max()
-                    .unwrap_or(0);
-                rank[id.index()] = r;
-                n_ranks = n_ranks.max(r + 1);
-            }
-        }
-
-        // Bucket the schedule's gates by rank (stable within a rank).
         let (sched, pins) = net.schedule();
-        let mut counts = vec![0u32; n_ranks as usize];
-        for g in sched {
-            counts[rank[g.out as usize] as usize] += 1;
-        }
-        let mut rank_start = Vec::with_capacity(n_ranks as usize + 1);
-        let mut acc = 0u32;
-        for &c in &counts {
-            rank_start.push(acc);
-            acc += c;
-        }
-        rank_start.push(acc);
-
-        let mut cursor = rank_start[..n_ranks as usize].to_vec();
-        let mut instrs = vec![
-            LutInstr {
-                table: 0,
-                arity: 0,
-                out: 0,
-                pins: [0; 4],
-            };
-            sched.len()
-        ];
-        let mut instr_of = vec![u32::MAX; n];
-        for g in sched {
-            let p = &pins[g.in_start as usize..][..g.in_len as usize];
-            let mut slots = [0u32; 4];
-            slots[..p.len()].copy_from_slice(p);
-            let at = cursor[rank[g.out as usize] as usize];
-            cursor[rank[g.out as usize] as usize] += 1;
-            instrs[at as usize] = LutInstr {
-                table: kind_table(g.kind),
-                arity: g.in_len,
-                out: g.out,
-                pins: slots,
-            };
-            instr_of[g.out as usize] = at;
-        }
+        let mut instr_of = vec![u32::MAX; net.len()];
+        let instrs = sched
+            .iter()
+            .enumerate()
+            .map(|(at, g)| {
+                let p = &pins[g.in_start as usize..][..g.in_len as usize];
+                let mut slots = [0u32; 4];
+                slots[..p.len()].copy_from_slice(p);
+                instr_of[g.out as usize] = at as u32;
+                LutInstr {
+                    table: kind_table(g.kind),
+                    arity: g.in_len,
+                    out: g.out,
+                    pins: slots,
+                }
+            })
+            .collect();
 
         let latches = net
             .latches()
@@ -244,7 +183,6 @@ impl LutProgram {
         LutProgram {
             net,
             instrs,
-            rank_start,
             instr_of,
             latches,
         }
@@ -275,7 +213,7 @@ impl LutProgram {
         &self.net
     }
 
-    /// The instruction stream, in rank order.
+    /// The instruction stream, in schedule (topological) order.
     pub fn instrs(&self) -> &[LutInstr] {
         &self.instrs
     }
@@ -288,16 +226,6 @@ impl LutProgram {
     /// True if the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    /// Number of topological ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.rank_start.len() - 1
-    }
-
-    /// The instruction range of one rank.
-    pub fn rank_range(&self, rank: usize) -> std::ops::Range<usize> {
-        self.rank_start[rank] as usize..self.rank_start[rank + 1] as usize
     }
 
     /// The instruction position of a gate node, if `id` is a gate.
@@ -361,7 +289,7 @@ mod tests {
                 out: 0,
                 pins: [0, 1, 2, 3],
             };
-            let got = instr.eval_with(|slot| ops[slot as usize]);
+            let got = instr.eval(&ops);
             for v in 0..1u64 << n {
                 assert_eq!((got >> v) & 1 == 1, (t >> v) & 1 == 1, "{kind} lane {v}");
             }
@@ -369,31 +297,29 @@ mod tests {
     }
 
     #[test]
-    fn ranks_are_topological() {
+    fn stream_follows_the_schedule_and_writes_operands_first() {
         let mut b = NetlistBuilder::new();
         let a = b.input("a");
         let x = b.input("x");
         let g1 = b.gate(GateKind::And2, &[a, x]);
         let g2 = b.gate(GateKind::Not, &[g1]);
-        let g3 = b.gate(GateKind::Or2, &[g2, a]);
-        b.output("y", g3);
+        let g3 = b.gate(GateKind::Not, &[a]);
+        let g4 = b.gate(GateKind::Or2, &[g2, g3]);
+        b.output("y", g4);
         let net = Arc::new(b.build());
         let prog = LutProgram::compile(Arc::clone(&net));
-        // Rank 0 holds inputs/constants, so a depth-3 path spans 4 ranks.
-        assert_eq!(prog.n_ranks(), 4);
-        assert_eq!(prog.len(), 3);
-        // Every operand of a rank-r instruction is written by a lower
-        // rank (or is an input slot, never written).
-        for r in 0..prog.n_ranks() {
-            for i in prog.rank_range(r) {
-                let ins = prog.instrs()[i];
-                for k in 0..ins.arity as usize {
-                    if let Some(src) = prog.instr_index(NodeId(ins.pins[k])) {
-                        let src_rank = (0..prog.n_ranks())
-                            .find(|&rr| prog.rank_range(rr).contains(&src))
-                            .unwrap();
-                        assert!(src_rank < r, "operand written in rank {src_rank} >= {r}");
-                    }
+        let (sched, _) = net.schedule();
+        assert_eq!(prog.len(), sched.len());
+        for (i, (ins, g)) in prog.instrs().iter().zip(sched).enumerate() {
+            assert_eq!(ins.out, g.out, "instruction {i} is schedule position {i}");
+            assert_eq!(prog.instr_index(NodeId(g.out)), Some(i));
+        }
+        // Every operand is an input slot (never written) or is written
+        // by an earlier instruction.
+        for (i, ins) in prog.instrs().iter().enumerate() {
+            for &pin in &ins.pins[..ins.arity as usize] {
+                if let Some(src) = prog.instr_index(NodeId(pin)) {
+                    assert!(src < i, "operand of {i} written at {src}");
                 }
             }
         }

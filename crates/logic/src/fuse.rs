@@ -10,19 +10,19 @@
 //! faulty multiplier feeding a faulty adder costs zero repacking and the
 //! whole chain settles in one straight-line sweep.
 //!
+//! The fused stream is the append order: each segment is topological
+//! (like [`crate::LutProgram`]'s) and reads only slots bound before it
+//! was appended, so the concatenation is topological too.
+//!
 //! Because a real pipeline interleaves gate-level segments with native
 //! word-level arithmetic (healthy operators never enter the stream), the
-//! builder supports *stage barriers* ([`FuseBuilder::barrier`]): every
-//! instruction appended after a barrier is ranked strictly above every
-//! instruction before it, so the rank-sorted stream stays partitioned
-//! into contiguous per-stage ranges. The runner executes stage `s`, does
+//! builder supports *stage barriers* ([`FuseBuilder::barrier`]): a
+//! barrier records the current stream length as the next stage's first
+//! instruction, and [`FusedProgram::stage_range`] gives each stage's
+//! contiguous instruction range. The runner executes stage `s`, does
 //! its native work, writes the next stage's runtime inputs, and resumes
 //! with stage `s + 1` — register slots persist across stages, which is
 //! what lets later segments read earlier segments' outputs directly.
-//!
-//! Like [`crate::LutProgram`], the fused stream is rank-major (stable
-//! within a rank), and [`FusedProgram::stage_range`] gives each stage's
-//! contiguous instruction range.
 
 use std::sync::Arc;
 
@@ -33,18 +33,16 @@ use crate::compile::{LatchSlot, LutInstr};
 /// slots on writes; a dead slot must never be read.
 pub const DEAD_SLOT: u32 = u32::MAX;
 
-/// A fused, rank-ordered LUT instruction stream over a shared flat
+/// A fused, topological LUT instruction stream over a shared flat
 /// register file, produced by [`FuseBuilder::finish`] (and optionally
 /// rewritten by [`crate::opt::optimize`]).
 #[derive(Debug)]
 pub struct FusedProgram {
     instrs: Vec<LutInstr>,
-    /// Rank `r` spans `instrs[rank_start[r] as usize..rank_start[r+1] as usize]`.
-    rank_start: Vec<u32>,
-    /// First rank of each stage; stage `s` spans ranks
-    /// `stage_rank_lo[s]..stage_rank_lo[s+1]` (the last stage runs to
-    /// `n_ranks`). Entries are clamped and non-decreasing.
-    stage_rank_lo: Vec<u32>,
+    /// First instruction of each stage; stage `s` spans
+    /// `stage_start[s]..stage_start[s + 1]` (the last stage runs to the
+    /// end of the stream). Entries are non-decreasing.
+    stage_start: Vec<u32>,
     n_slots: usize,
     latches: Vec<LatchSlot>,
     /// Slots holding a compile-time constant in every lane, materialized
@@ -56,23 +54,21 @@ pub struct FusedProgram {
 impl FusedProgram {
     pub(crate) fn from_parts(
         instrs: Vec<LutInstr>,
-        rank_start: Vec<u32>,
-        stage_rank_lo: Vec<u32>,
+        stage_start: Vec<u32>,
         n_slots: usize,
         latches: Vec<LatchSlot>,
         consts: Vec<(u32, bool)>,
     ) -> FusedProgram {
         FusedProgram {
             instrs,
-            rank_start,
-            stage_rank_lo,
+            stage_start,
             n_slots,
             latches,
             consts,
         }
     }
 
-    /// The fused instruction stream, in rank-major schedule order.
+    /// The fused instruction stream, in topological order.
     pub fn instrs(&self) -> &[LutInstr] {
         &self.instrs
     }
@@ -92,35 +88,18 @@ impl FusedProgram {
         self.n_slots
     }
 
-    /// Number of topological ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.rank_start.len() - 1
-    }
-
-    /// The instruction range of one rank.
-    pub fn rank_range(&self, rank: usize) -> std::ops::Range<usize> {
-        self.rank_start[rank] as usize..self.rank_start[rank + 1] as usize
-    }
-
     /// Number of stages (1 unless [`FuseBuilder::barrier`] was called).
     pub fn n_stages(&self) -> usize {
-        self.stage_rank_lo.len()
-    }
-
-    /// The rank range of one stage.
-    pub fn stage_rank_range(&self, stage: usize) -> std::ops::Range<usize> {
-        let lo = self.stage_rank_lo[stage] as usize;
-        let hi = self
-            .stage_rank_lo
-            .get(stage + 1)
-            .map_or(self.n_ranks(), |&r| r as usize);
-        lo..hi
+        self.stage_start.len()
     }
 
     /// The instruction range of one stage.
     pub fn stage_range(&self, stage: usize) -> std::ops::Range<usize> {
-        let ranks = self.stage_rank_range(stage);
-        self.rank_start[ranks.start] as usize..self.rank_start[ranks.end] as usize
+        let hi = self
+            .stage_start
+            .get(stage + 1)
+            .map_or(self.instrs.len(), |&i| i as usize);
+        self.stage_start[stage] as usize..hi
     }
 
     /// Latch capture list (same semantics as
@@ -158,36 +137,27 @@ impl FusedProgram {
 #[derive(Debug, Default)]
 pub struct FuseBuilder {
     instrs: Vec<LutInstr>,
-    /// Topological rank of each instruction (parallel to `instrs`).
-    ranks: Vec<u32>,
-    /// Rank of the value currently held by each slot (0 for inputs,
-    /// latches and constants).
-    slot_rank: Vec<u32>,
-    written: Vec<bool>,
+    /// First instruction of each stage (first entry 0).
+    stage_start: Vec<u32>,
+    /// Number of slots allocated so far.
+    n_slots: usize,
     latches: Vec<LatchSlot>,
-    /// Minimum rank for instructions appended in the current stage.
-    floor: u32,
-    /// Floor recorded at the start of each stage (first entry 0).
-    stage_floors: Vec<u32>,
-    /// Highest rank assigned so far.
-    max_rank: u32,
 }
 
 impl FuseBuilder {
     /// Creates an empty builder (one stage, no slots).
     pub fn new() -> FuseBuilder {
         FuseBuilder {
-            stage_floors: vec![0],
+            stage_start: vec![0],
             ..FuseBuilder::default()
         }
     }
 
-    /// Allocates a fresh external-input slot (rank 0, reads as all-zero
-    /// lanes until the runner writes it).
+    /// Allocates a fresh external-input slot (reads as all-zero lanes
+    /// until the runner writes it).
     pub fn fresh_slot(&mut self) -> u32 {
-        let s = self.slot_rank.len() as u32;
-        self.slot_rank.push(0);
-        self.written.push(false);
+        let s = self.n_slots as u32;
+        self.n_slots += 1;
         s
     }
 
@@ -198,7 +168,7 @@ impl FuseBuilder {
 
     /// Number of slots allocated so far.
     pub fn n_slots(&self) -> usize {
-        self.slot_rank.len()
+        self.n_slots
     }
 
     /// Number of instructions appended so far.
@@ -211,13 +181,11 @@ impl FuseBuilder {
         self.instrs.is_empty()
     }
 
-    /// Starts a new stage: every instruction appended afterwards ranks
-    /// strictly above every instruction appended before, so the
-    /// rank-sorted stream keeps stages contiguous and the runner can
-    /// interleave native work between [`FusedExec::exec_stage`] calls.
+    /// Starts a new stage at the current end of the stream, so the
+    /// runner can interleave native work between
+    /// [`FusedExec::exec_stage`] calls.
     pub fn barrier(&mut self) {
-        self.floor = self.max_rank + 1;
-        self.stage_floors.push(self.floor);
+        self.stage_start.push(self.instrs.len() as u32);
     }
 
     /// Appends one compiled (and possibly fault-patched) instruction
@@ -247,13 +215,13 @@ impl FuseBuilder {
         for &(local, fused) in bind {
             assert!((local as usize) < n_slots, "binding past segment slots");
             assert!(
-                (fused as usize) < self.slot_rank.len(),
+                (fused as usize) < self.n_slots,
                 "binding to unallocated fused slot"
             );
             map[local as usize] = fused;
         }
-        // Latch registers are rank-0 state slots; allocate them first so
-        // combinational feedback through a latch resolves to rank 0.
+        // Latch registers are state slots the stream reads but never
+        // writes; allocate them before the instructions' slots.
         for ls in latches {
             if map[ls.latch as usize] == DEAD_SLOT {
                 map[ls.latch as usize] = self.fresh_slot();
@@ -261,15 +229,12 @@ impl FuseBuilder {
         }
         for ins in instrs {
             let mut fused = *ins;
-            let mut rank = self.floor;
             for k in 0..ins.arity as usize {
                 let local = ins.pins[k] as usize;
                 if map[local] == DEAD_SLOT {
                     map[local] = self.fresh_slot();
                 }
-                let slot = map[local];
-                fused.pins[k] = slot;
-                rank = rank.max(self.slot_rank[slot as usize] + 1);
+                fused.pins[k] = map[local];
             }
             let out = ins.out as usize;
             assert!(
@@ -279,11 +244,7 @@ impl FuseBuilder {
             let slot = self.fresh_slot();
             map[out] = slot;
             fused.out = slot;
-            self.slot_rank[slot as usize] = rank;
-            self.written[slot as usize] = true;
-            self.max_rank = self.max_rank.max(rank);
             self.instrs.push(fused);
-            self.ranks.push(rank);
         }
         for ls in latches {
             let data = ls.data as usize;
@@ -299,51 +260,12 @@ impl FuseBuilder {
         map
     }
 
-    /// Finishes the build: buckets the stream by rank (stable within a
-    /// rank, like [`crate::LutProgram::compile`]) so per-rank ranges can
-    /// execute concurrently, and records the stage windows.
+    /// Finishes the build.
     pub fn finish(self) -> FusedProgram {
-        let n_ranks = if self.instrs.is_empty() {
-            0
-        } else {
-            self.max_rank as usize + 1
-        };
-        let mut counts = vec![0u32; n_ranks];
-        for &r in &self.ranks {
-            counts[r as usize] += 1;
-        }
-        let mut rank_start = Vec::with_capacity(n_ranks + 1);
-        let mut acc = 0u32;
-        for &c in &counts {
-            rank_start.push(acc);
-            acc += c;
-        }
-        rank_start.push(acc);
-        let mut cursor = rank_start[..n_ranks].to_vec();
-        let mut instrs = vec![
-            LutInstr {
-                table: 0,
-                arity: 0,
-                out: 0,
-                pins: [0; 4],
-            };
-            self.instrs.len()
-        ];
-        for (ins, &r) in self.instrs.iter().zip(&self.ranks) {
-            let at = cursor[r as usize];
-            cursor[r as usize] += 1;
-            instrs[at as usize] = *ins;
-        }
-        let stage_rank_lo = self
-            .stage_floors
-            .iter()
-            .map(|&f| f.min(n_ranks as u32))
-            .collect();
         FusedProgram::from_parts(
-            instrs,
-            rank_start,
-            stage_rank_lo,
-            self.slot_rank.len(),
+            self.instrs,
+            self.stage_start,
+            self.n_slots,
             self.latches,
             Vec::new(),
         )

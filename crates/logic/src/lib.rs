@@ -17,7 +17,7 @@
 //!   order and steps latches on [`Simulator::tick`]; any gate can be
 //!   overridden with a [`GateBehavior`], which is how both fault models
 //!   plug in;
-//! * [`LutProgram`] — the netlist compiled to a rank-ordered LUT
+//! * [`LutProgram`] — the netlist compiled to a topological LUT
 //!   instruction stream, into which permanent faults patch their truth
 //!   words, and [`FusedProgram`] / [`FusedExec`], the 64-lane engine that
 //!   runs one or many such streams stitched into one program;

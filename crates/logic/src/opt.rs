@@ -17,13 +17,15 @@
 //!    latch is state-bearing and is never eliminated, even when no
 //!    combinational output depends on it this cycle.
 //! 3. **Register-file liveness compaction** — surviving slots are
-//!    renumbered densely so the working set stays cache-resident;
-//!    [`SlotMap`] tells the caller where its slots went ([`DEAD_SLOT`]
-//!    for eliminated ones, which the executor's bus writers skip).
+//!    renumbered densely, in ascending slot order, so the working set
+//!    stays cache-resident; [`SlotMap`] tells the caller where its slots
+//!    went ([`DEAD_SLOT`] for eliminated ones, which the executor's bus
+//!    writers skip).
 //!
-//! Stage windows ([`FusedProgram::stage_range`]) are preserved: an
-//! instruction never migrates across a stage barrier, so runners that
-//! interleave native work between stages are unaffected.
+//! Surviving instructions keep their stream order, so the result stays
+//! topological, and stage windows ([`FusedProgram::stage_range`]) are
+//! preserved: each stage starts at its first surviving instruction, so
+//! runners that interleave native work between stages are unaffected.
 
 use crate::compile::{LatchSlot, LutInstr};
 use crate::fuse::{FusedProgram, DEAD_SLOT};
@@ -143,8 +145,8 @@ pub fn optimize_with_consts(
     };
 
     // Pass 1: constant folding, pin pruning, copy propagation. The
-    // stream is rank-sorted (topological), so one forward sweep sees
-    // every producer before its consumers.
+    // stream is topological, so one forward sweep sees every producer
+    // before its consumers.
     let mut kept: Vec<(usize, LutInstr)> = Vec::with_capacity(prog.len());
     for (idx, ins) in prog.instrs().iter().enumerate() {
         let mut ins = *ins;
@@ -237,53 +239,16 @@ pub fn optimize_with_consts(
         })
         .collect();
 
-    // Stage of each original instruction, derived from its old rank.
-    let old_rank_of = |idx: usize| -> usize {
-        (0..prog.n_ranks())
-            .find(|&r| prog.rank_range(r).contains(&idx))
-            .expect("instruction has a rank")
-    };
-    let stage_of_rank = |r: usize| -> usize {
-        (0..prog.n_stages())
-            .rev()
-            .find(|&s| prog.stage_rank_range(s).start <= r)
-            .unwrap_or(0)
-    };
+    // Each stage starts at its first survivor, so no instruction
+    // crosses a barrier.
+    let stage_start = (0..prog.n_stages())
+        .map(|s| {
+            let old = prog.stage_range(s).start;
+            survivors.partition_point(|&(idx, _)| idx < old) as u32
+        })
+        .collect();
 
-    // Pass 3a: recompute ranks with per-stage floors so no survivor
-    // migrates across a stage barrier.
-    let mut slot_rank = vec![0u32; n];
-    let mut new_ranks = Vec::with_capacity(survivors.len());
-    let mut stage_floor = vec![0u32; prog.n_stages()];
-    let mut cur_stage = 0usize;
-    let mut floor = 0u32;
-    let mut running_max = 0u32;
-    let mut any = false;
-    for &(idx, ins) in &survivors {
-        let s = stage_of_rank(old_rank_of(idx));
-        if s > cur_stage {
-            let next = if any { running_max + 1 } else { 0 };
-            for f in &mut stage_floor[cur_stage + 1..=s] {
-                *f = next;
-            }
-            floor = next;
-            cur_stage = s;
-        }
-        let mut rank = floor;
-        for k in 0..ins.arity as usize {
-            rank = rank.max(slot_rank[ins.pins[k] as usize] + 1);
-        }
-        slot_rank[ins.out as usize] = rank;
-        running_max = running_max.max(rank);
-        any = true;
-        new_ranks.push(rank);
-    }
-    let tail = if any { running_max + 1 } else { 0 };
-    for f in &mut stage_floor[cur_stage + 1..] {
-        *f = tail;
-    }
-
-    // Pass 3b: liveness compaction — renumber surviving slots densely.
+    // Pass 3: liveness compaction — renumber surviving slots densely.
     let mut compact = vec![DEAD_SLOT; n];
     let mut n_new = 0u32;
     for s in 0..n {
@@ -305,39 +270,16 @@ pub fn optimize_with_consts(
             .collect(),
     };
 
-    // Rebuild the rank-major stream.
-    let n_ranks = if any { running_max as usize + 1 } else { 0 };
-    let mut counts = vec![0u32; n_ranks];
-    for &r in &new_ranks {
-        counts[r as usize] += 1;
-    }
-    let mut rank_start = Vec::with_capacity(n_ranks + 1);
-    let mut acc = 0u32;
-    for &c in &counts {
-        rank_start.push(acc);
-        acc += c;
-    }
-    rank_start.push(acc);
-    let mut cursor = rank_start[..n_ranks].to_vec();
-    let mut instrs = vec![
-        LutInstr {
-            table: 0,
-            arity: 0,
-            out: 0,
-            pins: [0; 4],
-        };
-        survivors.len()
-    ];
-    for (&(_, ins), &r) in survivors.iter().zip(&new_ranks) {
-        let mut ins = ins;
-        ins.out = compact[ins.out as usize];
-        for k in 0..ins.arity as usize {
-            ins.pins[k] = compact[ins.pins[k] as usize];
-        }
-        let at = cursor[r as usize];
-        cursor[r as usize] += 1;
-        instrs[at as usize] = ins;
-    }
+    let instrs = survivors
+        .iter()
+        .map(|&(_, mut ins)| {
+            ins.out = compact[ins.out as usize];
+            for k in 0..ins.arity as usize {
+                ins.pins[k] = compact[ins.pins[k] as usize];
+            }
+            ins
+        })
+        .collect();
     let latches = latches
         .iter()
         .map(|ls| LatchSlot {
@@ -350,18 +292,10 @@ pub fn optimize_with_consts(
         .into_iter()
         .map(|(s, b)| (compact[s as usize], b))
         .collect();
-    let stage_rank_lo = stage_floor.iter().map(|&f| f.min(n_ranks as u32)).collect();
 
     stats.instrs_after = survivors.len();
     stats.slots_after = n_new as usize;
-    let optimized = FusedProgram::from_parts(
-        instrs,
-        rank_start,
-        stage_rank_lo,
-        n_new as usize,
-        latches,
-        consts,
-    );
+    let optimized = FusedProgram::from_parts(instrs, stage_start, n_new as usize, latches, consts);
     (optimized, slot_map, stats)
 }
 

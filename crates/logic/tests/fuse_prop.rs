@@ -11,16 +11,20 @@
 //!   [`TableBehavior`] overrides (one per segment, chained by hand)
 //!
 //! must be bit-identical on every surviving register, every lane, every
-//! step, across latch ticks and state resets. Permanent faults are the
-//! only class that lowers into truth words and therefore into fused
-//! streams; stateful and dynamic classes are refused upstream by the
-//! patch lowering and run on the scalar engine only.
+//! step, across latch ticks and state resets. Both fused programs must
+//! also be straight-line schedules: every operand is written before it
+//! is read, and every instruction sits inside its own stage's range.
+//! Permanent faults are the only class that lowers into truth words and
+//! therefore into fused streams; stateful and dynamic classes are
+//! refused upstream by the patch lowering and run on the scalar engine
+//! only.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dta_logic::{
-    optimize, optimize_with_consts, FuseBuilder, FusedExec, GateBehavior, GateKind, LutInstr,
-    LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
+    optimize, optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, GateBehavior, GateKind,
+    LutInstr, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
 };
 use proptest::prelude::*;
 
@@ -161,6 +165,49 @@ impl Segment {
     }
 }
 
+/// Checks that `prog` is a straight-line schedule: every operand slot
+/// is an external input, a constant register or a latch slot, or is
+/// written by an earlier instruction; and instruction `i` lies inside
+/// `stage_range(stage_of[out])`, the stage its segment was appended in.
+fn assert_schedule(
+    tag: &str,
+    prog: &FusedProgram,
+    inputs: &[u32],
+    stage_of: &HashMap<u32, usize>,
+) -> Result<(), TestCaseError> {
+    let mut ready = vec![false; prog.n_slots()];
+    let external = inputs
+        .iter()
+        .copied()
+        .chain(prog.consts().iter().map(|&(s, _)| s))
+        .chain(prog.latch_slots().iter().map(|ls| ls.latch));
+    for s in external.filter(|&s| s != DEAD_SLOT) {
+        ready[s as usize] = true;
+    }
+    for (i, ins) in prog.instrs().iter().enumerate() {
+        for &pin in &ins.pins[..ins.arity as usize] {
+            prop_assert!(
+                ready[pin as usize],
+                "{} instruction {} reads slot {} before it is written",
+                tag,
+                i,
+                pin
+            );
+        }
+        ready[ins.out as usize] = true;
+        let stage = stage_of[&ins.out];
+        prop_assert!(
+            prog.stage_range(stage).contains(&i),
+            "{} instruction {} outside stage {} ({:?})",
+            tag,
+            i,
+            stage,
+            prog.stage_range(stage)
+        );
+    }
+    Ok(())
+}
+
 const LANES: usize = 4;
 
 fn recipe_strategy() -> impl Strategy<Value = GateRecipe> {
@@ -256,6 +303,31 @@ proptest! {
             .chain(b.outputs.iter().map(|o| map_b[o.index()]))
             .collect();
         let (opt, sm, _) = optimize_with_consts(&fused, &roots, &consts);
+
+        // Stream invariants. A raw instruction's stage is the one its
+        // segment was appended in; an optimized instruction inherits the
+        // stage of the first raw instruction whose slot maps onto its
+        // output (copies alias their source, which comes first).
+        let stage_b = usize::from(use_barrier);
+        let raw_stage: HashMap<u32, usize> = a
+            .gates
+            .iter()
+            .map(|g| (map_a[g.index()], 0))
+            .chain(b.gates.iter().map(|g| (map_b[g.index()], stage_b)))
+            .collect();
+        let raw_inputs: Vec<u32> = in_a
+            .iter()
+            .copied()
+            .chain(in_b_extra.iter().map(|&(_, s)| s))
+            .collect();
+        assert_schedule("plain", &fused, &raw_inputs, &raw_stage)?;
+        let mut opt_stage = HashMap::new();
+        for ins in fused.instrs() {
+            opt_stage
+                .entry(sm.get(ins.out))
+                .or_insert(raw_stage[&ins.out]);
+        }
+        assert_schedule("optimized", &opt, &sm.remap(&raw_inputs), &opt_stage)?;
 
         let mut plain = FusedExec::new(Arc::new(fused));
         let mut optim = FusedExec::new(Arc::new(opt));
