@@ -190,7 +190,7 @@ impl SynapseFaults {
 
     /// One multiply-accumulate step through this synapse: latch, then
     /// multiplier, then accumulation adder, each faulty where marked.
-    pub(crate) fn mac(&mut self, acc: Fx, w: Fx, x: Fx) -> Fx {
+    fn mac(&mut self, acc: Fx, w: Fx, x: Fx) -> Fx {
         let w = self.latch_filter(w);
         let p = match self.mul.as_mut() {
             Some(hw) => hw.mul(w, x),
@@ -278,7 +278,7 @@ impl NeuronFaults {
     /// [`SynapseFaults::live_at_zero`]). With `every_physical` set, all
     /// synapses up to [`NeuronFaults::max_synapse_excl`] are visited
     /// instead: a defective weight store counts every fetch.
-    pub(crate) fn walk(
+    fn walk(
         &mut self,
         n_logical: usize,
         every_physical: bool,
@@ -298,6 +298,31 @@ impl NeuronFaults {
         }
     }
 
+    /// Multiply-accumulate of `bias` plus the neuron's synapses over
+    /// `n_logical` inputs, each operation through its faulty operator
+    /// where one is marked. `operand(i)` gives the `(weight, input)`
+    /// pair physical synapse `i` sees; it is also asked for the faulty
+    /// synapses beyond the logical width, whose operands are zero on a
+    /// healthy fetch path. `every_physical` visits every physical
+    /// synapse instead (a defective weight store counts every fetch).
+    pub fn accumulate(
+        &mut self,
+        bias: Fx,
+        n_logical: usize,
+        every_physical: bool,
+        mut operand: impl FnMut(usize) -> (Fx, Fx),
+    ) -> Fx {
+        let mut acc = bias;
+        self.walk(n_logical, every_physical, |i, syn| {
+            let (w, x) = operand(i);
+            acc = match syn {
+                Some(syn) => syn.mac(acc, w, x),
+                None => acc + w * x,
+            };
+        });
+        acc
+    }
+
     /// The faulty multiplier at synapse `i`, if any.
     pub fn multiplier_mut(&mut self, i: usize) -> Option<&mut HwMultiplier> {
         self.synapse_mut(i)?.mul.as_mut()
@@ -306,6 +331,11 @@ impl NeuronFaults {
     /// The faulty accumulation adder at step `i`, if any.
     pub fn adder_mut(&mut self, i: usize) -> Option<&mut HwAdder> {
         self.synapse_mut(i)?.add.as_mut()
+    }
+
+    /// The faulty activation unit, if any.
+    pub fn sigmoid_mut(&mut self) -> Option<&mut HwSigmoid> {
+        self.act.as_mut()
     }
 
     /// Applies any latch stuck-bit faults of synapse `i` to a weight.

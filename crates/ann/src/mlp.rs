@@ -351,12 +351,11 @@ impl Mlp {
             return acc;
         };
         let n_logical = inputs.len();
-        let mut acc = bias;
         // A defective store counts every fetch, so it sees the whole
         // physical range; otherwise only synapses that can disturb the
         // sum are visited beyond the task's width.
         let every_physical = mem.is_some();
-        nf.walk(n_logical, every_physical, |i, syn| {
+        nf.accumulate(bias, n_logical, every_physical, |i| {
             let (w, xi) = if i < n_logical {
                 (weight_of(self, i), inputs[i])
             } else {
@@ -364,13 +363,8 @@ impl Mlp {
             };
             // Array first (the store feeds the lane's weight latch),
             // then the synapse's own operators.
-            let w = fetch_through(&mut mem, layer, neuron, i, w);
-            acc = match syn {
-                Some(syn) => syn.mac(acc, w, xi),
-                None => acc + w * xi,
-            };
-        });
-        acc
+            (fetch_through(&mut mem, layer, neuron, i, w), xi)
+        })
     }
 }
 

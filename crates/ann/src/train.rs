@@ -9,7 +9,7 @@ use dta_datasets::Dataset;
 use dta_fixed::SigmoidLut;
 
 use crate::fault::FaultPlan;
-use crate::mlp::{ForwardTrace, Mlp};
+use crate::mlp::{ForwardTrace, Mlp, Topology};
 
 /// Which forward path training and evaluation use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,6 +21,23 @@ pub enum ForwardMode {
     /// logic"). When a [`FaultPlan`] is supplied, defective operators run
     /// through their gate-level circuits.
     Fixed,
+}
+
+/// Momentum velocities of one training run, one per weight.
+#[derive(Clone, Debug)]
+pub struct Velocity {
+    hidden: Vec<f64>,
+    output: Vec<f64>,
+}
+
+impl Velocity {
+    /// All-zero velocities for a network of this shape.
+    pub fn new(topo: Topology) -> Velocity {
+        Velocity {
+            hidden: vec![0.0; topo.hidden * (topo.inputs + 1)],
+            output: vec![0.0; topo.outputs * (topo.hidden + 1)],
+        }
+    }
 }
 
 /// Stochastic back-propagation with learning rate and momentum, MSE
@@ -99,61 +116,74 @@ impl Trainer {
         assert_eq!(topo.inputs, ds.n_features(), "network/dataset mismatch");
         assert!(topo.outputs >= ds.n_classes(), "too few output neurons");
         let mut order: Vec<usize> = idx.to_vec();
-        // Momentum velocities, one per weight.
-        let mut v_hidden = vec![0.0f64; topo.hidden * (topo.inputs + 1)];
-        let mut v_output = vec![0.0f64; topo.outputs * (topo.hidden + 1)];
-
+        let mut velocity = Velocity::new(topo);
         for _epoch in 0..self.epochs {
             order.shuffle(rng);
             for &s in &order {
                 let sample = &ds.samples()[s];
                 let trace = forward(mlp, &sample.features);
+                self.step(mlp, &sample.features, sample.label, &trace, &mut velocity);
+            }
+        }
+    }
 
-                // Output deltas: (t - y) f'(o), with f' from the output.
-                let mut delta_out = vec![0.0f64; topo.outputs];
-                for (k, d) in delta_out.iter_mut().enumerate() {
-                    let t = if k == sample.label { 1.0 } else { 0.0 };
-                    let y = trace.output[k];
-                    *d = (t - y) * y * (1.0 - y);
-                }
-                // Hidden deltas.
-                let mut delta_hid = vec![0.0f64; topo.hidden];
-                for (j, d) in delta_hid.iter_mut().enumerate() {
-                    let h = trace.hidden[j];
-                    let mut back = 0.0;
-                    for (k, &dk) in delta_out.iter().enumerate() {
-                        back += dk * mlp.w_output(k, j);
-                    }
-                    *d = h * (1.0 - h) * back;
-                }
-                // Output-layer update.
-                for (k, &dk) in delta_out.iter().enumerate() {
-                    for j in 0..=topo.hidden {
-                        let y_in = if j == topo.hidden {
-                            1.0
-                        } else {
-                            trace.hidden[j]
-                        };
-                        let vi = k * (topo.hidden + 1) + j;
-                        v_output[vi] =
-                            self.learning_rate * dk * y_in + self.momentum * v_output[vi];
-                        *mlp.w_output_mut(k, j) += v_output[vi];
-                    }
-                }
-                // Hidden-layer update.
-                for (j, &dj) in delta_hid.iter().enumerate() {
-                    for i in 0..=topo.inputs {
-                        let x_in = if i == topo.inputs {
-                            1.0
-                        } else {
-                            sample.features[i]
-                        };
-                        let vi = j * (topo.inputs + 1) + i;
-                        v_hidden[vi] =
-                            self.learning_rate * dj * x_in + self.momentum * v_hidden[vi];
-                        *mlp.w_hidden_mut(j, i) += v_hidden[vi];
-                    }
-                }
+    /// One back-propagation update from one labelled row: deltas from
+    /// the activations `trace` reports for `x`, then a momentum step on
+    /// every weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, `trace` or `velocity` do not match the network's
+    /// shape.
+    pub fn step(
+        &self,
+        mlp: &mut Mlp,
+        x: &[f64],
+        label: usize,
+        trace: &ForwardTrace,
+        velocity: &mut Velocity,
+    ) {
+        let topo = mlp.topology();
+        assert_eq!(x.len(), topo.inputs, "row/network mismatch");
+        // Output deltas: (t - y) f'(o), with f' from the output.
+        let mut delta_out = vec![0.0f64; topo.outputs];
+        for (k, d) in delta_out.iter_mut().enumerate() {
+            let t = if k == label { 1.0 } else { 0.0 };
+            let y = trace.output[k];
+            *d = (t - y) * y * (1.0 - y);
+        }
+        // Hidden deltas.
+        let mut delta_hid = vec![0.0f64; topo.hidden];
+        for (j, d) in delta_hid.iter_mut().enumerate() {
+            let h = trace.hidden[j];
+            let mut back = 0.0;
+            for (k, &dk) in delta_out.iter().enumerate() {
+                back += dk * mlp.w_output(k, j);
+            }
+            *d = h * (1.0 - h) * back;
+        }
+        // Output-layer update.
+        for (k, &dk) in delta_out.iter().enumerate() {
+            for j in 0..=topo.hidden {
+                let y_in = if j == topo.hidden {
+                    1.0
+                } else {
+                    trace.hidden[j]
+                };
+                let vi = k * (topo.hidden + 1) + j;
+                let v = &mut velocity.output[vi];
+                *v = self.learning_rate * dk * y_in + self.momentum * *v;
+                *mlp.w_output_mut(k, j) += *v;
+            }
+        }
+        // Hidden-layer update.
+        for (j, &dj) in delta_hid.iter().enumerate() {
+            // The inputs, then the bias input at index `inputs`.
+            for (i, &x_in) in x.iter().chain(&[1.0]).enumerate() {
+                let vi = j * (topo.inputs + 1) + i;
+                let v = &mut velocity.hidden[vi];
+                *v = self.learning_rate * dj * x_in + self.momentum * *v;
+                *mlp.w_hidden_mut(j, i) += *v;
             }
         }
     }

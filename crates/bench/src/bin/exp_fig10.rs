@@ -68,8 +68,6 @@ fn main() {
         seed: args.get("seed", 0xF1610u64),
         threads: args.get("threads", 1usize),
         chaos: Vec::new(),
-        mem: None,
-        combined: false,
     };
     // Read before the campaign runs, so a bad value is refused at once
     // even when one thread makes the reference run moot.

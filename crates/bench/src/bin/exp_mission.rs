@@ -19,8 +19,8 @@
 //!
 //! On the spatial topology each arrival is **combined-surface**
 //! (transistor-level operator defects plus permanent bit-cell defects
-//! in the attached SEC-DED weight store, split `ceil/floor` like the
-//! combined campaign cells); on the systolic grid each arrival plants
+//! in the attached SEC-DED weight store, split `ceil/floor` by
+//! `SurfaceMix::combined`); on the systolic grid each arrival plants
 //! permanent PE faults. Both arms of a cell share the mission seed, so
 //! they see bit-identical arrival schedules and fault draws; the binary
 //! asserts the floor **mission terminal accuracy ≥ blind** at every

@@ -105,8 +105,6 @@ fn main() {
         seed: args.get("seed", 0x7A41u64),
         threads: args.get("threads", 1usize),
         chaos,
-        mem: None,
-        combined: false,
     };
 
     println!("Fault-lifetime comparison — accuracy vs. #defects after retraining");

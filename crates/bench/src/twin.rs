@@ -196,8 +196,7 @@ impl TwinSweep<'_> {
             ..self.policy_base.clone()
         };
         let blind_policy = RecoveryPolicy {
-            use_remap: false,
-            use_memory_repair: false,
+            structural: false,
             ..policy.clone()
         };
         let blind_report = recover(

@@ -112,15 +112,16 @@ pub trait Accel {
     fn self_test(&mut self, cfg: &BistConfig) -> Result<Diagnosis, AccelError>;
 
     /// The topology-specific rungs the recovery ladder should try, in
-    /// order, between the universal retrain and degrade rungs.
+    /// order, between the universal retrain and degrade rungs. The
+    /// ladder skips them all on a blind-retrain policy
+    /// ([`RecoveryPolicy::structural`] off), so implementations need
+    /// not read it.
     fn structural_rungs(&self, policy: &RecoveryPolicy) -> Vec<RecoveryRung>;
 
     /// Applies one structural rung's repair.
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::NoSpareLane`] when the rung needs more spare
-    /// hardware than exists (recorded, ladder continues);
     /// [`RecoveryError::UnsupportedRung`] when the rung does not belong
     /// to this topology; [`RecoveryError::Accel`] on setup errors
     /// (aborts the ladder).
@@ -218,18 +219,16 @@ impl Accel for Accelerator {
         crate::selftest::spatial_selftest(self, cfg)
     }
 
-    fn structural_rungs(&self, policy: &RecoveryPolicy) -> Vec<RecoveryRung> {
+    fn structural_rungs(&self, _policy: &RecoveryPolicy) -> Vec<RecoveryRung> {
         let mut rungs = Vec::new();
-        if policy.use_memory_repair && self.memory().is_some() {
+        if self.memory().is_some() {
             rungs.extend([
                 RecoveryRung::EccScrub,
                 RecoveryRung::SpareSteer,
                 RecoveryRung::Place,
             ]);
         }
-        if policy.use_remap {
-            rungs.push(RecoveryRung::Remap);
-        }
+        rungs.push(RecoveryRung::Remap);
         rungs
     }
 
@@ -237,7 +236,7 @@ impl Accel for Accelerator {
         &mut self,
         rung: RecoveryRung,
         diagnosis: &Diagnosis,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
     ) -> Result<StructuralOutcome, RecoveryError> {
         match rung {
             // ECC scrub: count what the code absorbs, pin down what it
@@ -296,7 +295,7 @@ impl Accel for Accelerator {
                 })
             }
             RecoveryRung::Remap => {
-                let (remapped, masked) = crate::recover::install_remaps(self, diagnosis, policy)?;
+                let (remapped, masked) = crate::recover::install_remaps(self, diagnosis)?;
                 Ok(StructuralOutcome {
                     remapped,
                     masked,
@@ -380,7 +379,7 @@ mod tests {
     fn spatial_rung_list_follows_policy_and_memory() {
         let mut accel = Accelerator::new();
         let policy = RecoveryPolicy::default();
-        // No memory attached: memory rungs are absent even when allowed.
+        // No memory attached: memory rungs are absent.
         assert_eq!(accel.structural_rungs(&policy), vec![RecoveryRung::Remap]);
         accel.attach_weight_memory().unwrap();
         assert_eq!(
@@ -392,12 +391,16 @@ mod tests {
                 RecoveryRung::Remap,
             ]
         );
+        // The blind arm is decided by the ladder, not the topology: the
+        // list does not depend on the policy.
         let blind = RecoveryPolicy {
-            use_remap: false,
-            use_memory_repair: false,
-            ..policy
+            structural: false,
+            ..policy.clone()
         };
-        assert!(accel.structural_rungs(&blind).is_empty());
+        assert_eq!(
+            accel.structural_rungs(&blind),
+            accel.structural_rungs(&policy)
+        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use std::fmt;
 
 use rand::Rng;
-use rand::SeedableRng;
 
-use dta_ann::{FaultPlan, ForwardMode, Mlp, Topology, Trainer};
+use dta_ann::{FaultPlan, ForwardMode, Mlp, Topology, Trainer, Velocity};
 use dta_circuits::FaultModel;
 use dta_datasets::Dataset;
 use dta_fixed::SigmoidLut;
@@ -590,20 +589,11 @@ impl Accelerator {
                 outputs: topo.outputs,
             });
         }
-        let ds = Dataset::new(
-            "online",
-            topo.inputs,
-            topo.outputs.max(2),
-            vec![dta_datasets::Sample {
-                features: row.to_vec(),
-                label,
-            }],
-        );
-        // Momentum is meaningless for isolated steps; one epoch = one
-        // SGD update.
+        // Momentum is meaningless for isolated steps: one update from
+        // zero velocities.
         let trainer = Trainer::new(learning_rate, 0.0, 1, ForwardMode::Fixed);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        trainer.train(&mut mlp, &ds, &[0], Some(&mut self.faults), &mut rng);
+        let trace = mlp.forward_faulty(row, &self.lut, &mut self.faults);
+        trainer.step(&mut mlp, row, label, &trace, &mut Velocity::new(topo));
         self.rows_processed += 1;
         self.network = Some(mlp);
         Ok(())
@@ -844,6 +834,20 @@ mod tests {
             after > before + 0.2 && after > 0.8,
             "online training {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn online_step_trains_a_single_output_network() {
+        // One output neuron is a valid mapping; the step must update
+        // the weights, not trip a two-class dataset requirement.
+        let mut accel = Accelerator::new();
+        accel
+            .map_network(Mlp::new(Topology::new(4, 3, 1), 1))
+            .unwrap();
+        let before = accel.network().unwrap().clone();
+        assert_eq!(accel.online_step(&[0.1, 0.2, 0.3, 0.4], 0, 0.3), Ok(()));
+        assert_ne!(accel.network().unwrap(), &before, "weights did not move");
+        assert_eq!(accel.rows_processed(), 1);
     }
 
     #[test]

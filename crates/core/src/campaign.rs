@@ -10,7 +10,6 @@
 //! the uninterrupted curve byte-for-byte.
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
 
@@ -22,7 +21,6 @@ use dta_ann::{cross_validate, FaultPlan, ForwardMode, Mlp, Topology, Trainer};
 use dta_circuits::{Activation, FaultModel};
 use dta_datasets::{Dataset, TaskSpec};
 use dta_fixed::SigmoidLut;
-use dta_mem::{MemGeometry, WeightMemory};
 
 use crate::checkpoint::Checkpoint;
 use crate::parallel::parallel_map;
@@ -59,45 +57,6 @@ pub struct CampaignConfig {
     /// demonstrate) panic isolation, retry, and checkpoint recovery;
     /// leave empty for real campaigns.
     pub chaos: Vec<ChaosCell>,
-    /// Weight-store profile for a *memory*-defect campaign. When
-    /// present, every grid cell backs the weight latches with a
-    /// bit-cell array of this shape and the defect axis injects array
-    /// defects (stuck cells, row/column failures, sense-amp and
-    /// write-driver faults, bitline bridges) instead of operator
-    /// defects. `None` (the default) is the classic Figure 10 operator
-    /// campaign.
-    pub mem: Option<MemProfile>,
-    /// Combined-surface injection: when `true` **and** `mem` is set,
-    /// each cell splits its defect axis across both surfaces —
-    /// `ceil(n/2)` operator defects in the datapath *and* `floor(n/2)`
-    /// bit-cell defects in the weight store, simultaneously. This is
-    /// the hard case for per-surface repair: one cell carries damage
-    /// the memory rungs cannot see and damage the operator rungs
-    /// cannot see. Ignored without a memory profile.
-    pub combined: bool,
-}
-
-/// Shape of the weight store a memory-defect campaign attaches per
-/// cell. Geometry follows the task's network; these are the repair
-/// resources.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemProfile {
-    /// Spare rows available for steering.
-    pub spare_rows: usize,
-    /// Spare columns available for steering.
-    pub spare_cols: usize,
-    /// Whether words are protected by the SEC-DED (22,16) code.
-    pub ecc: bool,
-}
-
-impl Default for MemProfile {
-    fn default() -> MemProfile {
-        MemProfile {
-            spare_rows: 2,
-            spare_cols: 8,
-            ecc: true,
-        }
-    }
 }
 
 impl Default for CampaignConfig {
@@ -112,8 +71,6 @@ impl Default for CampaignConfig {
             seed: 0xD7A,
             threads: 1,
             chaos: Vec::new(),
-            mem: None,
-            combined: false,
         }
     }
 }
@@ -124,7 +81,7 @@ impl CampaignConfig {
     /// (results are thread-invariant) and so is `chaos` (an engine
     /// test hook, not part of the experiment).
     pub fn fingerprint(&self) -> String {
-        let mut fp = format!(
+        format!(
             "v1 seed={:#x} counts={:?} reps={} folds={} epochs={:?} model={} activation={}",
             self.seed,
             self.defect_counts,
@@ -133,25 +90,7 @@ impl CampaignConfig {
             self.epochs,
             self.model,
             self.activation,
-        );
-        // Appended only when a weight store is configured, so every
-        // fingerprint (and journal) written before the memory campaign
-        // existed stays byte-identical and resumable.
-        if let Some(mem) = &self.mem {
-            let _ = write!(
-                fp,
-                " mem=rows:{},cols:{},ecc:{}",
-                mem.spare_rows, mem.spare_cols, mem.ecc
-            );
-            // And only when both knobs are set: combined-surface cells
-            // are a distinct experiment, but a `combined` flag without
-            // a store changes nothing and must not invalidate
-            // journals.
-            if self.combined {
-                fp.push_str(" combined=true");
-            }
-        }
-        fp
+        )
     }
 }
 
@@ -437,7 +376,7 @@ fn campaign_cell(
             panic!("chaos: injected panic in cell ({n_defects}, {rep}) attempt {attempt}");
         }
     }
-    let mut plan = draw_plan(spec, cfg, ds.n_classes(), n_defects, rep);
+    let mut plan = draw_plan(spec, cfg, n_defects, rep);
     let cv = cross_validate(
         trainer,
         ds,
@@ -451,42 +390,11 @@ fn campaign_cell(
 
 /// The defect set of campaign cell `(n_defects, rep)`: a pure function
 /// of the cell's coordinates and the master seed.
-fn draw_plan(
-    spec: &TaskSpec,
-    cfg: &CampaignConfig,
-    n_classes: usize,
-    n_defects: usize,
-    rep: usize,
-) -> FaultPlan {
+fn draw_plan(spec: &TaskSpec, cfg: &CampaignConfig, n_defects: usize, rep: usize) -> FaultPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(cfg.seed, n_defects, rep));
     let mut plan = FaultPlan::new(90);
-    match cfg.mem {
-        None => {
-            for _ in 0..n_defects {
-                plan.inject_random_hidden_with(spec.hidden, cfg.model, cfg.activation, &mut rng);
-            }
-        }
-        Some(profile) => {
-            // Memory-defect campaign: the operators stay healthy and
-            // the defect axis lands in the weight store instead —
-            // unless `combined` splits the axis across both surfaces
-            // (operator draws first, then the store, so the per-cell
-            // stream stays a pure function of the coordinates).
-            let (op_defects, mem_defects) = if cfg.combined {
-                (n_defects.div_ceil(2), n_defects / 2)
-            } else {
-                (0, n_defects)
-            };
-            for _ in 0..op_defects {
-                plan.inject_random_hidden_with(spec.hidden, cfg.model, cfg.activation, &mut rng);
-            }
-            let mut geom = MemGeometry::for_network(90, spec.hidden, n_classes, profile.ecc);
-            geom.spare_rows = profile.spare_rows;
-            geom.spare_cols = profile.spare_cols;
-            let mut mem = WeightMemory::new(geom);
-            mem.inject_many(mem_defects, cfg.activation, &mut rng);
-            plan.attach_memory(mem);
-        }
+    for _ in 0..n_defects {
+        plan.inject_random_hidden_with(spec.hidden, cfg.model, cfg.activation, &mut rng);
     }
     plan
 }
@@ -597,6 +505,7 @@ pub fn output_amplitude_curve(
 mod tests {
     use super::*;
     use dta_datasets::suite;
+    use dta_mem::{MemGeometry, WeightMemory};
     use std::path::PathBuf;
 
     fn tiny_cfg() -> CampaignConfig {
@@ -610,8 +519,6 @@ mod tests {
             seed: 7,
             threads: 1,
             chaos: Vec::new(),
-            mem: None,
-            combined: false,
         }
     }
 
@@ -714,18 +621,26 @@ mod tests {
             },
             Activation::Intermittent { period: 4, duty: 2 },
         ] {
-            for mem in [None, Some(MemProfile::default())] {
-                let cfg = CampaignConfig {
-                    activation,
-                    mem,
-                    combined: mem.is_some(),
-                    defect_counts: vec![1, 2, 4, 8],
-                    repetitions: 3,
-                    ..tiny_cfg()
-                };
+            let cfg = CampaignConfig {
+                activation,
+                defect_counts: vec![1, 2, 4, 8],
+                repetitions: 3,
+                ..tiny_cfg()
+            };
+            for store in [false, true] {
                 for &n in &cfg.defect_counts {
                     for rep in 0..cfg.repetitions {
-                        let mut plan = draw_plan(&spec, &cfg, ds.n_classes(), n, rep);
+                        let mut plan = draw_plan(&spec, &cfg, n, rep);
+                        if store {
+                            // A defective SEC-DED weight store behind
+                            // the same operator draw.
+                            let geom =
+                                MemGeometry::for_network(90, spec.hidden, ds.n_classes(), true);
+                            let mut mem = WeightMemory::new(geom);
+                            let mut rng = ChaCha8Rng::seed_from_u64(cell_seed(0x5707, n, rep));
+                            mem.inject_many(n, activation, &mut rng);
+                            plan.attach_memory(mem);
+                        }
                         if plan.vectorizable() {
                             fused += 1;
                         } else {
@@ -738,7 +653,7 @@ mod tests {
                             .iter()
                             .map(|x| mlp.forward_faulty(x, &lut, &mut plan))
                             .collect();
-                        assert_eq!(batch, want, "{activation:?} mem={mem:?} n={n} rep={rep}");
+                        assert_eq!(batch, want, "{activation:?} store={store} n={n} rep={rep}");
                     }
                 }
             }
@@ -894,232 +809,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Zero-defect bit-identity through the memory path: attaching a
-    /// healthy weight store to every cell must reproduce the operator
-    /// campaign byte-for-byte, for every activation class.
-    #[test]
-    fn zero_defect_memory_campaign_is_bit_identical() {
-        let spec = iris();
-        for activation in [
-            Activation::Permanent,
-            Activation::Transient {
-                per_eval_probability: 0.3,
-            },
-            Activation::Intermittent { period: 4, duty: 2 },
-        ] {
-            for profile in [
-                MemProfile::default(),
-                MemProfile {
-                    ecc: false,
-                    ..MemProfile::default()
-                },
-            ] {
-                let cfg = CampaignConfig {
-                    defect_counts: vec![0],
-                    activation,
-                    ..tiny_cfg()
-                };
-                let bare = defect_tolerance_curve(&spec, &cfg).unwrap();
-                let with_mem = CampaignConfig {
-                    mem: Some(profile),
-                    ..cfg
-                };
-                let routed = defect_tolerance_curve(&spec, &with_mem).unwrap();
-                assert_eq!(
-                    bare[0].mean_accuracy.to_bits(),
-                    routed[0].mean_accuracy.to_bits(),
-                    "{activation:?} {profile:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn memory_campaign_is_deterministic_and_defects_bite() {
-        let spec = iris();
-        let cfg = CampaignConfig {
-            defect_counts: vec![0, 60],
-            mem: Some(MemProfile {
-                ecc: false,
-                ..MemProfile::default()
-            }),
-            ..tiny_cfg()
-        };
-        let a = defect_tolerance_curve(&spec, &cfg).unwrap();
-        let b = defect_tolerance_curve(&spec, &cfg).unwrap();
-        assert_eq!(a, b);
-        for p in &a {
-            assert!((0.0..=1.0).contains(&p.mean_accuracy));
-            assert_eq!(p.failed, 0);
-        }
-        // 60 raw-array defects must actually reach the datapath.
-        assert_ne!(
-            a[0].mean_accuracy.to_bits(),
-            a[1].mean_accuracy.to_bits(),
-            "memory defects never touched the computation"
-        );
-    }
-
-    #[test]
-    fn fingerprint_covers_memory_profile_only_when_present() {
-        let bare = tiny_cfg();
-        assert!(
-            !bare.fingerprint().contains("mem="),
-            "operator-campaign fingerprints must stay byte-identical: {}",
-            bare.fingerprint()
-        );
-        let with_mem = CampaignConfig {
-            mem: Some(MemProfile::default()),
-            ..tiny_cfg()
-        };
-        assert!(with_mem
-            .fingerprint()
-            .contains("mem=rows:2,cols:8,ecc:true"));
-        let raw = CampaignConfig {
-            mem: Some(MemProfile {
-                ecc: false,
-                ..MemProfile::default()
-            }),
-            ..tiny_cfg()
-        };
-        assert_ne!(with_mem.fingerprint(), raw.fingerprint());
-
-        // The journal guard: a checkpoint written by the memory
-        // campaign refuses an operator campaign and vice versa.
-        let path = tmp("memguard");
-        let _ = std::fs::remove_file(&path);
-        drop(Checkpoint::open(&path, &with_mem.fingerprint()).unwrap());
-        assert!(Checkpoint::open(&path, &bare.fingerprint()).is_err());
-        assert!(Checkpoint::open(&path, &raw.fingerprint()).is_err());
-        assert!(Checkpoint::open(&path, &with_mem.fingerprint()).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn combined_cells_damage_both_surfaces_at_once() {
-        let spec = iris();
-        let mem_only = CampaignConfig {
-            defect_counts: vec![0, 16],
-            mem: Some(MemProfile {
-                ecc: false,
-                ..MemProfile::default()
-            }),
-            ..tiny_cfg()
-        };
-        let combined = CampaignConfig {
-            combined: true,
-            ..mem_only.clone()
-        };
-        let a = defect_tolerance_curve(&spec, &mem_only).unwrap();
-        let b = defect_tolerance_curve(&spec, &combined).unwrap();
-        // Zero defects: the split is 0 + 0, so the curves coincide bit
-        // for bit.
-        assert_eq!(a[0].mean_accuracy.to_bits(), b[0].mean_accuracy.to_bits());
-        // Sixteen defects: 8 land in the operators instead of the
-        // store, which the memory-only campaign can never produce.
-        assert_ne!(
-            a[1].mean_accuracy.to_bits(),
-            b[1].mean_accuracy.to_bits(),
-            "combined cells must not reduce to memory-only cells"
-        );
-        // Determinism holds through the split draw order.
-        assert_eq!(b, defect_tolerance_curve(&spec, &combined).unwrap());
-    }
-
-    #[test]
-    fn combined_fingerprint_extends_only_with_both_knobs() {
-        // `combined` without a store changes nothing — pre-existing
-        // operator journals must stay valid.
-        let dangling = CampaignConfig {
-            combined: true,
-            ..tiny_cfg()
-        };
-        assert_eq!(dangling.fingerprint(), tiny_cfg().fingerprint());
-
-        let mem_only = CampaignConfig {
-            mem: Some(MemProfile::default()),
-            ..tiny_cfg()
-        };
-        let combined = CampaignConfig {
-            combined: true,
-            ..mem_only.clone()
-        };
-        assert!(combined.fingerprint().contains("combined=true"));
-        assert!(!mem_only.fingerprint().contains("combined"));
-
-        // The journal guard separates the two experiments.
-        let path = tmp("combinedguard");
-        let _ = std::fs::remove_file(&path);
-        drop(Checkpoint::open(&path, &combined.fingerprint()).unwrap());
-        assert!(Checkpoint::open(&path, &mem_only.fingerprint()).is_err());
-        assert!(Checkpoint::open(&path, &combined.fingerprint()).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn interrupted_combined_campaign_resumes_byte_identical() {
-        let spec = iris();
-        let cfg = CampaignConfig {
-            defect_counts: vec![0, 12],
-            repetitions: 2,
-            mem: Some(MemProfile::default()),
-            combined: true,
-            ..tiny_cfg()
-        };
-        let fingerprint = cfg.fingerprint();
-        let baseline = defect_tolerance_curve(&spec, &cfg).unwrap();
-
-        let path = tmp("combinedresume");
-        let _ = std::fs::remove_file(&path);
-        {
-            let ck = Checkpoint::open(&path, &fingerprint).unwrap();
-            let full = defect_tolerance_curve_resumable(&spec, &cfg, Some(&ck)).unwrap();
-            assert_eq!(full, baseline);
-        }
-        let journal = std::fs::read_to_string(&path).unwrap();
-        let truncated: Vec<&str> = journal.lines().take(3).collect();
-        assert_eq!(truncated.len(), 3, "expected header + >=2 cells");
-        std::fs::write(&path, format!("{}\n", truncated.join("\n"))).unwrap();
-
-        let ck = Checkpoint::open(&path, &fingerprint).unwrap();
-        assert_eq!(ck.completed(), 2);
-        let resumed = defect_tolerance_curve_resumable(&spec, &cfg, Some(&ck)).unwrap();
-        assert_eq!(resumed, baseline, "resumed curve must be byte-identical");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn interrupted_memory_campaign_resumes_byte_identical() {
-        // The kill-and-resume drill through the memory-defect path:
-        // truncate the journal mid-grid and re-run; the resumed curve
-        // must be byte-identical to the uninterrupted one.
-        let spec = iris();
-        let mut cfg = tiny_cfg();
-        cfg.defect_counts = vec![0, 30];
-        cfg.repetitions = 2;
-        cfg.mem = Some(MemProfile::default());
-        let fingerprint = cfg.fingerprint();
-        let baseline = defect_tolerance_curve(&spec, &cfg).unwrap();
-
-        let path = tmp("memresume");
-        let _ = std::fs::remove_file(&path);
-        {
-            let ck = Checkpoint::open(&path, &fingerprint).unwrap();
-            let full = defect_tolerance_curve_resumable(&spec, &cfg, Some(&ck)).unwrap();
-            assert_eq!(full, baseline);
-        }
-        let journal = std::fs::read_to_string(&path).unwrap();
-        let truncated: Vec<&str> = journal.lines().take(3).collect();
-        assert_eq!(truncated.len(), 3, "expected header + >=2 cells");
-        std::fs::write(&path, format!("{}\n", truncated.join("\n"))).unwrap();
-
-        let ck = Checkpoint::open(&path, &fingerprint).unwrap();
-        assert_eq!(ck.completed(), 2);
-        let resumed = defect_tolerance_curve_resumable(&spec, &cfg, Some(&ck)).unwrap();
-        assert_eq!(resumed, baseline, "resumed curve must be byte-identical");
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn cell_seeds_are_distinct_over_documented_ranges() {
         // The `<< 24` / `<< 8` packing keeps every (defect_count, rep)
@@ -1241,6 +930,13 @@ mod tests {
     #[test]
     fn checkpoint_fingerprint_guards_config_changes() {
         let cfg = tiny_cfg();
+        // Pinned byte for byte: journals written by earlier builds must
+        // keep opening.
+        assert_eq!(
+            cfg.fingerprint(),
+            "v1 seed=0x7 counts=[0, 8] reps=1 folds=2 epochs=Some(8) \
+             model=transistor-level activation=permanent"
+        );
         let path = tmp("guard");
         let _ = std::fs::remove_file(&path);
         drop(Checkpoint::open(&path, &cfg.fingerprint()).unwrap());

@@ -210,28 +210,11 @@ impl LargeNetworkMapper {
             }
             return acc;
         };
-        let n_logical = operands.len();
-        let n_eff = n_logical.max(nf.max_synapse_excl());
-        // The physical synapse range can extend past `operands` (defective
-        // columns beyond the task width), so this cannot iterate the slice.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..n_eff {
-            let (wq, xi) = if p < n_logical {
-                operands[p]
-            } else {
-                (Fx::ZERO, Fx::ZERO)
-            };
-            let wq = nf.latch_filter(p, wq);
-            let prod = match nf.multiplier_mut(p) {
-                Some(hw) => hw.mul(wq, xi),
-                None => wq * xi,
-            };
-            acc = match nf.adder_mut(p) {
-                Some(hw) => hw.add(acc, prod),
-                None => acc + prod,
-            };
-        }
-        acc
+        // Faulty synapses beyond the chunk (defective columns past the
+        // task width) see zero operands.
+        nf.accumulate(acc, operands.len(), false, |p| {
+            operands.get(p).copied().unwrap_or((Fx::ZERO, Fx::ZERO))
+        })
     }
 }
 

@@ -90,7 +90,7 @@ pub use parallel::parallel_map;
 pub use processor::ProcessorModel;
 pub use recover::{
     DegradationEstimate, MemRungStats, RecoveryError, RecoveryPolicy, RecoveryReport, RecoveryRung,
-    RetryPolicy, RungBudget,
+    RungBudget,
 };
 pub use selftest::{detection_rate, localization_precision, run_selftest, BistConfig, Diagnosis};
 pub use time_multiplexed::TimeMultiplexedAccelerator;

@@ -24,9 +24,9 @@
 //!    [`HealthMonitor`](crate::health::HealthMonitor) through
 //!    Healthy → Suspect → Recovering → {Healthy, Degraded,
 //!    Quarantined}; recovery runs the full ladder
-//!    ([`crate::recover::recover`]) with its [`RetryPolicy`], failed
-//!    episodes charge **exponential backoff in skipped traffic
-//!    batches**, and a unit whose retry budget is spent is
+//!    ([`crate::recover::recover`]), failed episodes charge
+//!    **exponential backoff in skipped traffic batches** (4, 8, 16, …
+//!    capped at 64), and a unit whose retry budget is spent is
 //!    **quarantined** ([`Accel::quarantine`]) — masked fail-silent
 //!    while the stream keeps serving.
 //! 5. The outcome is an **accuracy/availability-over-time trace** with
@@ -59,6 +59,25 @@ const ARRIVAL_SALT: u64 = 0xA331_7E4F;
 const EVENT_SALT: u64 = 0xFA17_0B57;
 /// Odd multiplier spreading event indices across the seed space.
 const EVENT_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Traffic batches skipped after the first failed recovery episode.
+const BACKOFF_BASE_BATCHES: u64 = 4;
+/// Ceiling on the backoff charged for one failed episode, in batches.
+const BACKOFF_CAP_BATCHES: u64 = 64;
+
+/// Backoff charged for failed recovery episode number `attempt`
+/// (0-based): `BACKOFF_BASE_BATCHES · 2^attempt`, capped at
+/// [`BACKOFF_CAP_BATCHES`]. A persistently failing unit backs off
+/// instead of stealing the whole stream.
+fn backoff_batches(attempt: usize) -> u64 {
+    let mut b = BACKOFF_BASE_BATCHES;
+    for _ in 0..attempt {
+        if b >= BACKOFF_CAP_BATCHES {
+            break;
+        }
+        b *= 2;
+    }
+    b.min(BACKOFF_CAP_BATCHES)
+}
 
 /// How many defects one arrival event plants on each fault surface.
 ///
@@ -87,8 +106,7 @@ impl SurfaceMix {
     }
 
     /// `n` defects split across both surfaces: `ceil(n/2)` datapath,
-    /// `floor(n/2)` memory — the same split the combined-surface
-    /// campaign cells use.
+    /// `floor(n/2)` memory.
     pub fn combined(n: usize) -> SurfaceMix {
         SurfaceMix {
             datapath: n.div_ceil(2),
@@ -160,9 +178,7 @@ pub struct MissionConfig {
     pub seed: u64,
     /// Probe configuration (stimulus rows, vectors, probe seed).
     pub bist: BistConfig,
-    /// Recovery-ladder configuration, including the
-    /// [`RetryPolicy`](crate::recover::RetryPolicy) whose backoff
-    /// schedule is charged in skipped batches.
+    /// Recovery-ladder configuration.
     pub recovery: RecoveryPolicy,
 }
 
@@ -554,7 +570,7 @@ where
                                 events.push(MissionEvent::Quarantined { batch: t, silenced });
                             } else {
                                 monitor.on_event(HealthEvent::RecoveryFellShort, t)?;
-                                let skipped = cfg.recovery.retry.backoff_batches(attempts - 1);
+                                let skipped = backoff_batches(attempts - 1);
                                 skip_remaining = skipped;
                                 events.push(MissionEvent::BackoffSkip { batch: t, skipped });
                             }
@@ -849,9 +865,8 @@ mod tests {
             .collect();
         assert!(!skips.is_empty(), "no backoff charged: {:?}", out.events);
         // The schedule doubles from the base per consecutive failure.
-        let retry = cfg.recovery.retry;
         for (i, s) in skips.iter().enumerate() {
-            assert_eq!(*s, retry.backoff_batches(i));
+            assert_eq!(*s, backoff_batches(i));
         }
         assert!(out.availability < 1.0);
         let lost: u64 = skips.iter().sum();
@@ -860,6 +875,15 @@ mod tests {
         // availability loss is at most the charged skips.
         assert!(out.availability >= (total.saturating_sub(lost)) as f64 / total as f64 - 1e-12);
         assert!(out.window_availability.iter().any(|w| *w < 1.0));
+    }
+
+    #[test]
+    fn backoff_schedule_is_exponential_and_capped() {
+        assert_eq!(backoff_batches(0), 4);
+        assert_eq!(backoff_batches(1), 8);
+        assert_eq!(backoff_batches(2), 16);
+        assert_eq!(backoff_batches(4), 64);
+        assert_eq!(backoff_batches(40), 64, "cap holds, no overflow");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!    its own budget adapts the network to the new placement.
 //! 5. **Remap/mask** — faulty hidden lanes named by the diagnosis are
 //!    remapped onto spare healthy lanes (physical lanes beyond the
-//!    logical width); when spares run out, lanes can be masked to 0
-//!    (fail-silent) instead. A retrain under its own budget follows, so
+//!    logical width); lanes left over when spares run out are masked
+//!    to 0 (fail-silent). A retrain under its own budget follows, so
 //!    the network adapts to the new routing.
 //! 6. **Graceful degradation** — no further repair is attempted; the
 //!    expected residual accuracy is *estimated* from the output-
@@ -44,7 +44,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use dta_ann::{FaultSite, Layer, UnitKind};
-use dta_circuits::visibility::{adder_visibility, multiplier_visibility};
+use dta_circuits::visibility::{adder_visibility, multiplier_visibility, sigmoid_visibility};
 use dta_datasets::Dataset;
 use dta_fixed::Fx;
 use dta_mem::{march_cminus, MarchReport};
@@ -129,14 +129,6 @@ pub enum RecoveryError {
         /// The target it was asked to reach.
         target: f64,
     },
-    /// The remap rung needed more spare lanes than the array has and
-    /// masking was not permitted.
-    NoSpareLane {
-        /// Faulty in-use lanes needing relocation.
-        needed: usize,
-        /// Healthy spare lanes available.
-        spares: usize,
-    },
     /// A structural rung was applied to a topology that does not
     /// implement it (setup error; aborts the ladder).
     UnsupportedRung {
@@ -167,12 +159,6 @@ impl fmt::Display for RecoveryError {
                 Some(a) => write!(f, "{rung} rung reached {a:.3}, target {target:.3}"),
                 None => write!(f, "{rung} rung finished no epoch, target {target:.3}"),
             },
-            RecoveryError::NoSpareLane { needed, spares } => {
-                write!(
-                    f,
-                    "{needed} lane(s) need relocation, {spares} spare(s) free"
-                )
-            }
             RecoveryError::UnsupportedRung { rung } => {
                 write!(f, "{rung} rung is not implemented by this topology")
             }
@@ -186,59 +172,6 @@ impl std::error::Error for RecoveryError {}
 impl From<AccelError> for RecoveryError {
     fn from(e: AccelError) -> RecoveryError {
         RecoveryError::Accel(e)
-    }
-}
-
-/// Retry/backoff policy for rungs that hit their wall-clock watchdog.
-///
-/// A rung whose attempt ends in [`RecoveryError::Timeout`] is retried
-/// up to `max_retries_per_rung` more times (every attempt's partial
-/// [`RungReport`] is kept); once the retries are spent the ladder falls
-/// through to the next rung — repeated timeouts never abort it. The
-/// backoff fields are measured in *skipped traffic batches*: the
-/// mission runtime ([`crate::mission`]) charges
-/// [`backoff_batches`](RetryPolicy::backoff_batches) of unavailability
-/// per failed recovery attempt, doubling (by `backoff_factor`) up to
-/// the cap, so a persistently failing unit backs off instead of
-/// stealing the whole stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts granted to a rung after a [`RecoveryError::Timeout`]
-    /// (0 = the pre-retry ladder: one attempt, then fall through).
-    pub max_retries_per_rung: usize,
-    /// Traffic batches skipped after the first failed recovery attempt.
-    pub backoff_base_batches: u64,
-    /// Multiplier applied to the backoff on each further failure.
-    pub backoff_factor: u64,
-    /// Ceiling on the per-attempt backoff, in batches.
-    pub max_backoff_batches: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            // No retries by default: the offline campaigns journaled
-            // before this policy existed stay byte-identical.
-            max_retries_per_rung: 0,
-            backoff_base_batches: 4,
-            backoff_factor: 2,
-            max_backoff_batches: 64,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged for failed recovery attempt number `attempt`
-    /// (0-based): `base · factor^attempt`, saturating at the cap.
-    pub fn backoff_batches(&self, attempt: usize) -> u64 {
-        let mut b = self.backoff_base_batches;
-        for _ in 0..attempt {
-            b = b.saturating_mul(self.backoff_factor);
-            if b >= self.max_backoff_batches {
-                return self.max_backoff_batches;
-            }
-        }
-        b.min(self.max_backoff_batches)
     }
 }
 
@@ -257,21 +190,11 @@ pub struct RecoveryPolicy {
     pub momentum: f64,
     /// Seed for the per-rung training streams (deterministic ladder).
     pub seed: u64,
-    /// Whether the remap rung runs at all (`false` = the blind-retrain
-    /// baseline the paper's mechanism is compared against).
-    pub use_remap: bool,
-    /// Whether the memory-native rungs (ECC scrub, spare steer,
-    /// sensitivity-aware placement) run when a weight store is
-    /// attached. `false` together with `use_remap = false` is the
-    /// blind-retrain baseline of the memory-defect campaign.
-    pub use_memory_repair: bool,
-    /// Whether faulty lanes with no spare may be masked to 0 instead of
-    /// failing the remap rung with [`RecoveryError::NoSpareLane`].
-    pub mask_unmappable: bool,
-    /// Retry/backoff for rungs that hit their watchdog (see
-    /// [`RetryPolicy`]). The default grants no retries, which is the
-    /// pre-retry ladder exactly.
-    pub retry: RetryPolicy,
+    /// Whether the topology's structural rungs
+    /// ([`Accel::structural_rungs`]) run at all. `false` is the
+    /// blind-retrain baseline the paper's mechanism is compared
+    /// against: retrain-around-defect, then graceful degradation.
+    pub structural: bool,
     /// Test hook: stall the named rung's epoch loop by this many
     /// milliseconds per epoch, to exercise the watchdog path.
     pub chaos_stall: Option<(RecoveryRung, u64)>,
@@ -292,10 +215,7 @@ impl Default for RecoveryPolicy {
             learning_rate: 0.2,
             momentum: 0.1,
             seed: 0x5EC0,
-            use_remap: true,
-            use_memory_repair: true,
-            mask_unmappable: true,
-            retry: RetryPolicy::default(),
+            structural: true,
             chaos_stall: None,
         }
     }
@@ -546,11 +466,11 @@ fn measure_under_watchdog<A: Accel>(
 }
 
 /// Installs the remap/mask repairs for the diagnosed faulty hidden
-/// lanes. Returns `(remapped, masked)` or [`RecoveryError::NoSpareLane`].
+/// lanes: spares first, then masks for the lanes left over. Returns
+/// `(remapped, masked)`.
 pub(crate) fn install_remaps(
     accel: &mut Accelerator,
     diagnosis: &Diagnosis,
-    policy: &RecoveryPolicy,
 ) -> Result<(usize, usize), RecoveryError> {
     let logical = accel
         .network()
@@ -569,12 +489,6 @@ pub(crate) fn install_remaps(
         .filter(|lane| !faulty.contains(lane))
         .filter(|&lane| (0..logical.hidden).all(|j| accel.faults().hidden_lane(j) != lane))
         .collect();
-    if need.len() > spares.len() && !policy.mask_unmappable {
-        return Err(RecoveryError::NoSpareLane {
-            needed: need.len(),
-            spares: spares.len(),
-        });
-    }
     let mut remapped = 0usize;
     let mut masked = 0usize;
     for (i, &j) in need.iter().enumerate() {
@@ -728,13 +642,9 @@ fn site_visibility(accel: &mut Accelerator, site: &FaultSite, samples: usize, se
         (UnitKind::Adder, Some(s)) => nf.adder_mut(s).map_or(0.0, |hw| {
             adder_visibility(hw, samples, seed).visible_fraction
         }),
-        (UnitKind::Activation, _) => {
-            // `activation` falls back to the native LUT when no faulty
-            // unit is installed, making the measurement vacuous there;
-            // flagged sites always have one.
-            let lut = dta_fixed::SigmoidLut::new();
-            sigmoid_visibility_of(nf, &lut, samples, seed)
-        }
+        (UnitKind::Activation, _) => nf.sigmoid_mut().map_or(0.0, |hw| {
+            sigmoid_visibility(hw, samples, seed).visible_fraction
+        }),
         (UnitKind::Latch, Some(s)) => {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut visible = 0usize;
@@ -750,32 +660,14 @@ fn site_visibility(accel: &mut Accelerator, site: &FaultSite, samples: usize, se
     }
 }
 
-/// Sigmoid-unit visibility through the `NeuronFaults` wrapper (the
-/// faulty unit is not directly reachable, but its behavior is).
-fn sigmoid_visibility_of(
-    nf: &mut dta_ann::NeuronFaults,
-    lut: &dta_fixed::SigmoidLut,
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let xs: Vec<Fx> = (0..samples)
-        .map(|_| Fx::from_raw(rand::Rng::random::<i16>(&mut rng)))
-        .collect();
-    let visible = xs
-        .iter()
-        .filter(|&&x| nf.activation(x, lut) != lut.eval(x))
-        .count();
-    visible as f64 / samples.max(1) as f64
-}
-
 /// Runs the recovery ladder on a diagnosed accelerator.
 ///
 /// Rungs execute in order: the universal retrain-around-defect rung
 /// first, then the topology's own structural rungs
 /// ([`Accel::structural_rungs`]: ecc-scrub → spare-steer → place →
 /// remap on the spatial array, pe-bypass → grid-remap on the systolic
-/// grid), then graceful degradation; a rung that reaches
+/// grid; skipped when `policy.structural` is off), then graceful
+/// degradation; a rung that reaches
 /// `policy.target_accuracy` stops the ladder. The report's
 /// `accuracy` is the best *measured* accuracy across the pre-recovery
 /// state and every rung — recovery never serves a worse network than it
@@ -785,7 +677,7 @@ fn sigmoid_visibility_of(
 ///
 /// [`RecoveryError::Accel`] on accelerator setup errors (no network
 /// mapped, mismatched dataset). Rung-level failures (timeout,
-/// shortfall, no spare lane) are recorded in the per-rung reports and
+/// shortfall) are recorded in the per-rung reports and
 /// do *not* abort the ladder — that is the fall-through the ladder
 /// exists for.
 pub fn recover<A: Accel>(
@@ -801,28 +693,8 @@ pub fn recover<A: Accel>(
     let mut best = pre;
     let mut succeeded = false;
 
-    // Runs one rung attempt up to `1 + max_retries_per_rung` times:
-    // an attempt ending in a typed Timeout is retried with its partial
-    // report kept; any other outcome ends the loop. Returns the final
-    // attempt's report.
-    let retries = policy.retry.max_retries_per_rung;
-    macro_rules! with_retries {
-        ($attempt:expr) => {{
-            let mut left = retries;
-            loop {
-                let r: RungReport = $attempt?;
-                if matches!(r.error, Some(RecoveryError::Timeout { .. })) && left > 0 {
-                    left -= 1;
-                    rungs.push(r);
-                    continue;
-                }
-                break r;
-            }
-        }};
-    }
-
     // Rung 1: retrain around the defects.
-    let r1 = with_retries!(retrain_under_budget(
+    let r1 = retrain_under_budget(
         accel,
         ds,
         train_idx,
@@ -830,7 +702,7 @@ pub fn recover<A: Accel>(
         policy,
         &policy.retrain,
         RecoveryRung::Retrain,
-    ));
+    )?;
     if let Some(a) = r1.accuracy {
         best = best.max(a);
     }
@@ -839,69 +711,36 @@ pub fn recover<A: Accel>(
     rungs.push(r1);
 
     // Topology-specific structural rungs, in the topology's order.
-    for rung in accel.structural_rungs(policy) {
+    let structural = if policy.structural {
+        accel.structural_rungs(policy)
+    } else {
+        Vec::new()
+    };
+    for rung in structural {
         if stop {
             break;
         }
-        match accel.apply_structural_rung(rung, diagnosis, policy) {
+        let outcome = accel.apply_structural_rung(rung, diagnosis, policy)?;
+        let rp = if outcome.retrain_after {
             // Routing changed: retrain to the new configuration under
             // the remap budget.
-            Ok(outcome) if outcome.retrain_after => {
-                let rp = with_retries!(retrain_under_budget(
-                    accel,
-                    ds,
-                    train_idx,
-                    test_idx,
-                    policy,
-                    &policy.remap,
-                    rung,
-                )
-                .map(|mut r| {
-                    r.remapped = outcome.remapped;
-                    r.masked = outcome.masked;
-                    r.memory = outcome.memory.clone();
-                    r
-                }));
-                if let Some(a) = rp.accuracy {
-                    best = best.max(a);
-                }
-                succeeded |= rp.error.is_none();
-                stop |= rp.error.is_none();
-                rungs.push(rp);
-            }
+            let mut r =
+                retrain_under_budget(accel, ds, train_idx, test_idx, policy, &policy.remap, rung)?;
+            r.remapped = outcome.remapped;
+            r.masked = outcome.masked;
+            r.memory = outcome.memory;
+            r
+        } else {
             // Weight-transparent repair: re-measure under the rung
             // watchdog (a stalled store must fall through, not hang).
-            Ok(outcome) => {
-                let rp = with_retries!(measure_under_watchdog(
-                    accel,
-                    ds,
-                    test_idx,
-                    policy,
-                    &policy.remap,
-                    rung,
-                    &outcome,
-                ));
-                if let Some(a) = rp.accuracy {
-                    best = best.max(a);
-                }
-                succeeded |= rp.error.is_none();
-                stop |= rp.error.is_none();
-                rungs.push(rp);
-            }
-            // Spares ran out: record the typed failure, keep climbing.
-            Err(e @ RecoveryError::NoSpareLane { .. }) => {
-                rungs.push(RungReport {
-                    rung,
-                    accuracy: None,
-                    epochs_used: 0,
-                    error: Some(e),
-                    remapped: 0,
-                    masked: 0,
-                    memory: None,
-                });
-            }
-            Err(e) => return Err(e),
+            measure_under_watchdog(accel, ds, test_idx, policy, &policy.remap, rung, &outcome)?
+        };
+        if let Some(a) = rp.accuracy {
+            best = best.max(a);
         }
+        succeeded |= rp.error.is_none();
+        stop |= rp.error.is_none();
+        rungs.push(rp);
     }
 
     // Final rung: graceful degradation — always "succeeds" at reporting.
@@ -1117,91 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_timeouts_retry_then_fall_through() {
-        // RetryPolicy: a rung that times out is retried up to the
-        // budget, every attempt's partial report kept, and the ladder
-        // still falls through after the last one.
-        let (mut accel, ds, train, test) = commissioned_accel(5, 6);
-        let diagnosis = run_selftest(&mut accel, &BistConfig::default()).unwrap();
-        let policy = RecoveryPolicy {
-            retrain: RungBudget {
-                max_epochs: 5,
-                wall_clock_ms: 30,
-            },
-            target_accuracy: 2.0,
-            chaos_stall: Some((RecoveryRung::Retrain, 100)),
-            retry: RetryPolicy {
-                max_retries_per_rung: 2,
-                ..RetryPolicy::default()
-            },
-            ..RecoveryPolicy::default()
-        };
-        let report = recover(&mut accel, &ds, &train, &test, &diagnosis, &policy).unwrap();
-        let retrain_attempts: Vec<&RungReport> = report
-            .rungs
-            .iter()
-            .filter(|r| r.rung == RecoveryRung::Retrain)
-            .collect();
-        assert_eq!(retrain_attempts.len(), 3, "1 attempt + 2 retries");
-        for attempt in &retrain_attempts {
-            assert!(
-                matches!(attempt.error, Some(RecoveryError::Timeout { .. })),
-                "{:?}",
-                attempt.error
-            );
-        }
-        // After the retries are spent, the ladder keeps climbing.
-        assert!(report.rungs.iter().any(|r| r.rung == RecoveryRung::Remap));
-        assert_eq!(report.final_rung(), Some(RecoveryRung::Degrade));
-    }
-
-    #[test]
-    fn backoff_schedule_is_exponential_and_capped() {
-        let retry = RetryPolicy::default();
-        assert_eq!(retry.backoff_batches(0), 4);
-        assert_eq!(retry.backoff_batches(1), 8);
-        assert_eq!(retry.backoff_batches(2), 16);
-        assert_eq!(retry.backoff_batches(4), 64);
-        assert_eq!(retry.backoff_batches(40), 64, "cap holds, no overflow");
-    }
-
-    #[test]
-    fn no_spare_lane_is_typed_when_masking_forbidden() {
-        // 6 logical neurons on a 10-lane array leaves 4 spares; flag 5
-        // in-use lanes so the remap rung cannot relocate them all.
-        let (mut accel, ds, train, test) = commissioned_accel(7, 0);
-        let diagnosis = Diagnosis {
-            flagged: Vec::new(),
-            screened_lanes: (0..5).map(|n| (Layer::Hidden, n)).collect(),
-            operators_probed: 0,
-            memory: None,
-        };
-        let policy = RecoveryPolicy {
-            retrain: RungBudget {
-                max_epochs: 1,
-                wall_clock_ms: 60_000,
-            },
-            target_accuracy: 2.0,
-            mask_unmappable: false,
-            ..RecoveryPolicy::default()
-        };
-        let report = recover(&mut accel, &ds, &train, &test, &diagnosis, &policy).unwrap();
-        let r2 = report
-            .rungs
-            .iter()
-            .find(|r| r.rung == RecoveryRung::Remap)
-            .expect("remap rung attempted");
-        assert_eq!(
-            r2.error,
-            Some(RecoveryError::NoSpareLane {
-                needed: 5,
-                spares: 4
-            })
-        );
-        assert_eq!(report.final_rung(), Some(RecoveryRung::Degrade));
-    }
-
-    #[test]
     fn memory_rungs_run_and_never_lose_to_blind_retraining() {
         // Twin arrays with the same memory damage: the full ladder
         // (ECC scrub, spare steer, placement) must never end below the
@@ -1238,8 +992,7 @@ mod tests {
                 ..RecoveryPolicy::default()
             };
             let blind_policy = RecoveryPolicy {
-                use_remap: false,
-                use_memory_repair: false,
+                structural: false,
                 ..base.clone()
             };
 
@@ -1253,6 +1006,15 @@ mod tests {
                 &blind_policy,
             )
             .unwrap();
+            // The blind arm skips every structural rung, memory rungs
+            // included, even with a store attached.
+            let blind_kinds: Vec<RecoveryRung> = blind.rungs.iter().map(|r| r.rung).collect();
+            assert!(
+                blind_kinds
+                    .iter()
+                    .all(|r| matches!(r, RecoveryRung::Retrain | RecoveryRung::Degrade)),
+                "seed {seed}: {blind_kinds:?}"
+            );
 
             let (mut full_accel, _, _, _) = build();
             let diagnosis = run_selftest(&mut full_accel, &BistConfig::default()).unwrap();
@@ -1316,7 +1078,7 @@ mod tests {
                 ..RecoveryPolicy::default()
             };
             let blind_policy = RecoveryPolicy {
-                use_remap: false,
+                structural: false,
                 ..base.clone()
             };
             let blind = recover(

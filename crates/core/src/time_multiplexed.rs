@@ -311,26 +311,15 @@ impl TimeMultiplexedAccelerator {
             }
             return acc;
         };
+        // Faulty synapses beyond the task width see zero operands.
         let n_logical = inputs.len();
-        let n_eff = n_logical.max(nf.max_synapse_excl());
-        let mut acc = bias;
-        for i in 0..n_eff {
-            let (w, xi) = if i < n_logical {
+        nf.accumulate(bias, n_logical, false, |i| {
+            if i < n_logical {
                 (ws[i], inputs[i])
             } else {
                 (Fx::ZERO, Fx::ZERO)
-            };
-            let w = nf.latch_filter(i, w);
-            let p = match nf.multiplier_mut(i) {
-                Some(hw) => hw.mul(w, xi),
-                None => w * xi,
-            };
-            acc = match nf.adder_mut(i) {
-                Some(hw) => hw.add(acc, p),
-                None => acc + p,
-            };
-        }
-        acc
+            }
+        })
     }
 
     /// Classification accuracy of a logical network on this (possibly

@@ -220,11 +220,7 @@ impl SystolicAccelerator {
     /// Re-points schedule rows that route through flagged PEs at
     /// healthy spare physical rows; rows left over when spares run out
     /// keep their bypasses. Returns `(remapped_rows, bypassed_left)`.
-    fn install_row_remaps(
-        &mut self,
-        diagnosis: &Diagnosis,
-        policy: &RecoveryPolicy,
-    ) -> Result<(usize, usize), RecoveryError> {
+    fn install_row_remaps(&mut self, diagnosis: &Diagnosis) -> (usize, usize) {
         use std::collections::BTreeSet;
         let geom = self.grid.geometry();
         let flagged: Vec<(usize, usize)> = flagged_pes(diagnosis);
@@ -237,12 +233,6 @@ impl SystolicAccelerator {
             .filter(|p| !in_use.contains(p))
             .filter(|p| !bad_rows.contains(p))
             .collect();
-        if need.len() > spares.len() && !policy.mask_unmappable {
-            return Err(RecoveryError::NoSpareLane {
-                needed: need.len(),
-                spares: spares.len(),
-            });
-        }
         let mut remapped = 0usize;
         let mut left = 0usize;
         for (i, &r) in need.iter().enumerate() {
@@ -266,7 +256,7 @@ impl SystolicAccelerator {
                 }
             }
         }
-        Ok((remapped, left))
+        (remapped, left)
     }
 
     /// Per-PE BIST: every physical PE is driven with the shared Q6.10
@@ -538,19 +528,15 @@ impl Accel for SystolicAccelerator {
         Ok(self.pe_selftest(cfg))
     }
 
-    fn structural_rungs(&self, policy: &RecoveryPolicy) -> Vec<RecoveryRung> {
-        if policy.use_remap {
-            vec![RecoveryRung::PeBypass, RecoveryRung::GridRemap]
-        } else {
-            Vec::new()
-        }
+    fn structural_rungs(&self, _policy: &RecoveryPolicy) -> Vec<RecoveryRung> {
+        vec![RecoveryRung::PeBypass, RecoveryRung::GridRemap]
     }
 
     fn apply_structural_rung(
         &mut self,
         rung: RecoveryRung,
         diagnosis: &Diagnosis,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
     ) -> Result<StructuralOutcome, RecoveryError> {
         match rung {
             RecoveryRung::PeBypass => {
@@ -562,7 +548,7 @@ impl Accel for SystolicAccelerator {
                 })
             }
             RecoveryRung::GridRemap => {
-                let (remapped, masked) = self.install_row_remaps(diagnosis, policy)?;
+                let (remapped, masked) = self.install_row_remaps(diagnosis);
                 Ok(StructuralOutcome {
                     remapped,
                     masked,
@@ -796,8 +782,7 @@ mod tests {
                 ..RecoveryPolicy::default()
             };
             let blind_policy = RecoveryPolicy {
-                use_remap: false,
-                use_memory_repair: false,
+                structural: false,
                 ..base.clone()
             };
             let (mut blind_accel, ds, train, test) = build();
@@ -857,13 +842,13 @@ mod tests {
     }
 
     #[test]
-    fn no_spare_rows_is_a_typed_error_when_masking_forbidden() {
+    fn rows_left_without_a_spare_stay_bypassed() {
         let mut accel = SystolicAccelerator::new();
         accel
             .map_network(Mlp::new(Topology::new(4, 6, 3), 9))
             .unwrap();
-        // Flag PEs on three distinct schedule rows — more than the two
-        // spare rows can absorb.
+        // Flag PEs on three distinct schedule rows — one more than the
+        // two spare rows can absorb.
         let mut diag = Diagnosis::default();
         for p in [0usize, 5, 9] {
             diag.flagged.push(FaultSite {
@@ -873,17 +858,11 @@ mod tests {
                 synapse: Some(p),
             });
         }
-        let policy = RecoveryPolicy {
-            mask_unmappable: false,
-            ..RecoveryPolicy::default()
-        };
-        assert_eq!(
-            accel.apply_structural_rung(RecoveryRung::GridRemap, &diag, &policy),
-            Err(RecoveryError::NoSpareLane {
-                needed: 3,
-                spares: 2
-            })
-        );
+        let out = accel
+            .apply_structural_rung(RecoveryRung::GridRemap, &diag, &RecoveryPolicy::default())
+            .unwrap();
+        assert_eq!((out.remapped, out.masked), (2, 1));
+        assert!(accel.grid().is_bypassed(9, 0));
     }
 
     #[test]

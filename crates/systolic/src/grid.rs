@@ -10,7 +10,6 @@
 //! result register (which corrupts even idle pass-through), and a dead
 //! PE that forwards its incoming partial sum unchanged.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::Rng;
@@ -285,11 +284,6 @@ impl PeGrid {
             .collect()
     }
 
-    /// The distinct PEs carrying at least one defect.
-    pub fn faulty_pes(&self) -> BTreeSet<(usize, usize)> {
-        self.defects.iter().map(|d| (d.row, d.col)).collect()
-    }
-
     /// Rewinds every defect's activation stream to power-on.
     pub fn reset_state(&mut self) {
         for d in &mut self.defects {
@@ -319,11 +313,6 @@ impl PeGrid {
     /// Whether a PE is bypassed.
     pub fn is_bypassed(&self, row: usize, col: usize) -> bool {
         self.bypass[row * self.geom.cols + col]
-    }
-
-    /// Bypassed PEs in total.
-    pub fn bypassed_pes(&self) -> usize {
-        self.bypass.iter().filter(|&&b| b).count()
     }
 
     /// Re-points schedule row `schedule_row` at physical row

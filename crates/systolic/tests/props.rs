@@ -119,8 +119,7 @@ proptest! {
             ..RecoveryPolicy::default()
         };
         let blind_policy = RecoveryPolicy {
-            use_remap: false,
-            use_memory_repair: false,
+            structural: false,
             ..policy.clone()
         };
         let blind = recover(
