@@ -28,8 +28,9 @@
 //! runs this fused stream whenever the plan is
 //! [vectorizable](FaultPlan::vectorizable), i.e. every faulty operator
 //! lowered to truth-word patches; otherwise it runs the rows one by one
-//! through [`crate::Mlp::forward_faulty`], whose faulty operators settle
-//! on their event-driven scalar simulators.
+//! through [`crate::Mlp::forward_faulty`], whose faulty operators run
+//! their compiled one-lane streams (stateful cells as step
+//! instructions).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

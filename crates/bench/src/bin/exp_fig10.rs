@@ -128,7 +128,7 @@ fn main() {
     // bit-for-bit, only the wall time moves.
     let cells = (specs.len() * cfg.defect_counts.len() * cfg.repetitions) as u64;
     let threads_used = effective_threads(cfg.threads);
-    println!(
+    eprintln!(
         "\ncampaign: {cells} cells in {wall_s:.2} s on {threads_used} thread(s) \
          ({:.2} cells/s)",
         cells as f64 / wall_s
@@ -148,7 +148,7 @@ fn main() {
             // the timing is honest.
             let (serial_curves, t) = run_campaign(&specs, &serial_cfg, None);
             assert_eq!(serial_curves, curves, "serial run must be bit-identical");
-            println!("serial reference: {t:.2} s ({:.2}x speedup)", t / wall_s);
+            eprintln!("serial reference: {t:.2} s ({:.2}x speedup)", t / wall_s);
             t
         })
     };

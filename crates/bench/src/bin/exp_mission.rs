@@ -443,7 +443,7 @@ fn main() {
         }
     }
 
-    println!(
+    eprintln!(
         "\n{} cell(s) in {wall_s:.2} s; mission terminal accuracy >= blind at every \
          (topology, rate) — asserted in-binary.",
         results.len()

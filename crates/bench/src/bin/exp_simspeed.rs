@@ -1,15 +1,16 @@
 //! Simulation-speed shootout for the faulty-multiplier workload: the
 //! same stream of multiplications under permanent defects, evaluated by
-//! every scalar settle strategy, slowest to fastest.
+//! every scalar engine, slowest to fastest.
 //!
-//! * `switch` — the uncached switch-level evaluator (every faulty gate
-//!   re-solved through its transistor network per settle);
-//! * `compiled` — memoized truth tables swept with the compiled full
-//!   schedule (`Simulator::settle_full`, every gate evaluated every
-//!   settle), driven through the multiplier's public buses;
-//! * `event` — the production scalar engine and oracle: only gates
-//!   whose inputs changed are re-evaluated, seeded from the per-gate
-//!   fan-out lists.
+//! * `switch` — the uncached switch-level cells on the reference
+//!   `Simulator` (every faulty gate re-solved through its transistor
+//!   network per settle);
+//! * `sweep` — the reference `Simulator` with memoized truth tables
+//!   (`DefectPlan::apply`), one full sweep over every gate per call;
+//! * `stream` — the production engine, `HwMultiplier::mul`: the plan
+//!   lowered into the circuit's LUT stream (patched truth words plus
+//!   step instructions for stateful cells), optimized and swept one
+//!   lane at a time.
 //!
 //! Every strategy must produce bit-identical products; the binary
 //! asserts this before reporting throughput. The stimulus mimics the
@@ -18,7 +19,7 @@
 //!
 //! A second, network-level shootout runs the **whole faulty forward
 //! pass** of an MLP under the two network engines: `scalar` (the
-//! per-sample event-driven reference, `Mlp::forward_faulty`) and
+//! per-sample operator calls, `Mlp::forward_faulty`) and
 //! `fused` (`dta_ann::FusedForward` — the entire pass compiled into one
 //! optimized LUT instruction stream, reached through
 //! `Mlp::forward_faulty_batch`). Both must agree bit-for-bit; the
@@ -46,13 +47,13 @@ use std::time::Instant;
 
 use dta_ann::{FaultPlan, FusedForward, Mlp, Topology};
 use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::{DefectPlan, FaultModel, FxMulCircuit};
+use dta_circuits::{DefectPlan, FaultModel, FxMulCircuit, HwMultiplier};
 use dta_fixed::{Fx, SigmoidLut};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The operator-level strategies, slowest to fastest.
-const STRATEGIES: [&str; 3] = ["switch", "compiled", "event"];
+const STRATEGIES: [&str; 3] = ["switch", "sweep", "stream"];
 
 /// One measured strategy: name, throughput, and the products it
 /// computed (for the cross-strategy identity check).
@@ -69,9 +70,14 @@ fn time_run(rows: usize, f: impl FnOnce() -> Vec<Fx>) -> (f64, Vec<Fx>) {
     (rows as f64 / t, out)
 }
 
+/// The injection RNG of the `n`-defect plan.
+fn plan_rng(n: usize, seed: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed ^ (n as u64) << 24)
+}
+
 /// Builds the permanent defect plan with `n` defects.
 fn build_plan(mul: &FxMulCircuit, n: usize, seed: u64) -> DefectPlan {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (n as u64) << 24);
+    let mut rng = plan_rng(n, seed);
     let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
     for _ in 0..n {
         plan.add_random(mul.netlist(), mul.cells(), &mut rng);
@@ -89,14 +95,13 @@ fn main() {
     let measure_switch = args.get_bool("switch", !smoke);
     let breakdown = args.get_bool("breakdown", false);
 
-    let mul = FxMulCircuit::new();
+    let mul = Arc::new(FxMulCircuit::new());
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let weight = Fx::from_f64(0.37);
     // Two stimulus classes against the same fixed weight operand:
     // `dense` is the training inner loop (a fresh data operand every
     // row, most of the circuit toggles), `sparse` flips one data bit
-    // per row (diagnosis probes, quiescent sensors) — the event-driven
-    // sweet spot.
+    // per row (diagnosis probes, quiescent sensors).
     let dense: Vec<Fx> = (0..rows)
         .map(|_| Fx::from_raw(rng.random::<i16>()))
         .collect();
@@ -141,28 +146,7 @@ fn main() {
             }
 
             {
-                // Memoized truth tables, compiled full sweep per row.
-                let mut sim = mul.simulator();
-                build_plan(&mul, n, seed).apply(&mut sim);
-                let (evals_per_s, out) = time_run(rows, || {
-                    a.iter()
-                        .zip(&b)
-                        .map(|(&x, &w)| {
-                            sim.set_input_word(mul.a_bus(), x.to_bits() as u64);
-                            sim.set_input_word(mul.b_bus(), w.to_bits() as u64);
-                            sim.settle_full();
-                            Fx::from_bits(sim.read_word(mul.out_bus()) as u16)
-                        })
-                        .collect()
-                });
-                ms.push(Measurement {
-                    name: "compiled",
-                    evals_per_s,
-                    out,
-                });
-            }
-
-            {
+                // Memoized truth tables, one full reference sweep per row.
                 let mut sim = mul.simulator();
                 build_plan(&mul, n, seed).apply(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
@@ -172,7 +156,22 @@ fn main() {
                         .collect()
                 });
                 ms.push(Measurement {
-                    name: "event",
+                    name: "sweep",
+                    evals_per_s,
+                    out,
+                });
+            }
+
+            {
+                // The production operator: same plan, same RNG draws.
+                let mut hw = HwMultiplier::with_circuit(Arc::clone(&mul));
+                let mut rng = plan_rng(n, seed);
+                hw.inject_random(FaultModel::TransistorLevel, n, &mut rng);
+                let (evals_per_s, out) = time_run(rows, || {
+                    a.iter().zip(&b).map(|(&x, &w)| hw.mul(x, w)).collect()
+                });
+                ms.push(Measurement {
+                    name: "stream",
                     evals_per_s,
                     out,
                 });
@@ -287,7 +286,7 @@ fn main() {
         let fusable =
             seeds.is_some() && FusedForward::compile(&mlp, &build_net_plan(seeds_or)).is_some();
 
-        // Per-sample event-driven reference — always measurable.
+        // Per-sample operator calls — always measurable.
         let mut r_scalar = f64::NAN;
         let mut scalar_out = Vec::new();
         for _ in 0..net_reps {

@@ -178,7 +178,7 @@ fn main() {
     let threads_used = effective_threads(base_cfg.threads);
     let cells =
         (specs.len() * classes.len() * base_cfg.defect_counts.len() * base_cfg.repetitions) as u64;
-    println!(
+    eprintln!(
         "\n{cells} cells in {wall_s:.2} s on {threads_used} thread(s), \
          {failed_cells} failed, {retried_cells} retried"
     );

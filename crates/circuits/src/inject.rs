@@ -87,9 +87,10 @@ struct StuckGate {
 
 /// Gate behavior for dynamically activated stuck-at faults: each
 /// evaluation advances the per-fault activation machines and overlays
-/// the active faults on the permanent [`StuckSet`]. Permanent output
-/// faults keep their first-wins precedence over dynamic ones (the plan
-/// injects them first).
+/// the active faults on the permanent [`StuckSet`], as if they had been
+/// added to it after its own faults. Permanent output faults keep their
+/// first-wins precedence over dynamic ones (the plan injects them
+/// first).
 #[derive(Clone, Debug)]
 struct DynamicStuck {
     base: StuckSet,
@@ -98,13 +99,21 @@ struct DynamicStuck {
 
 impl GateBehavior for DynamicStuck {
     fn eval(&mut self, inputs: &[bool]) -> bool {
-        let mut set = self.base.clone();
+        let mut pins = [false; 4];
+        pins[..inputs.len()].copy_from_slice(inputs);
+        self.base.patch_inputs(&mut pins);
+        let mut out = self.base.output_fault();
         for (port, value, state) in &mut self.dynamic {
             if state.advance() {
-                set.add(*port, *value);
+                match *port {
+                    StuckPort::Output => {
+                        out.get_or_insert(*value);
+                    }
+                    StuckPort::Input(k) => pins[k] = *value,
+                }
             }
         }
-        set.eval(inputs)
+        out.unwrap_or_else(|| self.base.kind().eval(&pins[..inputs.len()]))
     }
 
     fn reset(&mut self) {
@@ -170,7 +179,8 @@ impl DefectPlan {
     }
 
     /// True if any injected defect has a non-permanent lifetime, i.e.
-    /// evaluation is stateful and cannot lower to truth-word patches.
+    /// its gate lowers to a step instruction rather than a truth-word
+    /// patch.
     pub fn has_dynamic(&self) -> bool {
         self.trans_cells.values().any(|g| !g.dynamic.is_empty())
             || self.stuck_sets.values().any(|g| !g.dynamic.is_empty())
@@ -307,13 +317,7 @@ impl DefectPlan {
     /// [`DefectPlan::apply_switch_level`].
     pub fn apply(&self, sim: &mut Simulator) {
         for (&gate, tg) in &self.trans_cells {
-            if tg.dynamic.is_empty() {
-                sim.override_gate(gate, Box::new(CachedCell::new(&tg.cell)));
-            } else {
-                let dynamic = DynamicCell::new(tg.cell.clone(), Self::dynamic_defects(tg))
-                    .expect("dynamic sites were drawn from this cell");
-                sim.override_gate(gate, Box::new(dynamic));
-            }
+            sim.override_gate(gate, Self::trans_behavior(tg));
         }
         for (&gate, sg) in &self.stuck_sets {
             sim.override_gate(gate, Self::stuck_behavior(sg));
@@ -340,6 +344,17 @@ impl DefectPlan {
         }
     }
 
+    /// The memoized behavior of a transistor-level faulty gate.
+    fn trans_behavior(tg: &TransGate) -> Box<dyn GateBehavior> {
+        if tg.dynamic.is_empty() {
+            Box::new(CachedCell::new(&tg.cell))
+        } else {
+            let dynamic = DynamicCell::new(tg.cell.clone(), Self::dynamic_defects(tg))
+                .expect("dynamic sites were drawn from this cell");
+            Box::new(dynamic)
+        }
+    }
+
     fn stuck_behavior(sg: &StuckGate) -> Box<dyn GateBehavior> {
         if sg.dynamic.is_empty() {
             Box::new(sg.set.clone())
@@ -356,32 +371,40 @@ impl DefectPlan {
     }
 
     /// Lowers this plan onto `prog`, the circuit's compiled LUT
-    /// instruction stream: every faulty gate's truth word is replaced by
-    /// its faulty cell's — transistor-level cells through their memoized
-    /// [`CellTable::lut_patch`], gate-level stuck-at sets by collapsing
-    /// the set over all pin assignments. Returns the patched stream, or
-    /// `None` at the first cell that is stateful (reachable memory
-    /// state, a delay defect) or dynamically activated: such a plan runs
-    /// on the scalar [`Simulator`] only.
-    pub fn lower_patches(&self, prog: &LutProgram) -> Option<Vec<LutInstr>> {
+    /// instruction stream. A faulty gate that is combinational — a
+    /// permanent transistor-level cell whose table collapses
+    /// ([`CellTable::lut_patch`]) or a permanent stuck-at set — has its
+    /// truth word patched in the returned copy of the stream. Every
+    /// other faulty gate (reachable memory state, a delay defect, a
+    /// transient or intermittent activation) becomes a **step
+    /// instruction**: its position in the stream, paired with the same
+    /// fresh [`GateBehavior`] that [`DefectPlan::apply`] installs in a
+    /// simulator. Steps come in ascending stream order.
+    #[allow(clippy::type_complexity)]
+    pub fn lower(&self, prog: &LutProgram) -> (Vec<LutInstr>, Vec<(usize, Box<dyn GateBehavior>)>) {
         let mut instrs = prog.instrs().to_vec();
-        let mut patch = |gate: NodeId, table: u16| {
-            let pos = prog.instr_index(gate).expect("defects sit on gates");
-            instrs[pos].table = table;
-        };
+        let mut steps: Vec<(usize, Box<dyn GateBehavior>)> = Vec::new();
+        let pos = |gate: NodeId| prog.instr_index(gate).expect("defects sit on gates");
         for (&gate, tg) in &self.trans_cells {
-            if !tg.dynamic.is_empty() {
-                return None;
+            let patch = if tg.dynamic.is_empty() {
+                CellTable::cached(&tg.cell).lut_patch()
+            } else {
+                None
+            };
+            match patch {
+                Some(t) => instrs[pos(gate)].table = t,
+                None => steps.push((pos(gate), Self::trans_behavior(tg))),
             }
-            patch(gate, CellTable::cached(&tg.cell).lut_patch()?);
         }
         for (&gate, sg) in &self.stuck_sets {
-            if !sg.dynamic.is_empty() {
-                return None;
+            if sg.dynamic.is_empty() {
+                instrs[pos(gate)].table = Self::stuck_table(&sg.set);
+            } else {
+                steps.push((pos(gate), Self::stuck_behavior(sg)));
             }
-            patch(gate, Self::stuck_table(&sg.set));
         }
-        Some(instrs)
+        steps.sort_unstable_by_key(|&(at, _)| at);
+        (instrs, steps)
     }
 
     /// Collapses a permanent stuck-at set into a LUT truth word by
@@ -603,9 +626,10 @@ mod tests {
     }
 
     /// Random plans on one operator circuit, for both fault models and
-    /// every activation class. A plan whose patch lowering succeeds must,
-    /// run as a one-segment fused stream, equal the scalar simulator row
-    /// for row; a plan with a stateful or dynamic cell must be refused.
+    /// every activation class. A plan that lowers without step
+    /// instructions must, run as a one-segment fused stream, equal the
+    /// scalar simulator row for row; a plan with a stateful or dynamic
+    /// cell must lower to at least one step.
     fn patch_lowering_matches_scalar(
         net: &Arc<Netlist>,
         cells: &[Vec<NodeId>],
@@ -635,12 +659,13 @@ mod tests {
                             .values()
                             .any(|g| CellTable::cached(&g.cell).lut_patch().is_none());
                     let case = format!("{model} {activation} seed {seed}");
-                    let Some(instrs) = plan.lower_patches(&prog) else {
-                        assert!(stateful, "{case}: refused a patchable plan");
+                    let (instrs, steps) = plan.lower(&prog);
+                    if !steps.is_empty() {
+                        assert!(stateful, "{case}: stepped a patchable plan");
                         refused += 1;
                         continue;
-                    };
-                    assert!(!stateful, "{case}: lowered a stateful plan");
+                    }
+                    assert!(!stateful, "{case}: patched a stateful plan");
                     accepted += 1;
 
                     let mut fb = FuseBuilder::new();

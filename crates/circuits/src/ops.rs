@@ -9,21 +9,24 @@
 //! `Fx -> Fx` interface that `dta-ann` calls for marked neurons while
 //! every healthy operator runs native Q6.10 arithmetic.
 //!
-//! Each faulty operator evaluates on `sim`, the event-driven scalar
-//! [`dta_logic::Simulator`] with the plan's faulty-gate behaviors
-//! installed: the reference every faster path is tested against.
-//! Stateful faults (memory effects, delay defects, transient and
-//! intermittent activations) advance exactly one state step per call.
-//! When every defect lowers to a truth-word patch (see
-//! [`DefectPlan::lower_patches`]) the operator also keeps its circuit's
-//! patched LUT instruction stream, which network-level fusion
-//! (`dta-ann`) stitches into one 64-lane program.
+//! Each faulty operator evaluates on a compiled [`OpExec`]: the
+//! circuit's LUT instruction stream with the plan lowered into it
+//! ([`DefectPlan::lower`]) — combinational faulty cells as patched truth
+//! words, stateful ones (memory effects, delay defects, transient and
+//! intermittent activations) as step instructions that advance exactly
+//! one state step per call — optimized and swept one lane at a time.
+//! The reference [`dta_logic::Simulator`] carrying
+//! [`DefectPlan::apply`] gives bit-identical results. When the plan has
+//! no step instruction the operator also keeps the patched stream
+//! itself, which network-level fusion (`dta-ann`) stitches into one
+//! 64-lane program.
 
 use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
 use dta_fixed::{Fx, SigmoidLut};
+use dta_logic::{LutInstr, LutProgram, OpExec};
 
 use crate::adder::SatAdderCircuit;
 use crate::inject::{DefectPlan, FaultModel};
@@ -36,20 +39,25 @@ fn sigmoid_lut() -> &'static SigmoidLut {
     LUT.get_or_init(SigmoidLut::new)
 }
 
+/// One call of a two-operand faulty operator.
+fn call2(exec: &mut OpExec, a: Fx, b: Fx) -> Fx {
+    Fx::from_bits(exec.call(&[u64::from(a.to_bits()), u64::from(b.to_bits())]) as u16)
+}
+
 macro_rules! hw_operator {
-    ($(#[$doc:meta])* $name:ident, $circuit:ty) => {
+    ($(#[$doc:meta])* $name:ident, $circuit:ty, [$($bus:ident),+]) => {
         $(#[$doc])*
         #[derive(Debug)]
         pub struct $name {
             circuit: Arc<$circuit>,
-            /// Event-driven scalar engine with the plan installed: serves
-            /// every call and is the oracle.
-            sim: dta_logic::Simulator,
+            /// The compiled faulty operator, present iff the plan is
+            /// non-empty: serves every faulty call.
+            exec: Option<OpExec>,
             /// The circuit's LUT instruction stream with the plan's truth
             /// words patched in, present iff the plan is non-empty and
-            /// lowered entirely to patches (see
-            /// [`DefectPlan::lower_patches`]).
-            patched: Option<Vec<dta_logic::LutInstr>>,
+            /// lowered without step instructions (see
+            /// [`DefectPlan::lower`]).
+            patched: Option<Vec<LutInstr>>,
             plan: DefectPlan,
         }
 
@@ -62,36 +70,46 @@ macro_rules! hw_operator {
             /// Builds an operator over a shared circuit (the netlist is
             /// immutable, so many operators can reuse one instance).
             pub fn with_circuit(circuit: Arc<$circuit>) -> Self {
-                let sim = circuit.simulator();
                 Self {
                     circuit,
-                    sim,
+                    exec: None,
                     patched: None,
                     plan: DefectPlan::new(FaultModel::TransistorLevel),
                 }
             }
 
-            /// Lowers the current plan to a patched instruction stream.
+            /// Lowers the current plan and compiles its executor, with
+            /// fresh step behaviors.
             fn lower(&mut self) {
-                self.patched = if self.plan.is_empty() {
-                    None
-                } else {
-                    let prog = dta_logic::LutProgram::cached(self.circuit.netlist());
-                    self.plan.lower_patches(&prog)
-                };
+                (self.exec, self.patched) = (None, None);
+                if self.plan.is_empty() {
+                    return;
+                }
+                let c = &self.circuit;
+                let prog = LutProgram::cached(c.netlist());
+                let (instrs, steps) = self.plan.lower(&prog);
+                let plain = steps.is_empty();
+                self.exec = Some(OpExec::compile(
+                    &prog,
+                    &instrs,
+                    steps,
+                    &[$(c.$bus()),+],
+                    c.out_bus(),
+                ));
+                self.patched = plain.then_some(instrs);
             }
 
             /// True if the operator can run lane-parallel: it is healthy
-            /// (native) or its plan lowered to truth-word patches.
+            /// (native) or its plan lowered without step instructions.
             pub fn vectorizable(&self) -> bool {
                 self.plan.is_empty() || self.patched.is_some()
             }
 
             /// The circuit's instruction stream with the plan's truth
             /// words patched in, when the plan is non-empty and lowered
-            /// entirely to patches. Network-level fusion stitches it into
-            /// one program across operators.
-            pub fn patched_instrs(&self) -> Option<&[dta_logic::LutInstr]> {
+            /// without step instructions. Network-level fusion stitches
+            /// it into one program across operators.
+            pub fn patched_instrs(&self) -> Option<&[LutInstr]> {
                 self.patched.as_deref()
             }
 
@@ -125,7 +143,6 @@ macro_rules! hw_operator {
                 n: usize,
                 rng: &mut R,
             ) -> Vec<String> {
-                self.plan.remove(&mut self.sim);
                 if self.plan.model() != model {
                     self.plan = DefectPlan::new(model);
                 }
@@ -137,7 +154,6 @@ macro_rules! hw_operator {
                         rng,
                     );
                 }
-                self.plan.apply(&mut self.sim);
                 self.lower();
                 self.plan
                     .records()
@@ -159,7 +175,9 @@ macro_rules! hw_operator {
             /// Clears memory effects and delay-line state left by
             /// previous evaluations (call between independent runs).
             pub fn reset_state(&mut self) {
-                self.sim.reset_state();
+                if let Some(exec) = &mut self.exec {
+                    exec.reset_state();
+                }
             }
         }
 
@@ -185,7 +203,8 @@ hw_operator!(
     /// assert_eq!(adder.add(a, b), a + b);
     /// ```
     HwAdder,
-    SatAdderCircuit
+    SatAdderCircuit,
+    [a_bus, b_bus]
 );
 
 impl HwAdder {
@@ -193,10 +212,10 @@ impl HwAdder {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native saturating Q6.10 add.
     pub fn add(&mut self, a: Fx, b: Fx) -> Fx {
-        if self.plan.is_empty() {
-            return a + b;
+        match &mut self.exec {
+            None => a + b,
+            Some(exec) => call2(exec, a, b),
         }
-        self.circuit.compute(&mut self.sim, a, b)
     }
 }
 
@@ -214,7 +233,8 @@ hw_operator!(
     /// assert_eq!(mul.mul(a, b), a * b);
     /// ```
     HwMultiplier,
-    FxMulCircuit
+    FxMulCircuit,
+    [a_bus, b_bus]
 );
 
 impl HwMultiplier {
@@ -222,10 +242,10 @@ impl HwMultiplier {
     /// gate simulation entirely: the circuit is bit-exact with the
     /// native truncating, saturating Q6.10 multiply.
     pub fn mul(&mut self, a: Fx, b: Fx) -> Fx {
-        if self.plan.is_empty() {
-            return a * b;
+        match &mut self.exec {
+            None => a * b,
+            Some(exec) => call2(exec, a, b),
         }
-        self.circuit.compute(&mut self.sim, a, b)
     }
 }
 
@@ -243,7 +263,8 @@ hw_operator!(
     /// assert_eq!(act.eval(x), SigmoidLut::new().eval(x));
     /// ```
     HwSigmoid,
-    SigmoidUnitCircuit
+    SigmoidUnitCircuit,
+    [x_bus]
 );
 
 impl HwSigmoid {
@@ -251,10 +272,10 @@ impl HwSigmoid {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native 16-segment [`SigmoidLut`].
     pub fn eval(&mut self, x: Fx) -> Fx {
-        if self.plan.is_empty() {
-            return sigmoid_lut().eval(x);
+        match &mut self.exec {
+            None => sigmoid_lut().eval(x),
+            Some(exec) => Fx::from_bits(exec.call(&[u64::from(x.to_bits())]) as u16),
         }
-        self.circuit.compute(&mut self.sim, x)
     }
 }
 

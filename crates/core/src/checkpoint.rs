@@ -9,12 +9,17 @@
 //! line is one completed cell, keyed by `(task, defects, rep)`:
 //!
 //! ```text
-//! {"campaign_checkpoint":2,"fingerprint":"v1 seed=0xd7a ..."}
-//! {"task":"iris","defects":8,"rep":2,"status":"ok","values":[0.9333333333333333]}
-//! {"task":"iris","defects":8,"rep":4,"status":"ok","retried":true,"values":[0.9]}
-//! {"task":"iris","defects":8,"rep":3,"status":"failed","panic":"..."}
-//! {"task":"iris@spatial:mission","defects":1,"rep":0,"status":"ok","values":[0.9,1.0,null]}
+//! {"campaign_checkpoint":3,"fingerprint":"v1 seed=0xd7a ..."}
+//! {"task":"iris","defects":8,"rep":2,"status":"ok","values":[0.9333333333333333],"sum":"…"}
+//! {"task":"iris","defects":8,"rep":4,"status":"ok","retried":true,"values":[0.9],"sum":"…"}
+//! {"task":"iris","defects":8,"rep":3,"status":"failed","panic":"...","sum":"…"}
+//! {"task":"iris@spatial:mission","defects":1,"rep":0,"status":"ok","values":[0.9,1.0,null],"sum":"…"}
 //! ```
+//!
+//! Every entry ends with `"sum"`, the 64-bit FNV-1a hash (16 hex
+//! digits) of the line's bytes before `,"sum":`. A flipped digit or
+//! letter would otherwise still parse — as a different accuracy or a
+//! different cell — so a line whose sum does not match is corruption.
 //!
 //! A finished cell carries a list of optional floats: a Figure 10
 //! campaign cell is a one-element list (its accuracy), an experiment
@@ -45,7 +50,7 @@ use crate::campaign::{CampaignError, CellOutcome};
 const HEADER_KEY: &str = "campaign_checkpoint";
 
 /// The journal format this build writes and reads.
-const VERSION: &str = "2";
+const VERSION: &str = "3";
 
 /// One journaled cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -292,7 +297,8 @@ impl Checkpoint {
                 .expect("writing to a String cannot fail");
             }
         }
-        line.push_str("}\n");
+        let sum = fnv1a(line.as_bytes());
+        writeln!(line, ",\"sum\":\"{sum:016x}\"}}").expect("writing to a String cannot fail");
         // A thread that panicked mid-`append` poisons the mutex but
         // leaves at most a torn trailing line, which `open` already
         // drops — recover the guard instead of panicking every
@@ -328,7 +334,19 @@ enum Field {
     List(Vec<String>),
 }
 
+/// 64-bit FNV-1a, the journal's per-entry checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn parse_entry(line: &str) -> Option<(Key, Entry)> {
+    let (body, tail) = line.rsplit_once(",\"sum\":\"")?;
+    let hex = tail.strip_suffix("\"}")?;
+    if hex.len() != 16 || u64::from_str_radix(hex, 16).ok()? != fnv1a(body.as_bytes()) {
+        return None;
+    }
     let fields = parse_object(line)?;
     let task = str_field(&fields, "task")?;
     let defects = raw_field(&fields, "defects")?.parse().ok()?;
@@ -725,6 +743,134 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupted_journals_give_original_entries_or_typed_errors() {
+        use rand::{Rng, SeedableRng};
+
+        let path = tmp("fuzz");
+        let _ = std::fs::remove_file(&path);
+        let fp = "v1 seed=0x5eed tasks=iris,wine";
+        {
+            let ck = Checkpoint::open(&path, fp).unwrap();
+            for i in 0..10usize {
+                let task = ["iris", "wine", "glass \u{2014} \"q\""][i % 3];
+                match i % 4 {
+                    0 => ck.record(task, i, 0, &ok(i as f64 / 7.0)).unwrap(),
+                    1 => ck
+                        .record(
+                            task,
+                            i,
+                            1,
+                            &CellOutcome::Failed {
+                                panic: format!("boom {i}\n\u{e9}"),
+                            },
+                        )
+                        .unwrap(),
+                    2 => ck
+                        .record_values(task, i, 2, &[Some(0.1 * i as f64), None, Some(1.0)])
+                        .unwrap(),
+                    _ => ck
+                        .record(
+                            task,
+                            i,
+                            3,
+                            &CellOutcome::Completed {
+                                accuracy: 0.5 + i as f64 / 100.0,
+                                retried: true,
+                            },
+                        )
+                        .unwrap(),
+                }
+            }
+        }
+        let original = std::fs::read(&path).unwrap();
+        let reference = Checkpoint::open(&path, fp).unwrap().done;
+        assert_eq!(reference.len(), 10);
+        let line_spans = |bytes: &[u8]| -> Vec<std::ops::Range<usize>> {
+            let mut spans = Vec::new();
+            let mut start = 0;
+            for (i, &b) in bytes.iter().enumerate() {
+                if b == b'\n' {
+                    spans.push(start..i + 1);
+                    start = i + 1;
+                }
+            }
+            spans
+        };
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC0FFEE);
+        let mut outcomes = [[0usize; 2]; 6];
+        for case in 0..480 {
+            let kind = case % 6;
+            let mut bytes = original.clone();
+            let spans = line_spans(&bytes);
+            match kind {
+                // A flipped byte.
+                0 => {
+                    let at = rng.random_range(0..bytes.len());
+                    bytes[at] ^= rng.random_range(1..=255u8);
+                }
+                // Truncation at a random offset.
+                1 => bytes.truncate(rng.random_range(0..bytes.len())),
+                // A duplicated line, re-inserted anywhere.
+                2 => {
+                    let line = bytes[spans[rng.random_range(0..spans.len())].clone()].to_vec();
+                    let at = spans[rng.random_range(0..spans.len())].start;
+                    bytes.splice(at..at, line);
+                }
+                // Two lines swapped.
+                3 => {
+                    let i = rng.random_range(0..spans.len());
+                    let j = (i + rng.random_range(1..spans.len())) % spans.len();
+                    let (lo, hi) = (spans[i.min(j)].clone(), spans[i.max(j)].clone());
+                    let mut swapped = bytes[..lo.start].to_vec();
+                    swapped.extend_from_slice(&bytes[hi.clone()]);
+                    swapped.extend_from_slice(&bytes[lo.end..hi.start]);
+                    swapped.extend_from_slice(&bytes[lo.clone()]);
+                    swapped.extend_from_slice(&bytes[hi.end..]);
+                    bytes = swapped;
+                }
+                // An edited fingerprint.
+                4 => {
+                    let start =
+                        spans[0].start + original.windows(3).position(|w| w == b"v1 ").unwrap();
+                    let at = start + rng.random_range(0..fp.len());
+                    bytes[at] = b'a' + rng.random_range(0..26u8);
+                    if bytes == original {
+                        bytes[at] = b'#';
+                    }
+                }
+                // A byte that is never valid UTF-8.
+                _ => {
+                    let at = rng.random_range(0..bytes.len());
+                    bytes[at] = [0xC0u8, 0xC1, 0xF5, 0xFF][rng.random_range(0..4usize)];
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = std::panic::catch_unwind(|| Checkpoint::open(&path, fp))
+                .unwrap_or_else(|_| panic!("case {case} (kind {kind}) panicked"));
+            match opened {
+                Ok(ck) => {
+                    for (key, entry) in &ck.done {
+                        assert_eq!(
+                            reference.get(key),
+                            Some(entry),
+                            "case {case} (kind {kind}): {key:?} is not an original entry"
+                        );
+                    }
+                    outcomes[kind][0] += 1;
+                }
+                Err(CampaignError::Checkpoint { .. }) => outcomes[kind][1] += 1,
+                Err(other) => panic!("case {case} (kind {kind}): untyped error {other:?}"),
+            }
+        }
+        // Every mutation kind is refused at least once, and the
+        // harmless ones (torn tails, duplicates) also open.
+        assert!(outcomes.iter().all(|o| o[1] > 0), "{outcomes:?}");
+        assert!(outcomes[1][0] > 0 && outcomes[2][0] > 0, "{outcomes:?}");
         let _ = std::fs::remove_file(&path);
     }
 }

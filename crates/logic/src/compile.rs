@@ -11,7 +11,9 @@
 //! *patching its gate's truth word* in a copy of the stream, and
 //! [`crate::FuseBuilder`] stitches patched streams into the one program
 //! that [`crate::FusedExec`] evaluates as branchless 64-lane table
-//! lookups, so a faulty sweep costs what a healthy one does.
+//! lookups, so a faulty sweep costs what a healthy one does. A faulty
+//! cell with state stays in the stream as a *step instruction* that
+//! [`crate::OpExec`] evaluates through the cell's behavior.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,15 +12,17 @@
 //!   count for the cost model;
 //! * [`Netlist`] / [`NetlistBuilder`] — an immutable combinational +
 //!   latch DAG with named input/output buses;
-//! * [`Simulator`] — the event-driven scalar evaluation engine and the
-//!   reference oracle: it settles the combinational logic in topological
-//!   order and steps latches on [`Simulator::tick`]; any gate can be
-//!   overridden with a [`GateBehavior`], which is how both fault models
-//!   plug in;
+//! * [`Simulator`] — the reference oracle: each settle is one full sweep
+//!   of the combinational logic in topological order, and latches step
+//!   on [`Simulator::tick`]; any gate can be overridden with a
+//!   [`GateBehavior`], which is how both fault models plug in;
 //! * [`LutProgram`] — the netlist compiled to a topological LUT
 //!   instruction stream, into which permanent faults patch their truth
 //!   words, and [`FusedProgram`] / [`FusedExec`], the 64-lane engine that
 //!   runs one or many such streams stitched into one program;
+//! * [`OpExec`] — one faulty operator's patched stream, optimized and
+//!   swept one lane per call, with stateful faulty cells as step
+//!   instructions that call their [`GateBehavior`] in stream order;
 //! * [`stuck`] — the classic **gate-level stuck-at fault model** (inputs
 //!   or output of a logic gate stuck at 0/1). The paper uses this model as
 //!   the *inaccurate baseline* that transistor-level injection
@@ -52,6 +54,7 @@ pub mod compile;
 pub mod fuse;
 pub mod gate;
 pub mod netlist;
+pub mod op;
 pub mod opt;
 pub mod sim;
 pub mod stuck;
@@ -60,6 +63,7 @@ pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgr
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
 pub use netlist::{Netlist, NetlistBuilder, NetlistError, Node, NodeId};
-pub use opt::{optimize, optimize_with_consts, OptStats, SlotMap};
+pub use op::OpExec;
+pub use opt::{optimize, optimize_opaque, optimize_with_consts, OptStats, SlotMap};
 pub use sim::Simulator;
 pub use stuck::{StuckAt, StuckPort, StuckSet};

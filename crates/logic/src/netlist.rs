@@ -133,13 +133,6 @@ pub struct Netlist {
     sched: Vec<SchedGate>,
     /// Flat pin (driver-index) array referenced by `sched`.
     sched_pins: Vec<u32>,
-    /// Node index → position of that gate in `sched` (`u32::MAX` for
-    /// inputs and latches), for event-driven dirty marking.
-    node_sched: Vec<u32>,
-    /// CSR fan-out: the consumers of node `n` are the schedule positions
-    /// `fanout_gates[fanout_start[n]..fanout_start[n+1]]`.
-    fanout_start: Vec<u32>,
-    fanout_gates: Vec<u32>,
     input_index: HashMap<String, NodeId>,
     output_index: HashMap<String, NodeId>,
 }
@@ -205,23 +198,10 @@ impl Netlist {
         gate_t + 8 * self.latches.len() as u64
     }
 
-    /// The compiled gate schedule and its flat pin array, for the settle
-    /// loops of both simulation engines.
+    /// The compiled gate schedule and its flat pin array, for the
+    /// simulator's settle sweep and the LUT compiler.
     pub(crate) fn schedule(&self) -> (&[SchedGate], &[u32]) {
         (&self.sched, &self.sched_pins)
-    }
-
-    /// Schedule positions of the gates reading node `node` — the edges an
-    /// event-driven settle follows when the node's value changes.
-    pub(crate) fn fanout_of(&self, node: u32) -> &[u32] {
-        let lo = self.fanout_start[node as usize] as usize;
-        let hi = self.fanout_start[node as usize + 1] as usize;
-        &self.fanout_gates[lo..hi]
-    }
-
-    /// Schedule position of a gate node (`u32::MAX` for non-gates).
-    pub(crate) fn sched_index(&self, node: u32) -> u32 {
-        self.node_sched[node as usize]
     }
 
     /// Counts gate instances per cell type — the structural summary the
@@ -466,12 +446,10 @@ impl NetlistBuilder {
         // pins flattened into one contiguous array.
         let mut sched = Vec::new();
         let mut sched_pins = Vec::new();
-        let mut node_sched = vec![u32::MAX; n];
         for &id in &order {
             if let Node::Gate { kind, inputs } = &self.nodes[id.index()] {
                 let in_start = sched_pins.len() as u32;
                 sched_pins.extend(inputs.iter().map(|n| n.0));
-                node_sched[id.index()] = sched.len() as u32;
                 sched.push(SchedGate {
                     kind: *kind,
                     out: id.0,
@@ -480,16 +458,6 @@ impl NetlistBuilder {
                 });
             }
         }
-
-        // Flatten the fan-out lists (consumer gates as schedule
-        // positions, CSR layout) for the event-driven settle path.
-        let mut fanout_start = Vec::with_capacity(n + 1);
-        let mut fanout_gates = Vec::new();
-        for consumers in &fanout {
-            fanout_start.push(fanout_gates.len() as u32);
-            fanout_gates.extend(consumers.iter().map(|&g| node_sched[g as usize]));
-        }
-        fanout_start.push(fanout_gates.len() as u32);
 
         let mut input_index = HashMap::new();
         for &id in &self.inputs {
@@ -512,9 +480,6 @@ impl NetlistBuilder {
             latches: self.latches,
             sched,
             sched_pins,
-            node_sched,
-            fanout_start,
-            fanout_gates,
             input_index,
             output_index,
         })

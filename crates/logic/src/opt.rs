@@ -22,6 +22,11 @@
 //!    went ([`DEAD_SLOT`] for eliminated ones, which the executor's bus
 //!    writers skip).
 //!
+//! [`optimize_opaque`] additionally keeps a caller-chosen set of
+//! *opaque* instructions — step instructions whose output a stateful
+//! behavior computes at run time — as untouchable roots whose outputs
+//! the folding pass treats as unknown.
+//!
 //! Surviving instructions keep their stream order, so the result stays
 //! topological, and stage windows ([`FusedProgram::stage_range`]) are
 //! preserved: each stage starts at its first surviving instruction, so
@@ -95,9 +100,12 @@ fn restrict(table: u16, arity: usize, k: usize, b: bool) -> u16 {
     out
 }
 
-/// True if the table's output never depends on pin `k`.
+/// True if the table's output never depends on pin `k`: every entry
+/// with pin `k` low equals its partner with pin `k` high.
 fn pin_independent(table: u16, arity: usize, k: usize) -> bool {
-    restrict(table, arity, k, false) == restrict(table, arity, k, true)
+    const LOW: [u16; 4] = [0x5555, 0x3333, 0x0F0F, 0x00FF];
+    let live = ((1u32 << (1usize << arity)) - 1) as u16;
+    (table ^ (table >> (1 << k))) & LOW[k] & live == 0
 }
 
 /// Optimizes a fused program against the given live output slots.
@@ -120,6 +128,35 @@ pub fn optimize_with_consts(
     roots: &[u32],
     known: &[(u32, bool)],
 ) -> (FusedProgram, SlotMap, OptStats) {
+    let (opt, map, stats, _) = optimize_opaque(prog, roots, known, &[]);
+    (opt, map, stats)
+}
+
+/// [`optimize_with_consts`] with a set of **opaque** instructions: the
+/// positions (ascending) of instructions whose output the caller
+/// computes itself at run time — the step instructions of stateful
+/// faulty cells. An opaque instruction is a root: it is never folded and
+/// never eliminated, it keeps its pin order and arity, its pins resolve
+/// through aliases (a constant pin reads a materialized constant
+/// register), and its output is unknown to the folding pass.
+///
+/// The fourth result gives the new position of each opaque
+/// instruction, in the order of `opaque`.
+///
+/// # Panics
+///
+/// Panics if `opaque` is not strictly ascending or names a position
+/// past the end of the stream.
+pub fn optimize_opaque(
+    prog: &FusedProgram,
+    roots: &[u32],
+    known: &[(u32, bool)],
+    opaque: &[usize],
+) -> (FusedProgram, SlotMap, OptStats, Vec<usize>) {
+    assert!(
+        opaque.windows(2).all(|w| w[0] < w[1]) && opaque.last().is_none_or(|&i| i < prog.len()),
+        "opaque positions must be ascending and in range"
+    );
     let n = prog.n_slots();
     let mut stats = OptStats {
         instrs_before: prog.len(),
@@ -148,8 +185,19 @@ pub fn optimize_with_consts(
     // stream is topological, so one forward sweep sees every producer
     // before its consumers.
     let mut kept: Vec<(usize, LutInstr)> = Vec::with_capacity(prog.len());
+    let mut is_opaque = vec![false; prog.len()];
+    for &i in opaque {
+        is_opaque[i] = true;
+    }
     for (idx, ins) in prog.instrs().iter().enumerate() {
         let mut ins = *ins;
+        if is_opaque[idx] {
+            for p in &mut ins.pins[..ins.arity as usize] {
+                *p = resolve(&vals, *p);
+            }
+            kept.push((idx, ins));
+            continue;
+        }
         let mut k = 0usize;
         while k < ins.arity as usize {
             let p = resolve(&vals, ins.pins[k]);
@@ -218,7 +266,10 @@ pub fn optimize_with_consts(
     }
     let mut survivors: Vec<(usize, LutInstr)> = Vec::with_capacity(kept.len());
     for &(idx, ins) in kept.iter().rev() {
-        if live[ins.out as usize] {
+        if live[ins.out as usize] || is_opaque[idx] {
+            // An opaque instruction writes its output slot even when
+            // nothing reads it, so the slot must survive compaction.
+            live[ins.out as usize] = true;
             for k in 0..ins.arity as usize {
                 live[ins.pins[k] as usize] = true;
             }
@@ -293,10 +344,16 @@ pub fn optimize_with_consts(
         .map(|(s, b)| (compact[s as usize], b))
         .collect();
 
+    let moved = survivors
+        .iter()
+        .enumerate()
+        .filter(|(_, &(idx, _))| is_opaque[idx])
+        .map(|(at, _)| at)
+        .collect();
     stats.instrs_after = survivors.len();
     stats.slots_after = n_new as usize;
     let optimized = FusedProgram::from_parts(instrs, stage_start, n_new as usize, latches, consts);
-    (optimized, slot_map, stats)
+    (optimized, slot_map, stats, moved)
 }
 
 #[cfg(test)]
@@ -475,6 +532,43 @@ mod tests {
         ex.exec_stage(1);
         // y = not(a) ^ r
         assert_eq!(ex.slot(sm.get(m2[2])) & 0b11, 0b01);
+    }
+
+    #[test]
+    fn opaque_instructions_keep_pins_and_stay_unknown() {
+        // s = const1 (folds); o = opaque(a, s, alias-of-a); y = not(o);
+        // u = opaque(a) with no reader.
+        let mut fb = FuseBuilder::new();
+        let a = fb.fresh_slot();
+        let seg = [
+            instr(0b1, 0, 1, [0, 0, 0, 0]),    // const 1
+            instr(0b10, 1, 2, [0, 0, 0, 0]),   // buf a -> alias
+            instr(0x96, 3, 3, [0, 1, 2, 0]),   // opaque
+            instr(0b01, 1, 4, [3, 0, 0, 0]),   // not o
+            instr(0b1111, 2, 5, [0, 0, 0, 0]), // opaque, unread, const table
+        ];
+        let map = fb.append(&seg, 6, &[], &[(0, a)]);
+        let prog = fb.finish();
+        let y = map[4];
+        let (opt, sm, stats, moved) = optimize_opaque(&prog, &[y], &[], &[2, 4]);
+        assert_eq!(stats.folded, 1);
+        assert_eq!(stats.propagated, 1);
+        assert_eq!(moved, vec![0, 2]);
+        assert_eq!(opt.len(), 3, "both opaque instructions and the NOT survive");
+        let o = opt.instrs()[moved[0]];
+        assert_eq!((o.arity, o.table), (3, 0x96), "pins and table intact");
+        assert_eq!(o.pins[0], sm.get(a));
+        assert_eq!(o.pins[2], sm.get(a), "alias resolved to its source");
+        assert_eq!(
+            opt.consts(),
+            &[(o.pins[1], true)],
+            "constant pin materialized"
+        );
+        let u = opt.instrs()[moved[1]];
+        assert_eq!((u.arity, u.table), (2, 0b1111), "never folded");
+        assert_ne!(u.out, o.out);
+        assert!((u.out as usize) < opt.n_slots());
+        assert_eq!(opt.instrs()[1].pins[0], o.out, "reader sees an unknown");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Netlist evaluation engine.
+//! The reference netlist evaluation engine.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use crate::netlist::{Netlist, Node, NodeId};
 pub(crate) const MAX_ARITY: usize = 4;
 
 /// Evaluates a healthy cell reading its pins straight out of the value
-/// array — the hot inner statement of [`Simulator::settle`]. Keeping the
+/// array — the inner statement of [`Simulator::settle`]. Keeping the
 /// reads here (instead of copying pins into a scratch buffer and calling
 /// [`GateKind::eval`]) saves a copy and an arity assert per gate.
 #[inline(always)]
@@ -42,6 +42,11 @@ fn eval_pins(kind: GateKind, values: &[bool], pins: &[u32]) -> bool {
 /// Evaluates a [`Netlist`]: settles combinational logic, steps latches,
 /// and applies per-gate behavioral overrides (the fault-injection hook).
 ///
+/// This is the reference oracle every fast path is tested against: each
+/// [`Simulator::settle`] is one full sweep over the gate schedule, so
+/// every gate — and every overridden gate's behavior — is evaluated
+/// exactly once per settle.
+///
 /// Typical cycle:
 ///
 /// 1. [`Simulator::set_input`] for each primary input;
@@ -72,26 +77,6 @@ pub struct Simulator {
     /// array index, not a hash.
     overrides: Vec<Option<Box<dyn GateBehavior>>>,
     n_overrides: usize,
-    /// Per-schedule-position dirty flags (event-driven bookkeeping).
-    dirty: Vec<bool>,
-    /// Bounds of the dirty schedule positions: the event-driven settle
-    /// sweeps `[dirty_lo, dirty_hi]` linearly, skipping clean gates.
-    /// Empty when `dirty_lo > dirty_hi` (the reset state is
-    /// `u32::MAX`/`0`, which min/max folds keep consistent).
-    dirty_lo: u32,
-    dirty_hi: u32,
-    /// Number of currently dirty schedule positions. When a meaningful
-    /// share of the schedule is already dirty before a settle, the
-    /// propagated cone usually covers most of the circuit and
-    /// event-driven propagation would only add bookkeeping on top of
-    /// near-full work, so the settle adaptively drops to the compiled
-    /// sweep.
-    n_dirty: u32,
-    /// When set, the next settle re-evaluates every gate (initial
-    /// state, before any settle has run).
-    all_dirty: bool,
-    /// Schedule positions of the overridden gates, ascending.
-    override_sched: Vec<u32>,
 }
 
 impl Simulator {
@@ -106,47 +91,12 @@ impl Simulator {
             }
         }
         let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
-        let n_sched = net.schedule().0.len();
         Simulator {
             net,
             values,
             overrides,
             n_overrides: 0,
-            dirty: vec![false; n_sched],
-            dirty_lo: u32::MAX,
-            dirty_hi: 0,
-            n_dirty: 0,
-            all_dirty: true,
-            override_sched: Vec::new(),
         }
-    }
-
-    /// Marks the consumers of `node` dirty.
-    fn mark_fanout(&mut self, node: u32) {
-        for &pos in self.net.fanout_of(node) {
-            if !self.dirty[pos as usize] {
-                self.dirty[pos as usize] = true;
-                self.dirty_lo = self.dirty_lo.min(pos);
-                self.dirty_hi = self.dirty_hi.max(pos);
-                self.n_dirty += 1;
-            }
-        }
-    }
-
-    /// Marks one schedule position dirty.
-    fn mark_pos(&mut self, pos: u32) {
-        if !self.dirty[pos as usize] {
-            self.dirty[pos as usize] = true;
-            self.dirty_lo = self.dirty_lo.min(pos);
-            self.dirty_hi = self.dirty_hi.max(pos);
-            self.n_dirty += 1;
-        }
-    }
-
-    /// True when a node-value change must be tracked for the next
-    /// event-driven settle.
-    fn tracking_changes(&self) -> bool {
-        !self.all_dirty
     }
 
     /// The netlist being simulated.
@@ -164,13 +114,7 @@ impl Simulator {
             matches!(self.net.node(id), Node::Input { .. }),
             "{id} is not a primary input"
         );
-        if self.values[id.index()] == value {
-            return;
-        }
         self.values[id.index()] = value;
-        if self.tracking_changes() {
-            self.mark_fanout(id.0);
-        }
     }
 
     /// Drives a bus of inputs from the low bits of `word`, LSB first.
@@ -180,88 +124,11 @@ impl Simulator {
         }
     }
 
-    /// Settles the combinational logic, event-driven: sweeps the dirty
-    /// range of the schedule in topological order, re-evaluating only
-    /// gates whose inputs changed since the previous settle and
-    /// propagating output changes to their fan-out until quiescent. (All
-    /// fan-out positions are greater than the producing gate's, so one
-    /// forward sweep with a growing upper bound reaches quiescence — no
-    /// priority queue needed.) Overridden (faulty) gates re-evaluate
-    /// every settle regardless, because stateful behaviors (memory
-    /// effects, activation streams) advance once per evaluation and can
-    /// change output with unchanged inputs.
-    ///
-    /// When more than ~1/64 of the schedule is already dirty before
-    /// propagation, drops to [`Simulator::settle_full`]: seeded dirt
-    /// fans out hard in arithmetic circuits (one multiplier input bit
-    /// reaches most of the array), so dense input changes end up doing
-    /// near-full work and the compiled sweep does it without the
-    /// change-tracking overhead. Bit-identical either way.
+    /// Settles the combinational logic with one sweep over every gate in
+    /// topological order. Overridden (faulty) gates evaluate through
+    /// their behavior, once per settle, so stateful behaviors (memory
+    /// effects, activation streams) advance exactly one step.
     pub fn settle(&mut self) {
-        if self.all_dirty || self.n_dirty as usize * 64 >= self.dirty.len() {
-            return self.settle_full();
-        }
-        let net = Arc::clone(&self.net);
-        let (sched, pins) = net.schedule();
-        let mut lo = self.dirty_lo;
-        let mut hi = self.dirty_hi;
-        // Overridden gates re-evaluate every settle: stateful behaviors
-        // advance their memory/activation state once per evaluation and
-        // can change output with unchanged inputs. Widen the sweep to
-        // include them.
-        let ov = &self.override_sched;
-        if let (Some(&first), Some(&last)) = (ov.first(), ov.last()) {
-            lo = lo.min(first);
-            hi = hi.max(last);
-        }
-        let values = &mut self.values;
-        let overrides = &mut self.overrides;
-        let dirty = &mut self.dirty;
-        let mut next_ov = 0usize;
-        let mut pos = lo;
-        while pos <= hi {
-            let forced = next_ov < ov.len() && ov[next_ov] == pos;
-            if forced {
-                next_ov += 1;
-            }
-            if !dirty[pos as usize] && !forced {
-                pos += 1;
-                continue;
-            }
-            dirty[pos as usize] = false;
-            let g = &sched[pos as usize];
-            let p = &pins[g.in_start as usize..][..g.in_len as usize];
-            let v = match overrides[g.out as usize].as_mut() {
-                Some(behavior) => {
-                    let mut buf = [false; MAX_ARITY];
-                    for (k, &i) in p.iter().enumerate() {
-                        buf[k] = values[i as usize];
-                    }
-                    behavior.eval(&buf[..p.len()])
-                }
-                None => eval_pins(g.kind, values, p),
-            };
-            if v != values[g.out as usize] {
-                values[g.out as usize] = v;
-                for &t in net.fanout_of(g.out) {
-                    if !dirty[t as usize] {
-                        dirty[t as usize] = true;
-                        hi = hi.max(t);
-                    }
-                }
-            }
-            pos += 1;
-        }
-        self.dirty_lo = u32::MAX;
-        self.dirty_hi = 0;
-        self.n_dirty = 0;
-    }
-
-    /// Settles with one compiled sweep over every gate in topological
-    /// order — the event-driven settle's fallback for dense changes and
-    /// the oracle it is differentially tested against. Bit-identical to
-    /// [`Simulator::settle`].
-    pub fn settle_full(&mut self) {
         // Clone the Arc (cheap) so the netlist borrow does not conflict
         // with mutating values/overrides.
         let net = Arc::clone(&self.net);
@@ -273,34 +140,23 @@ impl Simulator {
                 let p = &pins[g.in_start as usize..][..g.in_len as usize];
                 values[g.out as usize] = eval_pins(g.kind, values, p);
             }
-        } else {
-            let overrides = &mut self.overrides;
-            for g in sched {
-                let p = &pins[g.in_start as usize..][..g.in_len as usize];
-                let v = match overrides[g.out as usize].as_mut() {
-                    Some(behavior) => {
-                        let mut buf = [false; MAX_ARITY];
-                        for (k, &i) in p.iter().enumerate() {
-                            buf[k] = values[i as usize];
-                        }
-                        behavior.eval(&buf[..p.len()])
+            return;
+        }
+        let overrides = &mut self.overrides;
+        for g in sched {
+            let p = &pins[g.in_start as usize..][..g.in_len as usize];
+            let v = match overrides[g.out as usize].as_mut() {
+                Some(behavior) => {
+                    let mut buf = [false; MAX_ARITY];
+                    for (k, &i) in p.iter().enumerate() {
+                        buf[k] = values[i as usize];
                     }
-                    None => eval_pins(g.kind, values, p),
-                };
-                values[g.out as usize] = v;
-            }
+                    behavior.eval(&buf[..p.len()])
+                }
+                None => eval_pins(g.kind, values, p),
+            };
+            values[g.out as usize] = v;
         }
-        // A full sweep leaves everything settled: drop any pending
-        // incremental work so the two paths stay interchangeable.
-        self.all_dirty = false;
-        if self.dirty_lo <= self.dirty_hi {
-            for pos in self.dirty_lo..=self.dirty_hi {
-                self.dirty[pos as usize] = false;
-            }
-        }
-        self.dirty_lo = u32::MAX;
-        self.dirty_hi = 0;
-        self.n_dirty = 0;
     }
 
     /// Captures each latch's data input into its stored value. Call after
@@ -309,13 +165,7 @@ impl Simulator {
         let net = Arc::clone(&self.net);
         for &l in net.latches() {
             if let Node::Latch { data, .. } = net.node(l) {
-                let v = self.values[data.index()];
-                if self.values[l.index()] != v {
-                    self.values[l.index()] = v;
-                    if self.tracking_changes() {
-                        self.mark_fanout(l.0);
-                    }
-                }
+                self.values[l.index()] = self.values[data.index()];
             }
         }
     }
@@ -353,14 +203,8 @@ impl Simulator {
             "{id} is not a gate"
         );
         let prev = self.overrides[id.index()].replace(behavior);
-        let pos = self.net.sched_index(id.0);
         if prev.is_none() {
             self.n_overrides += 1;
-            let at = self.override_sched.partition_point(|&p| p < pos);
-            self.override_sched.insert(at, pos);
-        }
-        if self.tracking_changes() {
-            self.mark_pos(pos);
         }
         prev
     }
@@ -370,12 +214,6 @@ impl Simulator {
         let prev = self.overrides[id.index()].take();
         if prev.is_some() {
             self.n_overrides -= 1;
-            let pos = self.net.sched_index(id.0);
-            self.override_sched.retain(|&p| p != pos);
-            // The gate's function changed back: re-evaluate it once.
-            if self.tracking_changes() {
-                self.mark_pos(pos);
-            }
         }
         prev
     }
@@ -392,16 +230,9 @@ impl Simulator {
         let net = Arc::clone(&self.net);
         for &l in net.latches() {
             if let Node::Latch { init, .. } = net.node(l) {
-                if self.values[l.index()] != *init {
-                    self.values[l.index()] = *init;
-                    if self.tracking_changes() {
-                        self.mark_fanout(l.0);
-                    }
-                }
+                self.values[l.index()] = *init;
             }
         }
-        // Overrides are re-evaluated every settle, so their reset state
-        // propagates without extra dirty marking.
         for behavior in self.overrides.iter_mut().flatten() {
             behavior.reset();
         }

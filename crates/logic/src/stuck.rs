@@ -7,6 +7,7 @@
 //! Figure 5 experiment (gate-level vs. transistor-level injection).
 
 use crate::gate::{GateBehavior, GateKind};
+use crate::sim::MAX_ARITY;
 
 /// Which port of the gate is stuck.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -89,9 +90,10 @@ impl GateBehavior for StuckAt {
         match self.port {
             StuckPort::Output => self.value,
             StuckPort::Input(k) => {
-                let mut patched: Vec<bool> = inputs.to_vec();
-                patched[k] = self.value;
-                self.kind.eval(&patched)
+                let mut pins = [false; MAX_ARITY];
+                pins[..inputs.len()].copy_from_slice(inputs);
+                pins[k] = self.value;
+                self.kind.eval(&pins[..inputs.len()])
             }
         }
     }
@@ -155,6 +157,19 @@ impl StuckSet {
         self.kind
     }
 
+    /// The winning (first-injected) output fault, if any.
+    pub fn output_fault(&self) -> Option<bool> {
+        self.output_fault
+    }
+
+    /// Overwrites the stuck input pins in `pins`, in insertion order
+    /// (a later fault on the same pin wins).
+    pub fn patch_inputs(&self, pins: &mut [bool]) {
+        for &(k, v) in &self.input_faults {
+            pins[k] = v;
+        }
+    }
+
     /// Every accumulated fault: input faults in insertion order, then
     /// the winning output fault (if any).
     pub fn faults(&self) -> Vec<(StuckPort, bool)> {
@@ -175,11 +190,10 @@ impl GateBehavior for StuckSet {
         if let Some(v) = self.output_fault {
             return v;
         }
-        let mut patched: Vec<bool> = inputs.to_vec();
-        for &(k, v) in &self.input_faults {
-            patched[k] = v;
-        }
-        self.kind.eval(&patched)
+        let mut pins = [false; MAX_ARITY];
+        pins[..inputs.len()].copy_from_slice(inputs);
+        self.patch_inputs(&mut pins);
+        self.kind.eval(&pins[..inputs.len()])
     }
 }
 

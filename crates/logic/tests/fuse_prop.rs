@@ -7,17 +7,17 @@
 //! * the **optimized** fused program (constant folding through patched
 //!   truth words + known-constant inputs, copy propagation, dead-LUT
 //!   elimination, slot compaction), and
-//! * per-operator event-driven [`Simulator`]s with identical
+//! * per-operator reference [`Simulator`]s with identical
 //!   [`TableBehavior`] overrides (one per segment, chained by hand)
 //!
 //! must be bit-identical on every surviving register, every lane, every
 //! step, across latch ticks and state resets. Both fused programs must
 //! also be straight-line schedules: every operand is written before it
 //! is read, and every instruction sits inside its own stage's range.
-//! Permanent faults are the only class that lowers into truth words and
-//! therefore into fused streams; stateful and dynamic classes are
-//! refused upstream by the patch lowering and run on the scalar engine
-//! only.
+//! Permanent combinational faults are the only class that lowers into
+//! truth words and therefore into fused streams; stateful and dynamic
+//! classes lower to step instructions, which only the one-lane operator
+//! executor runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,7 +155,7 @@ impl Segment {
         (prog, instrs)
     }
 
-    /// A scalar event-driven reference with identical overrides.
+    /// A scalar reference simulator with identical overrides.
     fn reference(&self) -> Simulator {
         let mut sim = Simulator::new(Arc::clone(&self.net));
         for &(g, t) in &self.patches {
@@ -240,7 +240,7 @@ proptest! {
 
     /// Two random patched segments fused A→B (B's first inputs read A's
     /// output registers directly — no repacking): unoptimized fused,
-    /// optimized fused, and two chained event-driven scalar references
+    /// optimized fused, and two chained scalar reference simulators
     /// agree on every surviving register, lane, and step.
     #[test]
     fn fused_optimized_and_event_reference_agree(
@@ -432,8 +432,8 @@ proptest! {
 
     /// Regression: dead-LUT elimination never removes a latch-feeding
     /// instruction, even when *no* combinational root depends on the
-    /// latch — state must keep evolving exactly like the event-driven
-    /// reference across ticks.
+    /// latch — state must keep evolving exactly like the reference
+    /// simulator across ticks.
     #[test]
     fn dead_lut_elimination_preserves_latch_feeders(
         seg in seg_strategy(),

@@ -1,6 +1,6 @@
 //! Property tests: random netlists must evaluate identically under the
-//! event-driven scalar engine, its compiled full sweep, the 64-lane
-//! fused LUT stream (one segment), and a direct recursive reference
+//! reference simulator, the 64-lane fused LUT stream (one segment), the
+//! one-lane operator executor, and a direct recursive reference
 //! evaluator.
 
 use std::sync::Arc;
@@ -89,9 +89,8 @@ fn build_seq(
 }
 
 /// A stateful faulty cell: passes its first input through, but flips it
-/// on every `period`-th evaluation. Bit-identity across settle
-/// strategies requires that the engines feed every override the exact
-/// same evaluation sequence.
+/// on every `period`-th evaluation. Bit-identity across engines requires
+/// that they feed every override the exact same evaluation sequence.
 #[derive(Debug)]
 struct PeriodicFlip {
     n: u32,
@@ -112,7 +111,7 @@ impl GateBehavior for PeriodicFlip {
 
 /// A stateless truth-word override: the scalar-simulator twin of a
 /// patched LUT instruction, so patched streams can be checked against
-/// an identically faulted event-driven engine.
+/// an identically faulted reference simulator.
 #[derive(Debug)]
 struct TableBehavior {
     table: u16,
@@ -230,93 +229,55 @@ proptest! {
         }
     }
 
-    /// The tentpole invariant: the event-driven settle is bit-identical
-    /// to the compiled full sweep on every node, for any netlist, any
-    /// stimulus sequence, and any set of stateful overrides — including
-    /// a mid-sequence override removal.
+    /// The one-lane operator executor is bit-identical to the reference
+    /// simulator carrying the same behaviors: patched truth words for
+    /// stateless faults, step instructions for stateful ones, over
+    /// stimulus sequences with repeated inputs and mid-sequence resets.
     #[test]
-    fn event_settle_matches_full_settle(
+    fn op_exec_matches_simulator(
         n_inputs in 1usize..6,
         recipes in prop::collection::vec(recipe_strategy(), 1..40),
-        fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 0..4),
-        stimulus in prop::collection::vec(any::<u8>(), 1..16),
+        patch_sels in prop::collection::vec((any::<u16>(), any::<u16>()), 0..3),
+        step_sels in prop::collection::vec((any::<u16>(), 1u32..5), 0..4),
+        stimulus in prop::collection::vec(0u8..4, 1..24),
+        reset_at in any::<u8>(),
     ) {
-        let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
-        let mut event = Simulator::new(net.clone());
-        let mut full = Simulator::new(net.clone());
-        let mut faulty = Vec::new();
-        for &(sel, period) in &fault_sels {
+        let (net, inputs, gates, outputs) = build_with_gates(n_inputs, &recipes);
+        let prog = LutProgram::compile(Arc::clone(&net));
+        let mut sim = Simulator::new(Arc::clone(&net));
+        let mut instrs = prog.instrs().to_vec();
+        for &(sel, table) in &patch_sels {
             let g = gates[sel as usize % gates.len()];
-            event.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-            full.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-            faulty.push(g);
+            let t = table & table_mask(&net, g);
+            sim.override_gate(g, Box::new(TableBehavior { table: t }));
+            instrs[prog.instr_index(g).unwrap()].table = t;
         }
-        for (step, word) in stimulus.iter().enumerate() {
-            let w = *word as u64;
-            event.set_input_word(&inputs, w);
-            event.settle();
-            full.set_input_word(&inputs, w);
-            full.settle_full();
-            for &id in &gates {
-                prop_assert_eq!(
-                    event.value(id), full.value(id),
-                    "node {:?} at step {}", id, step
-                );
-            }
-            // Halfway through, heal one defect — that must not
-            // desynchronize the engines. (No extra settle: that would
-            // legitimately advance the stateful overrides.)
-            if step == stimulus.len() / 2 {
-                if let Some(g) = faulty.pop() {
-                    event.clear_override(g);
-                    full.clear_override(g);
-                }
-            }
-        }
-    }
-
-    /// Same invariant through latches: `tick` and `reset_state` must
-    /// keep the incremental bookkeeping consistent across clock cycles.
-    #[test]
-    fn event_settle_matches_full_settle_with_latches(
-        n_inputs in 1usize..5,
-        pre in prop::collection::vec(recipe_strategy(), 1..20),
-        latch_sels in prop::collection::vec((any::<u16>(), any::<bool>()), 1..5),
-        post in prop::collection::vec(recipe_strategy(), 1..20),
-        fault_sels in prop::collection::vec((any::<u16>(), 1u32..5), 0..3),
-        stimulus in prop::collection::vec(any::<u8>(), 1..16),
-    ) {
-        let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
-        let mut event = Simulator::new(net.clone());
-        let mut full = Simulator::new(net.clone());
-        for &(sel, period) in &fault_sels {
+        let mut steps: Vec<(usize, Box<dyn GateBehavior>)> = Vec::new();
+        for &(sel, period) in &step_sels {
             let g = gates[sel as usize % gates.len()];
-            event.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-            full.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
-        }
-        for (step, word) in stimulus.iter().enumerate() {
-            let w = *word as u64;
-            event.set_input_word(&inputs, w);
-            event.settle();
-            full.set_input_word(&inputs, w);
-            full.settle_full();
-            for &id in &gates {
-                prop_assert_eq!(
-                    event.value(id), full.value(id),
-                    "node {:?} at step {}", id, step
-                );
+            let at = prog.instr_index(g).unwrap();
+            if steps.iter().any(|s| s.0 == at) {
+                continue;
             }
-            event.tick();
-            full.tick();
-            if step % 5 == 4 {
-                event.reset_state();
-                full.reset_state();
+            sim.override_gate(g, Box::new(PeriodicFlip { n: 0, period }));
+            steps.push((at, Box::new(PeriodicFlip { n: 0, period })));
+        }
+        steps.sort_by_key(|s| s.0);
+        let mut op = dta_logic::OpExec::compile(&prog, &instrs, steps, &[&inputs[..]], &outputs);
+        for (step, &word) in stimulus.iter().enumerate() {
+            let w = u64::from(word);
+            sim.set_input_word(&inputs, w);
+            sim.settle();
+            prop_assert_eq!(op.call(&[w]), sim.read_word(&outputs), "call {}", step);
+            if step == reset_at as usize % stimulus.len() {
+                sim.reset_state();
+                op.reset_state();
             }
         }
     }
 
     /// A patched one-segment fused stream, read in lane 0, must be
-    /// bit-identical to the event-driven scalar engine with the same
+    /// bit-identical to the reference simulator with the same
     /// truth words installed, for any netlist with latches, across
     /// settle/tick cycles and state resets.
     #[test]

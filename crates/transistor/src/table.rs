@@ -265,8 +265,8 @@ impl CellTable {
     /// the compiled instruction stream (`dta_logic::LutProgram`), which
     /// overwrites the faulty gate's truth word so the defective sweep
     /// costs exactly as much as the healthy one. `None` when the defect
-    /// set leaves reachable memory state or a delay defect — those stay
-    /// on the scalar behavioral evaluation.
+    /// set leaves reachable memory state or a delay defect — such a cell
+    /// lowers to a step instruction that evaluates a [`CachedCell`].
     pub fn lut_patch(&self) -> Option<u16> {
         debug_assert!(self.arity <= 4, "library cells have at most 4 pins");
         self.pin_truth.map(|t| t as u16)
