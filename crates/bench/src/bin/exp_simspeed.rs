@@ -9,8 +9,12 @@
 //!   (`DefectPlan::apply`), one full sweep over every gate per call;
 //! * `stream` — the production engine, `HwMultiplier::mul`: the plan
 //!   lowered into the circuit's LUT stream (patched truth words plus
-//!   step instructions for stateful cells), optimized and swept one
-//!   lane at a time.
+//!   step instructions for stateful cells), optimized, mapped onto
+//!   4-input LUTs and swept one lane at a time.
+//!
+//! For the same plans on all three operators (multiplier, adder,
+//! sigmoid unit) it also reports how many instructions one call sweeps,
+//! after optimization and after mapping.
 //!
 //! Every strategy must produce bit-identical products; the binary
 //! asserts this before reporting throughput. The stimulus mimics the
@@ -22,8 +26,11 @@
 //! per-sample operator calls, `Mlp::forward_faulty`) and
 //! `fused` (`dta_ann::FusedForward` — the entire pass compiled into one
 //! optimized LUT instruction stream, reached through
-//! `Mlp::forward_faulty_batch`). Both must agree bit-for-bit; the
-//! headline is `min_speedup_fused_vs_scalar` (CI floor >= 10x).
+//! `Mlp::forward_faulty_batch`). Both must agree bit-for-bit. The
+//! fault-free native pass (`Mlp::forward_fixed`) on the same rows is the
+//! yardstick: `min_speedup_fused_vs_native` (CI floor) divides the fused
+//! engine by an engine no faulty-operator change moves, where
+//! `min_speedup_fused_vs_scalar` rises and falls with the scalar path.
 //!
 //! A strategy that *refuses* a configuration (fused on a plan that does
 //! not lower to truth-word patches) is reported as `null` in the JSON
@@ -37,7 +44,7 @@
 //! ```
 //!
 //! A machine-readable record goes to `BENCH_simspeed.json`
-//! (`--bench-out` overrides), including `min_speedup_fused_vs_scalar`
+//! (`--bench-out` overrides), including `min_speedup_fused_vs_native`
 //! (CI floor, see `.github/workflows`) and the host's core count and
 //! git revision. `--breakdown true` adds compile-vs-execute timing and
 //! memoization hit rates for the program and fused compilations.
@@ -47,10 +54,19 @@ use std::time::Instant;
 
 use dta_ann::{FaultPlan, FusedForward, Mlp, Topology};
 use dta_bench::{rule, Args, JsonMap};
-use dta_circuits::{DefectPlan, FaultModel, FxMulCircuit, HwMultiplier};
+use dta_circuits::{
+    DefectPlan, FaultModel, FxMulCircuit, HwMultiplier, SatAdderCircuit, SigmoidUnitCircuit,
+};
 use dta_fixed::{Fx, SigmoidLut};
+use dta_logic::{LutProgram, Netlist, NodeId, OpProgram};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// CI floor on `min_speedup_fused_vs_native` (see `.github/workflows`).
+const NATIVE_FLOOR: f64 = 0.35;
+
+/// Passes over the rows per timing of the native network forward.
+const NATIVE_PASSES: usize = 8;
 
 /// The operator-level strategies, slowest to fastest.
 const STRATEGIES: [&str; 3] = ["switch", "sweep", "stream"];
@@ -75,14 +91,29 @@ fn plan_rng(n: usize, seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed ^ (n as u64) << 24)
 }
 
-/// Builds the permanent defect plan with `n` defects.
-fn build_plan(mul: &FxMulCircuit, n: usize, seed: u64) -> DefectPlan {
+/// Builds the permanent defect plan with `n` defects on a circuit.
+fn build_plan(net: &Netlist, cells: &[Vec<NodeId>], n: usize, seed: u64) -> DefectPlan {
     let mut rng = plan_rng(n, seed);
     let mut plan = DefectPlan::new(FaultModel::TransistorLevel);
     for _ in 0..n {
-        plan.add_random(mul.netlist(), mul.cells(), &mut rng);
+        plan.add_random(net, cells, &mut rng);
     }
     plan
+}
+
+/// Instructions one call of the operator sweeps under a plan: the
+/// optimized stream, then the stream mapped onto 4-input LUTs.
+fn stream_sizes(
+    net: &Arc<Netlist>,
+    plan: &DefectPlan,
+    inputs: &[&[NodeId]],
+    output: &[NodeId],
+) -> (usize, usize) {
+    let prog = LutProgram::cached(net);
+    let (instrs, steps) = plan.lower(&prog);
+    let at: Vec<usize> = steps.iter().map(|&(at, _)| at).collect();
+    let optimized = OpProgram::optimize(&prog, &instrs, &at, inputs, output);
+    (optimized.program().len(), optimized.map().program().len())
 }
 
 fn main() {
@@ -131,7 +162,7 @@ fn main() {
 
             if measure_switch {
                 let mut sim = mul.simulator();
-                build_plan(&mul, n, seed).apply_switch_level(&mut sim);
+                build_plan(mul.netlist(), mul.cells(), n, seed).apply_switch_level(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
@@ -148,7 +179,7 @@ fn main() {
             {
                 // Memoized truth tables, one full reference sweep per row.
                 let mut sim = mul.simulator();
-                build_plan(&mul, n, seed).apply(&mut sim);
+                build_plan(mul.netlist(), mul.cells(), n, seed).apply(&mut sim);
                 let (evals_per_s, out) = time_run(rows, || {
                     a.iter()
                         .zip(&b)
@@ -203,6 +234,55 @@ fn main() {
 
     let dense_counts = measure("dense", &dense);
     let sparse_counts = measure("sparse", &sparse);
+
+    // Stream sizes of all three operators under the same plans.
+    let add = SatAdderCircuit::new();
+    let sig = SigmoidUnitCircuit::new();
+    let sizes = |net: &Arc<Netlist>, cells: &[Vec<NodeId>], ins: &[&[NodeId]], out: &[NodeId]| {
+        defect_counts
+            .iter()
+            .map(|&n| stream_sizes(net, &build_plan(net, cells, n, seed), ins, out))
+            .collect::<Vec<_>>()
+    };
+    let operators = [
+        (
+            "mul",
+            sizes(
+                mul.netlist(),
+                mul.cells(),
+                &[mul.a_bus(), mul.b_bus()],
+                mul.out_bus(),
+            ),
+        ),
+        (
+            "add",
+            sizes(
+                add.netlist(),
+                add.cells(),
+                &[add.a_bus(), add.b_bus()],
+                add.out_bus(),
+            ),
+        ),
+        (
+            "sig",
+            sizes(sig.netlist(), sig.cells(), &[sig.x_bus()], sig.out_bus()),
+        ),
+    ];
+    println!("Instructions per call — optimized stream -> mapped onto 4-input LUTs\n");
+    print!("{:<18}", "defects");
+    for (name, _) in &operators {
+        print!("{name:>16}");
+    }
+    println!();
+    rule(18 + 16 * operators.len());
+    for (k, &n) in defect_counts.iter().enumerate() {
+        print!("{n:<18}");
+        for (_, op) in &operators {
+            print!("{:>16}", format!("{} -> {}", op[k].0, op[k].1));
+        }
+        println!();
+    }
+    println!();
 
     // ------------------------------------------------------------------
     // Network-level: the whole faulty forward pass under both engines.
@@ -267,12 +347,14 @@ fn main() {
     );
     println!("(network evals/s; `-` = strategy refuses this configuration)\n");
     print!("{:<18}", "defects");
-    for name in ["scalar", "fused"] {
+    for name in ["native", "scalar", "fused"] {
         print!("{name:>12}");
     }
-    println!("{:>12}", "fused/scal");
-    rule(18 + 12 * 3);
+    println!("{:>12}{:>12}", "fused/nat", "fused/scal");
+    rule(18 + 12 * 5);
 
+    let mut net_native: Vec<f64> = Vec::new();
+    let mut net_native_speedup: Vec<f64> = Vec::new();
     let mut net_scalar: Vec<f64> = Vec::new();
     let mut net_fused: Vec<f64> = Vec::new();
     let mut net_speedup: Vec<f64> = Vec::new();
@@ -285,6 +367,20 @@ fn main() {
         let seeds_or = seeds.as_deref().unwrap_or(&fallback);
         let fusable =
             seeds.is_some() && FusedForward::compile(&mlp, &build_net_plan(seeds_or)).is_some();
+
+        // The fault-free native pass on the same rows: the yardstick no
+        // faulty-operator engine moves. One pass takes about a
+        // millisecond, so each timing spans several.
+        let mut r_native = f64::NAN;
+        for _ in 0..net_reps {
+            let started = Instant::now();
+            for x in xs.iter().cycle().take(NATIVE_PASSES * net_rows) {
+                std::hint::black_box(mlp.forward_fixed(x, &siglut));
+            }
+            let rate = (NATIVE_PASSES * net_rows) as f64 / started.elapsed().as_secs_f64();
+            r_native = r_native.max(rate);
+        }
+        net_native.push(r_native);
 
         // Per-sample operator calls — always measurable.
         let mut r_scalar = f64::NAN;
@@ -335,39 +431,56 @@ fn main() {
         };
         net_fused.push(r_fused);
 
-        let speedup = r_fused / r_scalar; // NaN propagates refusals
+        // NaN propagates refusals.
+        let (vs_native, speedup) = (r_fused / r_native, r_fused / r_scalar);
+        net_native_speedup.push(vs_native);
         net_speedup.push(speedup);
         print!("{n:<18}");
-        for r in [r_scalar, r_fused] {
+        for r in [r_native, r_scalar, r_fused] {
             if r.is_finite() {
                 print!("{r:>12.0}");
             } else {
                 print!("{:>12}", "-");
             }
         }
-        if speedup.is_finite() {
-            println!("{speedup:>11.1}x");
-        } else {
-            println!("{:>12}", "-");
+        for x in [vs_native, speedup] {
+            if x.is_finite() {
+                print!("{:>12}", format!("{x:.2}x"));
+            } else {
+                print!("{:>12}", "-");
+            }
         }
+        println!();
     }
     println!();
 
-    let min_speedup_fused = net_speedup
-        .iter()
-        .copied()
-        .filter(|s| s.is_finite())
-        .fold(f64::INFINITY, f64::min);
-    let min_speedup_fused = if min_speedup_fused.is_finite() {
+    // The smallest measured ratio; NaN when every count refused.
+    let min_measured = |xs: &[f64]| {
+        let m = xs
+            .iter()
+            .copied()
+            .filter(|s| s.is_finite())
+            .fold(f64::INFINITY, f64::min);
+        if m.is_finite() {
+            m
+        } else {
+            f64::NAN
+        }
+    };
+    let min_speedup_native = min_measured(&net_native_speedup);
+    let min_speedup_fused = min_measured(&net_speedup);
+    if min_speedup_native.is_finite() {
+        println!(
+            "fused network stream vs fault-free native forward: >= {min_speedup_native:.2}x \
+             at every measured defect count (CI floor: {NATIVE_FLOOR}x)"
+        );
         println!(
             "fused network stream vs scalar forward: >= {min_speedup_fused:.1}x \
-             at every measured defect count (CI floor: 10x)"
+             at every measured defect count"
         );
-        min_speedup_fused
     } else {
         println!("fused network stream: no measurable configuration (all refused)");
-        f64::NAN
-    };
+    }
 
     if breakdown {
         let (ph, pm) = dta_logic::program_cache_stats();
@@ -411,6 +524,13 @@ fn main() {
         .str("bin", "exp_simspeed")
         .int("rows", rows as u64)
         .int_list("defect_counts", &defect_counts);
+    for (name, op) in &operators {
+        let optimized: Vec<usize> = op.iter().map(|&(o, _)| o).collect();
+        let mapped: Vec<usize> = op.iter().map(|&(_, m)| m).collect();
+        record = record
+            .int_list(&format!("instrs_optimized_{name}"), &optimized)
+            .int_list(&format!("instrs_mapped_{name}"), &mapped);
+    }
     for (suffix, per_count) in [("", &dense_counts), ("_sparse", &sparse_counts)] {
         for name in STRATEGIES {
             let rs = rates(per_count, name);
@@ -427,8 +547,11 @@ fn main() {
             &format!("{}x{}x{}", topo.inputs, topo.hidden, topo.outputs),
         )
         .int("net_rows", net_rows as u64)
+        .num_list("evals_per_s_native_net", &net_native)
         .num_list("evals_per_s_scalar_net", &net_scalar)
         .num_list("evals_per_s_fused_net", &net_fused)
+        .num_list("speedup_fused_vs_native", &net_native_speedup)
+        .num("min_speedup_fused_vs_native", min_speedup_native)
         .num_list("speedup_fused_vs_scalar", &net_speedup)
         .num("min_speedup_fused_vs_scalar", min_speedup_fused);
     if breakdown {

@@ -5,7 +5,7 @@
 //! specific operator, in which case a software function is called to
 //! perform that operator in place of the native operator". These wrappers
 //! are those software functions: each owns a gate-level operator circuit
-//! plus a simulator with the injected defects, and exposes a plain
+//! plus its injected defects, and exposes a plain
 //! `Fx -> Fx` interface that `dta-ann` calls for marked neurons while
 //! every healthy operator runs native Q6.10 arithmetic.
 //!
@@ -14,7 +14,10 @@
 //! ([`DefectPlan::lower`]) — combinational faulty cells as patched truth
 //! words, stateful ones (memory effects, delay defects, transient and
 //! intermittent activations) as step instructions that advance exactly
-//! one state step per call — optimized and swept one lane at a time.
+//! one state step per call — optimized, mapped onto 4-input LUTs and
+//! swept one lane at a time. Injection lowers the plan; the executor is
+//! built on the first call after it, so an operator that collects
+//! several defects compiles once.
 //! The reference [`dta_logic::Simulator`] carrying
 //! [`DefectPlan::apply`] gives bit-identical results. When the plan has
 //! no step instruction the operator also keeps the patched stream
@@ -50,8 +53,9 @@ macro_rules! hw_operator {
         #[derive(Debug)]
         pub struct $name {
             circuit: Arc<$circuit>,
-            /// The compiled faulty operator, present iff the plan is
-            /// non-empty: serves every faulty call.
+            /// The compiled faulty operator: serves every faulty call.
+            /// Built on the first call after an injection, so an
+            /// operator that collects several defects compiles once.
             exec: Option<OpExec>,
             /// The circuit's LUT instruction stream with the plan's truth
             /// words patched in, present iff the plan is non-empty and
@@ -78,25 +82,44 @@ macro_rules! hw_operator {
                 }
             }
 
-            /// Lowers the current plan and compiles its executor, with
-            /// fresh step behaviors.
+            /// Lowers the current plan and drops the executor of the
+            /// previous one.
             fn lower(&mut self) {
-                (self.exec, self.patched) = (None, None);
-                if self.plan.is_empty() {
-                    return;
+                self.exec = None;
+                self.patched = None;
+                if !self.plan.is_empty() {
+                    let prog = LutProgram::cached(self.circuit.netlist());
+                    let (instrs, steps) = self.plan.lower(&prog);
+                    self.patched = steps.is_empty().then_some(instrs);
                 }
-                let c = &self.circuit;
-                let prog = LutProgram::cached(c.netlist());
-                let (instrs, steps) = self.plan.lower(&prog);
-                let plain = steps.is_empty();
-                self.exec = Some(OpExec::compile(
-                    &prog,
-                    &instrs,
-                    steps,
-                    &[$(c.$bus()),+],
-                    c.out_bus(),
-                ));
-                self.patched = plain.then_some(instrs);
+            }
+
+            /// The compiled faulty operator, built on first use; `None`
+            /// for a healthy operator. A plan with step instructions is
+            /// lowered again here, which gives the same stream and
+            /// fresh behaviors, rather than holding its stream until the
+            /// first call.
+            fn exec(&mut self) -> Option<&mut OpExec> {
+                if self.exec.is_none() && !self.plan.is_empty() {
+                    let c = &self.circuit;
+                    let prog = LutProgram::cached(c.netlist());
+                    let relowered;
+                    let (instrs, steps) = match &self.patched {
+                        Some(instrs) => (instrs, Vec::new()),
+                        None => {
+                            relowered = self.plan.lower(&prog);
+                            (&relowered.0, relowered.1)
+                        }
+                    };
+                    self.exec = Some(OpExec::compile(
+                        &prog,
+                        instrs,
+                        steps,
+                        &[$(c.$bus()),+],
+                        c.out_bus(),
+                    ));
+                }
+                self.exec.as_mut()
             }
 
             /// True if the operator can run lane-parallel: it is healthy
@@ -173,7 +196,8 @@ macro_rules! hw_operator {
             }
 
             /// Clears memory effects and delay-line state left by
-            /// previous evaluations (call between independent runs).
+            /// previous evaluations (call between independent runs). An
+            /// executor not built yet starts from fresh behaviors.
             pub fn reset_state(&mut self) {
                 if let Some(exec) = &mut self.exec {
                     exec.reset_state();
@@ -212,7 +236,7 @@ impl HwAdder {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native saturating Q6.10 add.
     pub fn add(&mut self, a: Fx, b: Fx) -> Fx {
-        match &mut self.exec {
+        match self.exec() {
             None => a + b,
             Some(exec) => call2(exec, a, b),
         }
@@ -242,7 +266,7 @@ impl HwMultiplier {
     /// gate simulation entirely: the circuit is bit-exact with the
     /// native truncating, saturating Q6.10 multiply.
     pub fn mul(&mut self, a: Fx, b: Fx) -> Fx {
-        match &mut self.exec {
+        match self.exec() {
             None => a * b,
             Some(exec) => call2(exec, a, b),
         }
@@ -272,7 +296,7 @@ impl HwSigmoid {
     /// skip gate simulation entirely: the circuit is bit-exact with the
     /// native 16-segment [`SigmoidLut`].
     pub fn eval(&mut self, x: Fx) -> Fx {
-        match &mut self.exec {
+        match self.exec() {
             None => sigmoid_lut().eval(x),
             Some(exec) => Fx::from_bits(exec.call(&[u64::from(x.to_bits())]) as u16),
         }

@@ -20,9 +20,10 @@
 //!   instruction stream, into which permanent faults patch their truth
 //!   words, and [`FusedProgram`] / [`FusedExec`], the 64-lane engine that
 //!   runs one or many such streams stitched into one program;
-//! * [`OpExec`] — one faulty operator's patched stream, optimized and
-//!   swept one lane per call, with stateful faulty cells as step
-//!   instructions that call their [`GateBehavior`] in stream order;
+//! * [`OpExec`] — one faulty operator's patched stream, optimized,
+//!   mapped onto 4-input LUTs ([`map_luts`]) and swept one lane per
+//!   call, with stateful faulty cells as step instructions that call
+//!   their [`GateBehavior`] in stream order;
 //! * [`stuck`] — the classic **gate-level stuck-at fault model** (inputs
 //!   or output of a logic gate stuck at 0/1). The paper uses this model as
 //!   the *inaccurate baseline* that transistor-level injection
@@ -53,6 +54,7 @@
 pub mod compile;
 pub mod fuse;
 pub mod gate;
+pub mod map;
 pub mod netlist;
 pub mod op;
 pub mod opt;
@@ -62,8 +64,9 @@ pub mod stuck;
 pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgram};
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
+pub use map::map_luts;
 pub use netlist::{Netlist, NetlistBuilder, NetlistError, Node, NodeId};
-pub use op::OpExec;
+pub use op::{OpExec, OpProgram};
 pub use opt::{optimize, optimize_opaque, optimize_with_consts, OptStats, SlotMap};
 pub use sim::Simulator;
 pub use stuck::{StuckAt, StuckPort, StuckSet};

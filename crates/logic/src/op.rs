@@ -4,8 +4,11 @@
 //! the native operator" for every operator marked defective, one
 //! operand pair at a time — the hot path of every retraining run.
 //! [`OpExec`] is that function: the operator's fault-patched LUT stream,
-//! optimized ([`crate::opt::optimize_opaque`]) and swept over a byte
-//! register file, one lane per call.
+//! optimized ([`crate::opt::optimize_opaque`]), mapped onto 4-input
+//! LUTs ([`crate::map::map_luts`]) and swept over a byte register file,
+//! one lane per call. Each input and output bus occupies a contiguous
+//! register range, so a call drives and reads a bus eight bits per word
+//! move.
 //!
 //! Combinational faulty cells arrive as patched truth words. Cells with
 //! state — memory effects, delay defects, transient or intermittent
@@ -17,8 +20,9 @@
 //! executor is tested against.
 
 use crate::compile::{LutInstr, LutProgram};
-use crate::fuse::{FuseBuilder, FusedProgram, DEAD_SLOT};
+use crate::fuse::{FusedProgram, DEAD_SLOT};
 use crate::gate::GateBehavior;
+use crate::map::map_luts;
 use crate::netlist::NodeId;
 use crate::opt::optimize_opaque;
 use crate::sim::MAX_ARITY;
@@ -113,6 +117,86 @@ fn sweep(code: &[OpInstr], regs: &mut Regs, steps: &mut [Step], from: usize) {
     run_luts(&code[pos..], regs);
 }
 
+/// One operator's stream in the form [`OpExec`] runs: a one-stage,
+/// latch-free program, the positions of its step instructions and the
+/// slots of its buses.
+#[derive(Debug)]
+pub struct OpProgram {
+    /// The instruction stream, topological.
+    prog: FusedProgram,
+    /// Positions of the step instructions, ascending.
+    steps: Vec<usize>,
+    /// Input buses (LSB first); [`DEAD_SLOT`] for bits nothing reads.
+    inputs: Vec<Vec<u32>>,
+    /// Output bus (LSB first). Outputs are roots, never [`DEAD_SLOT`].
+    output: Vec<u32>,
+}
+
+impl OpProgram {
+    /// Optimizes an operator: `instrs` is `prog`'s instruction stream
+    /// with the faulty cells' truth words patched in, and `steps` names
+    /// the positions (ascending) of the stateful cells. The stream is
+    /// optimized against `output` with the steps kept opaque, so each
+    /// step keeps its pins and sees exactly the inputs the simulator
+    /// would hand its override. `inputs` are the operator's input
+    /// buses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist holds latches (operators are
+    /// combinational), if `instrs` is not a stream of `prog`, or if step
+    /// positions are not ascending.
+    pub fn optimize(
+        prog: &LutProgram,
+        instrs: &[LutInstr],
+        steps: &[usize],
+        inputs: &[&[NodeId]],
+        output: &[NodeId],
+    ) -> OpProgram {
+        assert!(
+            prog.latch_slots().is_empty(),
+            "operator netlists hold no latches"
+        );
+        assert_eq!(instrs.len(), prog.len(), "instrs must be a stream of prog");
+        // A program's slots are its netlist's node indices.
+        let slots =
+            |bus: &[NodeId]| -> Vec<u32> { bus.iter().map(|id| id.index() as u32).collect() };
+        let stream = FusedProgram::from_parts(
+            instrs.to_vec(),
+            vec![0],
+            prog.n_slots(),
+            Vec::new(),
+            Vec::new(),
+        );
+        let out = slots(output);
+        let (prog, sm, _, steps) = optimize_opaque(&stream, &out, &[], steps);
+        OpProgram {
+            prog,
+            steps,
+            inputs: inputs.iter().map(|bus| sm.remap(&slots(bus))).collect(),
+            output: sm.remap(&out),
+        }
+    }
+
+    /// The instruction stream, topological, step instructions included.
+    pub fn program(&self) -> &FusedProgram {
+        &self.prog
+    }
+
+    /// The same operator mapped onto 4-input LUTs
+    /// ([`crate::map::map_luts`]): bit-identical on every call, with at
+    /// most as many instructions.
+    pub fn map(&self) -> OpProgram {
+        let (prog, steps) = map_luts(&self.prog, &self.output, &self.steps);
+        OpProgram {
+            prog,
+            steps,
+            inputs: self.inputs.clone(),
+            output: self.output.clone(),
+        }
+    }
+}
+
 /// Compiled one-lane executor for one faulty operator: a byte per
 /// register slot, branch-free LUT evaluation, and a step instruction
 /// per stateful cell.
@@ -124,8 +208,8 @@ fn sweep(code: &[OpInstr], regs: &mut Regs, steps: &mut [Step], from: usize) {
 /// * every step instruction evaluates exactly once per call, in stream
 ///   order — also when no input changed, because the simulator
 ///   evaluates every overridden gate on every settle;
-/// * if an input bit changed, or the executor has never swept, the
-///   whole stream is swept;
+/// * if an input word differs from the one last driven, or the
+///   executor has never swept, the whole stream is swept;
 /// * otherwise a stream without steps returns its registers as they
 ///   are, and a stream with steps walks them in order: at the first
 ///   step whose output changes, the sweep resumes at the next
@@ -152,31 +236,45 @@ pub struct OpExec {
     regs: Box<Regs>,
     /// Step instructions, ascending by position.
     steps: Vec<Step>,
-    /// Input buses (LSB first) in the compacted register file;
-    /// [`DEAD_SLOT`] for bits nothing reads.
-    inputs: Vec<Vec<u32>>,
-    output: Vec<u32>,
-    /// An input bit changed since the last sweep, or nothing has been
+    /// Input buses: bit `b` of bus `k` lives in register
+    /// `inputs[k].base + b`.
+    inputs: Vec<Bus>,
+    /// The word last driven on each input bus.
+    driven: Vec<u64>,
+    output: Bus,
+    /// An input word changed since the last sweep, or nothing has been
     /// swept yet.
     stale: bool,
 }
 
+/// A bus laid out as a contiguous register range, padded to whole
+/// bytes of bits so it moves eight registers per word access.
+#[derive(Clone, Copy, Debug)]
+struct Bus {
+    base: usize,
+    width: usize,
+}
+
+impl Bus {
+    fn mask(self) -> u64 {
+        u64::MAX.checked_shr(64 - self.width as u32).unwrap_or(0)
+    }
+
+    fn padded(width: usize) -> usize {
+        width.div_ceil(8) * 8
+    }
+}
+
 impl OpExec {
-    /// Compiles an operator: `instrs` is `prog`'s instruction stream
-    /// with the faulty cells' truth words patched in, and `steps` names
-    /// the positions (ascending) of the stateful cells together with
-    /// their behaviors. The stream is optimized against `output` with
-    /// the steps kept opaque, so each step keeps its pins and sees
-    /// exactly the inputs the simulator would hand its override.
-    /// `inputs` are the operator's input buses, driven in order by
-    /// [`OpExec::call`].
+    /// Compiles an operator: optimizes it ([`OpProgram::optimize`]),
+    /// maps it onto 4-input LUTs ([`OpProgram::map`]) and lays out its
+    /// register file. `steps` pairs the positions (ascending) of the
+    /// stateful cells with their behaviors. `inputs` are the operator's
+    /// input buses, driven in order by [`OpExec::call`].
     ///
     /// # Panics
     ///
-    /// Panics if the netlist holds latches (operators are
-    /// combinational), if `instrs` is not a stream of `prog`, if step
-    /// positions are not ascending, or if the optimized register file
-    /// exceeds 4,096 slots.
+    /// As [`OpProgram::optimize`] and [`OpExec::new`].
     pub fn compile(
         prog: &LutProgram,
         instrs: &[LutInstr],
@@ -184,52 +282,136 @@ impl OpExec {
         inputs: &[&[NodeId]],
         output: &[NodeId],
     ) -> OpExec {
+        let (at, behaviors): (Vec<usize>, Vec<_>) = steps.into_iter().unzip();
+        // Dropping the optimized program before the build keeps the
+        // peak footprint to one stream plus the mapper's tables.
+        let mapped = OpProgram::optimize(prog, instrs, &at, inputs, output).map();
+        OpExec::new(&mapped, behaviors)
+    }
+
+    /// Builds the executor of an operator program, with one behavior per
+    /// step instruction, in order.
+    ///
+    /// Each input bus and the output bus get a contiguous register
+    /// range; instructions computing an output bit write the output
+    /// range directly, and an output bit that repeats another, reads an
+    /// input or is constant costs one trailing copy or constant
+    /// register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program holds latches, if the behaviors do not
+    /// match the steps, if a bus is wider than 64 bits or if the
+    /// register file exceeds 4,096 slots.
+    pub fn new(op: &OpProgram, behaviors: Vec<Box<dyn GateBehavior>>) -> OpExec {
+        let prog = &op.prog;
+        assert!(prog.latch_slots().is_empty(), "operators hold no latches");
+        assert_eq!(behaviors.len(), op.steps.len(), "one behavior per step");
         assert!(
-            prog.latch_slots().is_empty(),
-            "operator netlists hold no latches"
+            op.inputs.iter().chain([&op.output]).all(|b| b.len() <= 64),
+            "buses are at most 64 bits wide"
         );
-        assert_eq!(instrs.len(), prog.len(), "instrs must be a stream of prog");
-        let mut fb = FuseBuilder::new();
-        let in_buses: Vec<Vec<u32>> = inputs.iter().map(|b| fb.fresh_bus(b.len())).collect();
-        let bind: Vec<(u32, u32)> = inputs
+        let n = prog.n_slots();
+        let mut slot = vec![DEAD_SLOT; n];
+        let mut next = 0usize;
+        let mut inputs = Vec::with_capacity(op.inputs.len());
+        for bus in &op.inputs {
+            for (b, &s) in bus.iter().enumerate() {
+                if s != DEAD_SLOT {
+                    slot[s as usize] = (next + b) as u32;
+                }
+            }
+            inputs.push(Bus {
+                base: next,
+                width: bus.len(),
+            });
+            next += Bus::padded(bus.len());
+        }
+        let output = Bus {
+            base: next,
+            width: op.output.len(),
+        };
+        next += Bus::padded(output.width);
+
+        let mut constant = vec![None; n];
+        for &(s, bit) in prog.consts() {
+            constant[s as usize] = Some(bit);
+        }
+        let mut written = vec![false; n];
+        for ins in prog.instrs() {
+            written[ins.out as usize] = true;
+        }
+        let mut consts = Vec::new();
+        let mut copies = Vec::new();
+        for (b, &s) in op.output.iter().enumerate() {
+            let at = output.base + b;
+            if written[s as usize] && slot[s as usize] == DEAD_SLOT {
+                slot[s as usize] = at as u32;
+            } else if let Some(bit) = constant[s as usize] {
+                consts.push((at, bit));
+            } else {
+                copies.push((at, s));
+            }
+        }
+        let mut place = |s: u32| -> u32 {
+            if slot[s as usize] == DEAD_SLOT {
+                slot[s as usize] = next as u32;
+                next += 1;
+            }
+            slot[s as usize]
+        };
+        let mut code: Vec<OpInstr> = Vec::with_capacity(prog.len() + copies.len());
+        for ins in prog.instrs() {
+            let mut ins = *ins;
+            for p in &mut ins.pins[..ins.arity as usize] {
+                *p = place(*p);
+            }
+            ins.out = place(ins.out);
+            code.push(OpInstr::pad(&ins));
+        }
+        for &(at, s) in &copies {
+            code.push(OpInstr::pad(&LutInstr {
+                table: 0b10,
+                arity: 1,
+                out: at as u32,
+                pins: [place(s), 0, 0, 0],
+            }));
+        }
+        for &(s, bit) in prog.consts() {
+            if slot[s as usize] != DEAD_SLOT {
+                consts.push((slot[s as usize] as usize, bit));
+            }
+        }
+        assert!(next <= REGS, "operator register file exceeds {REGS} slots");
+
+        let mut regs = Box::new([0u8; REGS]);
+        for (at, bit) in consts {
+            regs[at] = u8::from(bit);
+        }
+        let steps = op
+            .steps
             .iter()
-            .zip(&in_buses)
-            .flat_map(|(bus, slots)| bus.iter().map(|id| id.index() as u32).zip(slots.clone()))
-            .collect();
-        let map = fb.append(instrs, prog.n_slots(), &[], &bind);
-        let out: Vec<u32> = output.iter().map(|id| map[id.index()]).collect();
-        let at: Vec<usize> = steps.iter().map(|&(at, _)| at).collect();
-        let (opt, sm, _, moved) = optimize_opaque(&fb.finish(), &out, &[], &at);
-        let steps = moved
-            .into_iter()
-            .zip(steps)
-            .map(|(at, (_, behavior))| Step {
+            .zip(behaviors)
+            .map(|(&at, behavior)| Step {
                 at,
-                arity: opt.instrs()[at].arity as usize,
+                arity: prog.instrs()[at].arity as usize,
                 behavior,
             })
             .collect();
-        let inputs = in_buses.iter().map(|b| sm.remap(b)).collect();
-        OpExec::new(&opt, steps, inputs, sm.remap(&out))
-    }
-
-    fn new(prog: &FusedProgram, steps: Vec<Step>, inputs: Vec<Vec<u32>>, output: Vec<u32>) -> Self {
-        assert!(
-            prog.n_slots() <= REGS,
-            "operator register file exceeds {REGS} slots"
-        );
-        let mut regs = Box::new([0u8; REGS]);
-        for &(slot, bit) in prog.consts() {
-            regs[slot as usize] = u8::from(bit);
-        }
         OpExec {
-            code: prog.instrs().iter().map(OpInstr::pad).collect(),
+            code,
             regs,
             steps,
+            driven: vec![0; inputs.len()],
             inputs,
             output,
             stale: true,
         }
+    }
+
+    /// Instructions in the swept stream, steps included.
+    pub fn n_instrs(&self) -> usize {
+        self.code.len()
     }
 
     /// Drives the input buses with `words` (bus `k` from the low bits
@@ -240,11 +422,16 @@ impl OpExec {
     /// Panics if `words` does not hold one word per input bus.
     pub fn call(&mut self, words: &[u64]) -> u64 {
         assert_eq!(words.len(), self.inputs.len(), "one word per input bus");
-        for (bus, &word) in self.inputs.iter().zip(words) {
-            self.stale |= write_bus(&mut self.regs, bus, word);
+        for ((bus, last), &word) in self.inputs.iter().zip(&mut self.driven).zip(words) {
+            let word = word & bus.mask();
+            if word != *last {
+                *last = word;
+                self.stale = true;
+                write_bus(&mut self.regs, *bus, word);
+            }
         }
         self.settle();
-        read_bus(&self.regs, &self.output)
+        read_bus(&self.regs, self.output)
     }
 
     fn settle(&mut self) {
@@ -276,25 +463,36 @@ impl OpExec {
     }
 }
 
-/// Writes the low bits of `word` onto a bus, skipping [`DEAD_SLOT`];
-/// true if any register changed.
-fn write_bus(regs: &mut Regs, bus: &[u32], word: u64) -> bool {
-    let mut changed = 0u8;
-    for (bit, &slot) in bus.iter().enumerate() {
-        if slot != DEAD_SLOT {
-            let v = (word >> bit) as u8 & 1;
-            changed |= regs[slot as usize] ^ v;
-            regs[slot as usize] = v;
-        }
-    }
-    changed != 0
+/// Eight bits as eight 0/1 bytes, bit `k` in byte `k` (little-endian).
+fn spread_byte(bits: u64) -> u64 {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    // Byte k keeps bit k; adding 0x7F carries it into the byte's top
+    // bit without crossing into the next byte.
+    ((((bits & 0xFF) * LOW) & 0x8040_2010_0804_0201) + 0x7F7F_7F7F_7F7F_7F7F) >> 7 & LOW
 }
 
-/// Reads a bus back as a word (LSB first). Output buses are roots, so
-/// they never hold [`DEAD_SLOT`].
-fn read_bus(regs: &Regs, bus: &[u32]) -> u64 {
-    bus.iter().enumerate().fold(0u64, |acc, (bit, &slot)| {
-        acc | u64::from(regs[slot as usize]) << bit
+/// Eight 0/1 bytes back as eight bits (the inverse of [`spread_byte`]).
+fn gather_byte(bytes: u64) -> u64 {
+    bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Drives a bus's registers with the low bits of `word`, a byte of bits
+/// per word move (the padding registers take the bits past the width,
+/// which nothing reads).
+fn write_bus(regs: &mut Regs, bus: Bus, word: u64) {
+    for b in (0..bus.width).step_by(8) {
+        let at = bus.base + b;
+        regs[at..at + 8].copy_from_slice(&spread_byte(word >> b).to_le_bytes());
+    }
+}
+
+/// Reads a bus back as a word (LSB first). Output padding registers are
+/// never written, so they read zero.
+fn read_bus(regs: &Regs, bus: Bus) -> u64 {
+    (0..bus.width).step_by(8).fold(0u64, |acc, b| {
+        let at = bus.base + b;
+        let bytes = u64::from_le_bytes(regs[at..at + 8].try_into().expect("eight registers"));
+        acc | gather_byte(bytes) << b
     })
 }
 

@@ -1,13 +1,13 @@
 //! Property tests: random netlists must evaluate identically under the
 //! reference simulator, the 64-lane fused LUT stream (one segment), the
-//! one-lane operator executor, and a direct recursive reference
-//! evaluator.
+//! one-lane operator executor (mapped onto 4-input LUTs or not), and a
+//! direct recursive reference evaluator.
 
 use std::sync::Arc;
 
 use dta_logic::{
     FuseBuilder, FusedExec, GateBehavior, GateKind, LutProgram, Netlist, NetlistBuilder, Node,
-    NodeId, Simulator,
+    NodeId, OpExec, OpProgram, Simulator,
 };
 use proptest::prelude::*;
 
@@ -272,6 +272,64 @@ proptest! {
             if step == reset_at as usize % stimulus.len() {
                 sim.reset_state();
                 op.reset_state();
+            }
+        }
+    }
+
+    /// Mapping onto 4-input LUTs changes no call: the mapped and
+    /// unmapped executors of one operator agree call for call, over
+    /// repeated inputs and across a reset, with patched truth words,
+    /// constant pins, and stateful steps on internal and output-bus
+    /// cells. The mapped stream is never longer and has at most four
+    /// pins per instruction.
+    #[test]
+    fn mapped_op_exec_matches_unmapped(
+        n_inputs in 1usize..6,
+        recipes in prop::collection::vec(recipe_strategy(), 1..48),
+        patch_sels in prop::collection::vec((any::<u16>(), any::<u16>()), 0..4),
+        step_sels in prop::collection::vec((any::<u16>(), 1u32..5), 0..4),
+        out_step_sels in prop::collection::vec((0usize..4, 1u32..5), 0..2),
+        stimulus in prop::collection::vec(0u8..8, 1..32),
+        reset_at in any::<u8>(),
+    ) {
+        let (net, inputs, gates, outputs) = build_with_gates(n_inputs, &recipes);
+        let prog = LutProgram::compile(Arc::clone(&net));
+        let mut instrs = prog.instrs().to_vec();
+        for &(sel, table) in &patch_sels {
+            let g = gates[sel as usize % gates.len()];
+            instrs[prog.instr_index(g).unwrap()].table = table & table_mask(&net, g);
+        }
+        let on_outputs = out_step_sels
+            .iter()
+            .map(|&(k, period)| (outputs[k % outputs.len()], period));
+        let mut steps: Vec<(usize, u32)> = step_sels
+            .iter()
+            .map(|&(sel, period)| (gates[sel as usize % gates.len()], period))
+            .chain(on_outputs)
+            .filter_map(|(id, period)| prog.instr_index(id).map(|at| (at, period)))
+            .collect();
+        steps.sort_by_key(|s| s.0);
+        steps.dedup_by_key(|s| s.0);
+        let behaviors = || -> Vec<Box<dyn GateBehavior>> {
+            steps
+                .iter()
+                .map(|&(_, period)| Box::new(PeriodicFlip { n: 0, period }) as Box<dyn GateBehavior>)
+                .collect()
+        };
+        let at: Vec<usize> = steps.iter().map(|s| s.0).collect();
+        let unmapped = OpProgram::optimize(&prog, &instrs, &at, &[&inputs[..]], &outputs);
+        let mapped = unmapped.map();
+        prop_assert!(mapped.program().len() <= unmapped.program().len());
+        prop_assert!(mapped.program().instrs().iter().all(|i| i.arity <= 4));
+        let mut plain = OpExec::new(&unmapped, behaviors());
+        let mut op = OpExec::new(&mapped, behaviors());
+        prop_assert!(op.n_instrs() <= plain.n_instrs());
+        for (call, &word) in stimulus.iter().enumerate() {
+            let w = u64::from(word);
+            prop_assert_eq!(op.call(&[w]), plain.call(&[w]), "call {}", call);
+            if call == reset_at as usize % stimulus.len() {
+                op.reset_state();
+                plain.reset_state();
             }
         }
     }
