@@ -15,6 +15,15 @@
 //! the fault pipeline (and the ECC decoder when enabled). With no
 //! defects the fetch is exactly the identity on the Q6.10 bit pattern,
 //! so attaching a healthy array is bit-invisible.
+//!
+//! The model works a word at a time. Cells are packed `u64` bitsets,
+//! one per physical row. Whenever a defect is added or a row or column
+//! is steered, the defect list is compiled into a per-word index: for
+//! each `(logical row, slot)` the defects that can touch one of the
+//! word's physical cells (a bridge through either of its columns), in
+//! pipeline order, with the bit each one hits. A word no defect touches
+//! is written and read back as a masked move; a touched word runs the
+//! ordered pipeline over its own defects only.
 
 use std::fmt;
 
@@ -235,12 +244,66 @@ pub struct ScrubReport {
     pub uncorrectable: Vec<(usize, usize)>,
 }
 
+/// Which part of the access pipeline a [`WordFault`] belongs to. Read
+/// stages run in declaration order; within one stage, faults keep the
+/// order of their defects in the injection list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    /// Write path: dead write drivers and stuck cells.
+    Write,
+    /// Read path, cell level: stuck cells and bitline bridges.
+    Cell,
+    /// Read path, bitline: columns shorted to a rail.
+    Column,
+    /// Read path, wordline: broken rows.
+    Row,
+    /// Read path, sense amplifiers.
+    Sense,
+}
+
+/// What one defect does to one word, with the bit position resolved
+/// under the steering maps current when the index was built.
+#[derive(Clone, Copy, Debug)]
+enum FaultOp {
+    /// The bit is forced to `value` (a stuck cell, a dead write driver
+    /// storing zero, or a bitline shorted to a rail).
+    Force { bit: u32, value: bool },
+    /// The bit ORs in the stored value of physical column `partner` in
+    /// the same physical row (a bitline bridge).
+    Bridge { bit: u32, partner: usize },
+    /// Every bit reads one (a broken wordline).
+    AllOnes,
+    /// The bit reads inverted (a faulty sense amplifier).
+    Invert { bit: u32 },
+}
+
+/// One entry of the per-word defect index.
+#[derive(Clone, Copy, Debug)]
+struct WordFault {
+    /// Position of the defect in the injection list (its mask slot).
+    defect: usize,
+    op: FaultOp,
+}
+
+/// A word's slice of [`WeightMemory::faults`]: write-path faults in
+/// `start..read`, read-path faults in `read..end`. `start == end` for a
+/// word no defect can touch. `u32` offsets keep the index, which every
+/// clone of the store copies, at 12 bytes a word.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordIndex {
+    start: u32,
+    read: u32,
+    end: u32,
+}
+
 /// The weight store: a bit-cell array with defects, ECC, and steering.
 #[derive(Clone, Debug)]
 pub struct WeightMemory {
     geom: MemGeometry,
-    /// Physical cell storage, row-major over `total_rows × total_cols`.
-    cells: Vec<bool>,
+    /// Physical cell storage: one bitset per physical row, `row_words`
+    /// `u64`s long, column `c` at bit `c % 64` of word `c / 64`.
+    cells: Vec<u64>,
+    row_words: usize,
     defects: Vec<MemDefectState>,
     records: Vec<String>,
     /// Logical data row → physical row (identity until steered).
@@ -252,8 +315,19 @@ pub struct WeightMemory {
     ecc_counters: EccCounters,
     /// Word accesses (fetches and raw BIST reads/writes) since power-on.
     accesses: u64,
-    /// Scratch activation mask, one slot per defect, reused per access.
+    /// Activation mask, one slot per defect. Permanent slots stay true;
+    /// dynamic slots are refreshed on every access.
     active: Vec<bool>,
+    /// True when some defect carries a lifetime state machine.
+    dynamic: bool,
+    /// Per-word defect index over `(logical row, slot)`, row-major;
+    /// rebuilt by [`reindex`](Self::reindex).
+    index: Vec<WordIndex>,
+    /// The index's entries, word by word in pipeline order.
+    faults: Vec<WordFault>,
+    /// Per slot: its logical columns still sit on their own physical
+    /// columns, one contiguous run (no column of the slot was steered).
+    contiguous: Vec<bool>,
     /// Chaos hook: milliseconds each March BIST element walk stalls
     /// (a model of pathologically slow silicon; `None` in production).
     chaos_stall_ms: Option<u64>,
@@ -262,9 +336,11 @@ pub struct WeightMemory {
 impl WeightMemory {
     /// A pristine array with the given geometry (cells at power-on zero).
     pub fn new(geom: MemGeometry) -> WeightMemory {
-        WeightMemory {
+        let row_words = geom.total_cols().div_ceil(64);
+        let mut mem = WeightMemory {
             geom,
-            cells: vec![false; geom.total_rows() * geom.total_cols()],
+            cells: vec![0; geom.total_rows() * row_words],
+            row_words,
             defects: Vec::new(),
             records: Vec::new(),
             row_map: (0..geom.data_rows()).collect(),
@@ -274,8 +350,14 @@ impl WeightMemory {
             ecc_counters: EccCounters::default(),
             accesses: 0,
             active: Vec::new(),
+            dynamic: false,
+            index: Vec::new(),
+            faults: Vec::new(),
+            contiguous: Vec::new(),
             chaos_stall_ms: None,
-        }
+        };
+        mem.reindex();
+        mem
     }
 
     /// Chaos hook: make every March BIST element walk stall `ms`
@@ -337,14 +419,14 @@ impl WeightMemory {
     /// of the address and written word and the 64-lane batch path stays
     /// bit-identical to scalar evaluation order.
     pub fn vectorizable(&self) -> bool {
-        self.defects.iter().all(|d| d.state.is_none())
+        !self.dynamic
     }
 
     /// Power-on reset: clear every cell, rewind dynamic defect state,
     /// ECC and access counters. Steering survives (it is a fuse-style
     /// repair).
     pub fn reset_state(&mut self) {
-        self.cells.fill(false);
+        self.cells.fill(0);
         for d in &mut self.defects {
             if let Some(state) = &mut d.state {
                 state.reset();
@@ -412,7 +494,7 @@ impl WeightMemory {
         };
         let record = format!("mem {defect}: {activation}");
         self.records.push(record.clone());
-        self.defects.push(MemDefectState { defect, state });
+        self.add(defect, state);
         record
     }
 
@@ -420,13 +502,43 @@ impl WeightMemory {
     /// [`inject_random`](Self::inject_random), used by diagnosis tests
     /// and targeted experiments). `state` carries the lifetime; `None`
     /// means permanent.
+    ///
+    /// # Panics
+    ///
+    /// When a coordinate lies outside the physical array, or when a
+    /// bridge's pair `col`, `col + 1` does not lie inside one data word
+    /// slot (a fetch must depend only on its own word's cells).
     pub fn push_defect(&mut self, defect: MemDefect, state: Option<ActivationState>) {
+        let geom = self.geom;
+        let row_ok = |row: usize| assert!(row < geom.total_rows(), "defect row {row} out of range");
+        let col_ok =
+            |col: usize| assert!(col < geom.total_cols(), "defect column {col} out of range");
+        match defect {
+            MemDefect::StuckCell { row, col, .. } => {
+                row_ok(row);
+                col_ok(col);
+            }
+            MemDefect::RowStuck { row } => row_ok(row),
+            MemDefect::ColStuck { col, .. }
+            | MemDefect::SenseAmp { col }
+            | MemDefect::WriteDriver { col } => col_ok(col),
+            MemDefect::Bridge { col } => assert!(
+                col + 1 < geom.data_cols() && (col + 1) % geom.code_bits() != 0,
+                "bridge c{col}-c{} crosses a word slot",
+                col + 1
+            ),
+        }
         let lifetime = match &state {
-            None => "permanent".to_string(),
-            Some(_) => "dynamic".to_string(),
+            None => "permanent",
+            Some(_) => "dynamic",
         };
         self.records.push(format!("mem {defect}: {lifetime}"));
+        self.add(defect, state);
+    }
+
+    fn add(&mut self, defect: MemDefect, state: Option<ActivationState>) {
         self.defects.push(MemDefectState { defect, state });
+        self.reindex();
     }
 
     /// Inject `n` random defects; returns their record lines.
@@ -454,108 +566,222 @@ impl WeightMemory {
     }
 
     // ------------------------------------------------------------------
-    // Cell-level access with the fault pipeline
+    // Word-level access with the fault pipeline
     // ------------------------------------------------------------------
 
+    /// Compile the defect list into the per-word index under the current
+    /// steering maps. For every `(logical row, slot)` it lists, in
+    /// pipeline order, each defect that can touch one of the word's
+    /// physical cells — a bridge counts for both of its columns — with
+    /// the bit position it hits. Called whenever a defect is added or a
+    /// row or column is steered.
+    fn reindex(&mut self) {
+        let geom = self.geom;
+        let code = geom.code_bits();
+        let (rows, slots) = (geom.data_rows(), geom.words_per_row());
+        let mut row_owner = vec![None; geom.total_rows()];
+        for (lrow, &prow) in self.row_map.iter().enumerate() {
+            row_owner[prow] = Some(lrow);
+        }
+        let mut col_owner = vec![None; geom.total_cols()];
+        for (lcol, &pcol) in self.col_map.iter().enumerate() {
+            col_owner[pcol] = Some(lcol);
+        }
+        // (word, stage, fault), pushed in defect order; the stable sort
+        // below keeps that order within each stage of each word.
+        let mut entries: Vec<(usize, Stage, WordFault)> = Vec::new();
+        for (defect, d) in self.defects.iter().enumerate() {
+            let mut push = |lrow: usize, slot: usize, stage: Stage, op: FaultOp| {
+                entries.push((lrow * slots + slot, stage, WordFault { defect, op }));
+            };
+            let bit = |lcol: usize| (lcol % code) as u32;
+            match d.defect {
+                MemDefect::StuckCell { row, col, value } => {
+                    if let (Some(lrow), Some(lcol)) = (row_owner[row], col_owner[col]) {
+                        let op = FaultOp::Force {
+                            bit: bit(lcol),
+                            value,
+                        };
+                        push(lrow, lcol / code, Stage::Write, op);
+                        push(lrow, lcol / code, Stage::Cell, op);
+                    }
+                }
+                MemDefect::RowStuck { row } => {
+                    if let Some(lrow) = row_owner[row] {
+                        for slot in 0..slots {
+                            push(lrow, slot, Stage::Row, FaultOp::AllOnes);
+                        }
+                    }
+                }
+                MemDefect::ColStuck { col, value } => {
+                    if let Some(lcol) = col_owner[col] {
+                        let op = FaultOp::Force {
+                            bit: bit(lcol),
+                            value,
+                        };
+                        (0..rows).for_each(|lrow| push(lrow, lcol / code, Stage::Column, op));
+                    }
+                }
+                MemDefect::SenseAmp { col } => {
+                    if let Some(lcol) = col_owner[col] {
+                        let op = FaultOp::Invert { bit: bit(lcol) };
+                        (0..rows).for_each(|lrow| push(lrow, lcol / code, Stage::Sense, op));
+                    }
+                }
+                MemDefect::WriteDriver { col } => {
+                    if let Some(lcol) = col_owner[col] {
+                        let op = FaultOp::Force {
+                            bit: bit(lcol),
+                            value: false,
+                        };
+                        (0..rows).for_each(|lrow| push(lrow, lcol / code, Stage::Write, op));
+                    }
+                }
+                MemDefect::Bridge { col } => {
+                    for (side, partner) in [(col, col + 1), (col + 1, col)] {
+                        if let Some(lcol) = col_owner[side] {
+                            let op = FaultOp::Bridge {
+                                bit: bit(lcol),
+                                partner,
+                            };
+                            (0..rows).for_each(|lrow| push(lrow, lcol / code, Stage::Cell, op));
+                        }
+                    }
+                }
+            }
+        }
+        entries.sort_by_key(|&(word, stage, _)| (word, stage));
+        self.index = vec![WordIndex::default(); rows * slots];
+        let offset = |at: usize| u32::try_from(at).expect("index entries fit in u32");
+        let mut at = 0;
+        for (w, word) in self.index.iter_mut().enumerate() {
+            word.start = offset(at);
+            while entries
+                .get(at)
+                .is_some_and(|e| e.0 == w && e.1 == Stage::Write)
+            {
+                at += 1;
+            }
+            word.read = offset(at);
+            while entries.get(at).is_some_and(|e| e.0 == w) {
+                at += 1;
+            }
+            word.end = offset(at);
+        }
+        self.faults = entries.into_iter().map(|(_, _, fault)| fault).collect();
+        self.contiguous = (0..slots)
+            .map(|slot| (slot * code..(slot + 1) * code).all(|lcol| self.col_map[lcol] == lcol))
+            .collect();
+        self.active = vec![true; self.defects.len()];
+        self.dynamic = self.defects.iter().any(|d| d.state.is_some());
+    }
+
+    fn code_mask(&self) -> u32 {
+        (1 << self.geom.code_bits()) - 1
+    }
+
     fn cell(&self, prow: usize, pcol: usize) -> bool {
-        self.cells[prow * self.geom.total_cols() + pcol]
+        self.cells[prow * self.row_words + pcol / 64] >> (pcol % 64) & 1 == 1
     }
 
-    fn set_cell(&mut self, prow: usize, pcol: usize, v: bool) {
-        let idx = prow * self.geom.total_cols() + pcol;
-        self.cells[idx] = v;
+    /// The raw cells of one word, gathered through the column map.
+    fn load(&self, prow: usize, slot: usize) -> u32 {
+        let code = self.geom.code_bits();
+        if !self.contiguous[slot] {
+            return (0..code)
+                .filter(|&b| self.cell(prow, self.col_map[slot * code + b]))
+                .fold(0, |v, b| v | 1 << b);
+        }
+        let row = &self.cells[prow * self.row_words..(prow + 1) * self.row_words];
+        let (w, shift) = (slot * code / 64, slot * code % 64);
+        let mut v = row[w] >> shift;
+        if shift + code > 64 {
+            v |= row[w + 1] << (64 - shift);
+        }
+        v as u32 & self.code_mask()
     }
 
-    /// Advance every dynamic defect by one access and refresh the
-    /// activation scratch mask (permanent defects are always active).
+    /// Store one word's bits into its cells, scattered through the
+    /// column map.
+    fn store(&mut self, prow: usize, slot: usize, bits: u32) {
+        let code = self.geom.code_bits();
+        if !self.contiguous[slot] {
+            for b in 0..code {
+                let pcol = self.col_map[slot * code + b];
+                let (idx, m) = (prow * self.row_words + pcol / 64, 1u64 << (pcol % 64));
+                self.cells[idx] = self.cells[idx] & !m | u64::from(bits >> b & 1) << (pcol % 64);
+            }
+            return;
+        }
+        let (bits, mask) = (u64::from(bits), u64::from(self.code_mask()));
+        let base = prow * self.row_words + slot * code / 64;
+        let shift = slot * code % 64;
+        self.cells[base] = self.cells[base] & !(mask << shift) | bits << shift;
+        if shift + code > 64 {
+            let up = 64 - shift;
+            self.cells[base + 1] = self.cells[base + 1] & !(mask >> up) | bits >> up;
+        }
+    }
+
+    /// Count one access and, when dynamic defects exist, advance each
+    /// one's activation stream by one step into the mask (permanent
+    /// slots stay active).
     fn advance_access(&mut self) {
         self.accesses += 1;
-        self.active.clear();
-        let active = &mut self.active;
-        for d in &mut self.defects {
-            active.push(match &mut d.state {
-                None => true,
-                Some(state) => state.advance(),
-            });
+        if self.dynamic {
+            for (active, d) in self.active.iter_mut().zip(&mut self.defects) {
+                if let Some(state) = &mut d.state {
+                    *active = state.advance();
+                }
+            }
         }
     }
 
-    /// Write one word through the write-path faults (write drivers lose
-    /// the bit, stuck cells ignore it).
-    fn write_word_phys(&mut self, prow: usize, slot: usize, bits: u32) {
-        let code = self.geom.code_bits();
-        for b in 0..code {
-            let pcol = self.col_map[slot * code + b];
-            let mut v = bits >> b & 1 == 1;
-            for i in 0..self.defects.len() {
-                if !self.active[i] {
-                    continue;
-                }
-                match self.defects[i].defect {
-                    MemDefect::WriteDriver { col } if col == pcol => v = false,
-                    MemDefect::StuckCell { row, col, value } if row == prow && col == pcol => {
-                        v = value
-                    }
-                    _ => {}
-                }
-            }
-            self.set_cell(prow, pcol, v);
+    /// Run `v` through the active faults of one index slice.
+    fn apply(&self, prow: usize, faults: &[WordFault], mut v: u32) -> u32 {
+        for f in faults.iter().filter(|f| self.active[f.defect]) {
+            v = match f.op {
+                FaultOp::Force { bit, value } => v & !(1 << bit) | u32::from(value) << bit,
+                FaultOp::Bridge { bit, partner } => v | u32::from(self.cell(prow, partner)) << bit,
+                FaultOp::AllOnes => self.code_mask(),
+                FaultOp::Invert { bit } => v ^ 1 << bit,
+            };
         }
+        v
     }
 
-    /// Read one word through the read-path faults: cell/bridge first,
-    /// then bitline (column stuck), wordline (row stuck), sense amp.
-    fn read_word_phys(&self, prow: usize, slot: usize) -> u32 {
-        let code = self.geom.code_bits();
-        let mut bits = 0u32;
-        for b in 0..code {
-            let pcol = self.col_map[slot * code + b];
-            let mut v = self.cell(prow, pcol);
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
-                    MemDefect::StuckCell { row, col, value } if row == prow && col == pcol => {
-                        v = value
-                    }
-                    MemDefect::Bridge { col } if col == pcol => v |= self.cell(prow, col + 1),
-                    MemDefect::Bridge { col } if col + 1 == pcol => v |= self.cell(prow, col),
-                    _ => {}
-                }
-            }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
-                    MemDefect::ColStuck { col, value } if col == pcol => v = value,
-                    _ => {}
-                }
-            }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
-                    MemDefect::RowStuck { row } if row == prow => v = true,
-                    _ => {}
-                }
-            }
-            for (i, d) in self.defects.iter().enumerate() {
-                if !self.active[i] {
-                    continue;
-                }
-                match d.defect {
-                    MemDefect::SenseAmp { col } if col == pcol => v = !v,
-                    _ => {}
-                }
-            }
-            if v {
-                bits |= 1 << b;
-            }
-        }
-        bits
+    /// Position of a logical `(row, slot)` word in the index.
+    fn word(&self, row: usize, slot: usize) -> usize {
+        assert!(slot < self.geom.words_per_row(), "slot {slot} out of range");
+        row * self.geom.words_per_row() + slot
+    }
+
+    /// Write one word through its write-path faults (write drivers lose
+    /// the bit, stuck cells ignore it). A word no defect touches is a
+    /// masked move.
+    fn write_word(&mut self, row: usize, slot: usize, bits: u32) {
+        let prow = self.row_map[row];
+        let WordIndex { start, read, .. } = self.index[self.word(row, slot)];
+        let faults = &self.faults[start as usize..read as usize];
+        let v = self.apply(prow, faults, bits & self.code_mask());
+        self.store(prow, slot, v);
+    }
+
+    /// Read one word back through its read-path faults: cell/bridge
+    /// first, then bitline (column stuck), wordline (row stuck), sense
+    /// amp.
+    fn read_word(&self, row: usize, slot: usize) -> u32 {
+        let prow = self.row_map[row];
+        let WordIndex { read, end, .. } = self.index[self.word(row, slot)];
+        let faults = &self.faults[read as usize..end as usize];
+        self.apply(prow, faults, self.load(prow, slot))
+    }
+
+    /// One access that writes `bits` into a word and reads it back.
+    fn write_read(&mut self, row: usize, slot: usize, bits: u32) -> u32 {
+        self.advance_access();
+        self.write_word(row, slot, bits);
+        self.read_word(row, slot)
     }
 
     /// Logical data row for a bank-relative lane index.
@@ -591,44 +817,31 @@ impl WeightMemory {
     /// the fault pipeline (and the ECC decoder when enabled). One fetch
     /// counts as one access for transient/intermittent defects.
     pub fn fetch(&mut self, bank: Bank, lane: usize, slot: usize, w: Fx) -> Fx {
-        debug_assert!(slot < self.geom.words_per_row(), "slot {slot} out of range");
-        let lrow = self.row_of(bank, lane);
-        let prow = self.row_map[lrow];
+        let row = self.row_of(bank, lane);
         let raw = w.to_bits();
-        let stored = if self.geom.ecc {
-            ecc::encode(raw)
-        } else {
-            u32::from(raw)
-        };
-        self.advance_access();
-        self.write_word_phys(prow, slot, stored);
-        let got = self.read_word_phys(prow, slot);
-        if self.geom.ecc {
-            let (data, status) = ecc::decode(got);
-            match status {
-                EccStatus::Clean => {}
-                EccStatus::Corrected => self.ecc_counters.corrected += 1,
-                EccStatus::DoubleDetected => self.ecc_counters.uncorrectable += 1,
-            }
-            Fx::from_bits(data)
-        } else {
-            Fx::from_bits(got as u16)
+        if !self.geom.ecc {
+            return Fx::from_bits(self.write_read(row, slot, u32::from(raw)) as u16);
         }
+        let (data, status) = ecc::decode(self.write_read(row, slot, ecc::encode(raw)));
+        match status {
+            EccStatus::Clean => {}
+            EccStatus::Corrected => self.ecc_counters.corrected += 1,
+            EccStatus::DoubleDetected => self.ecc_counters.uncorrectable += 1,
+        }
+        Fx::from_bits(data)
     }
 
     /// Raw BIST write of a full code word at a logical `(row, slot)`
     /// address (no ECC involvement). One access.
     pub fn bist_write(&mut self, row: usize, slot: usize, bits: u32) {
-        let prow = self.row_map[row];
         self.advance_access();
-        self.write_word_phys(prow, slot, bits);
+        self.write_word(row, slot, bits);
     }
 
     /// Raw BIST read of a full code word. One access.
     pub fn bist_read(&mut self, row: usize, slot: usize) -> u32 {
-        let prow = self.row_map[row];
         self.advance_access();
-        self.read_word_phys(prow, slot)
+        self.read_word(row, slot)
     }
 
     // ------------------------------------------------------------------
@@ -648,15 +861,12 @@ impl WeightMemory {
                 let mut corrected = false;
                 let mut broken = false;
                 for pattern in [0x0000u16, 0xFFFF, 0xA5A5] {
-                    let prow = self.row_map[row];
                     let stored = if geom.ecc {
                         ecc::encode(pattern)
                     } else {
                         u32::from(pattern)
                     };
-                    self.advance_access();
-                    self.write_word_phys(prow, slot, stored);
-                    let got = self.read_word_phys(prow, slot);
+                    let got = self.write_read(row, slot, stored);
                     if geom.ecc {
                         let (data, status) = ecc::decode(got);
                         corrected |= status == EccStatus::Corrected;
@@ -685,7 +895,8 @@ impl WeightMemory {
         assert!(row < self.geom.data_rows(), "row {row} out of range");
         self.row_map[row] = self.geom.data_rows() + self.spare_rows_used;
         self.spare_rows_used += 1;
-        self.cells.fill(false);
+        self.cells.fill(0);
+        self.reindex();
         Ok(())
     }
 
@@ -698,7 +909,8 @@ impl WeightMemory {
         assert!(col < self.geom.data_cols(), "column {col} out of range");
         self.col_map[col] = self.geom.data_cols() + self.spare_cols_used;
         self.spare_cols_used += 1;
-        self.cells.fill(false);
+        self.cells.fill(0);
+        self.reindex();
         Ok(())
     }
 }

@@ -20,9 +20,31 @@ pub const DATA_BITS: u32 = 16;
 /// Total bits per codeword: 16 data + 5 Hamming check + 1 overall parity.
 pub const CODE_BITS: u32 = 22;
 
-/// Codeword positions holding data bits, LSB of the data word first
-/// (every position in `1..22` that is not a power of two).
-const DATA_POS: [u32; 16] = [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21];
+/// Codeword bits covered by Hamming check bit `k` (the check bit at
+/// position `2^k` included): every position in `1..22` whose index has
+/// bit `k` set.
+const fn cover(k: u32) -> u32 {
+    let mut mask = 0;
+    let mut pos = 1;
+    while pos < CODE_BITS {
+        if pos & 1 << k != 0 {
+            mask |= 1 << pos;
+        }
+        pos += 1;
+    }
+    mask
+}
+
+/// Parity masks of the five Hamming check bits.
+const COVER: [u32; 5] = [cover(0), cover(1), cover(2), cover(3), cover(4)];
+
+/// All 22 codeword positions.
+const CODE_MASK: u32 = (1 << CODE_BITS) - 1;
+
+/// Parity (0 or 1) of the bits of `cw` under `mask`.
+fn parity(cw: u32, mask: u32) -> u32 {
+    (cw & mask).count_ones() & 1
+}
 
 /// Outcome of decoding one codeword.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,29 +59,14 @@ pub enum EccStatus {
 
 /// Encode a 16-bit data word into a 22-bit SEC-DED codeword.
 pub fn encode(data: u16) -> u32 {
-    let mut cw: u32 = 0;
-    for (i, &pos) in DATA_POS.iter().enumerate() {
-        if data >> i & 1 == 1 {
-            cw |= 1 << pos;
-        }
+    // Data runs between the check positions: bit 0 at 3, bits 1–3 at
+    // 5–7, bits 4–10 at 9–15, bits 11–15 at 17–21.
+    let d = u32::from(data);
+    let mut cw = (d & 1) << 3 | (d >> 1 & 0x7) << 5 | (d >> 4 & 0x7F) << 9 | (d >> 11) << 17;
+    for (k, &mask) in COVER.iter().enumerate() {
+        cw |= parity(cw, mask) << (1 << k);
     }
-    for k in 0..5u32 {
-        let check = 1u32 << k;
-        let mut parity = 0u32;
-        for pos in 1..CODE_BITS {
-            if pos & check != 0 {
-                parity ^= cw >> pos & 1;
-            }
-        }
-        if parity == 1 {
-            cw |= 1 << check;
-        }
-    }
-    let mut overall = 0u32;
-    for pos in 1..CODE_BITS {
-        overall ^= cw >> pos & 1;
-    }
-    cw | overall
+    cw | parity(cw, CODE_MASK)
 }
 
 /// Decode a 22-bit codeword back to its data word plus an error verdict.
@@ -68,16 +75,13 @@ pub fn encode(data: u16) -> u32 {
 /// reported as [`EccStatus::DoubleDetected`] and never silently
 /// miscorrected into a different clean word.
 pub fn decode(cw: u32) -> (u16, EccStatus) {
-    let mut syndrome = 0u32;
-    for pos in 1..CODE_BITS {
-        if cw >> pos & 1 == 1 {
-            syndrome ^= pos;
-        }
-    }
-    let mut overall = 0u32;
-    for pos in 0..CODE_BITS {
-        overall ^= cw >> pos & 1;
-    }
+    // Bit k of the syndrome is the parity of the positions whose index
+    // has bit k set, so the syndrome is the XOR of the set positions.
+    let syndrome = COVER
+        .iter()
+        .enumerate()
+        .fold(0, |s, (k, &mask)| s | parity(cw, mask) << k);
+    let overall = parity(cw, CODE_MASK);
     let mut fixed = cw;
     let status = if syndrome == 0 && overall == 0 {
         EccStatus::Clean
@@ -91,13 +95,11 @@ pub fn decode(cw: u32) -> (u16, EccStatus) {
     } else {
         EccStatus::DoubleDetected
     };
-    let mut data = 0u16;
-    for (i, &pos) in DATA_POS.iter().enumerate() {
-        if fixed >> pos & 1 == 1 {
-            data |= 1 << i;
-        }
-    }
-    (data, status)
+    let data = (fixed >> 3 & 1)
+        | (fixed >> 5 & 0x7) << 1
+        | (fixed >> 9 & 0x7F) << 4
+        | (fixed >> 17 & 0x1F) << 11;
+    (data as u16, status)
 }
 
 #[cfg(test)]

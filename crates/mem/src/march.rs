@@ -104,52 +104,50 @@ pub fn march_cminus_guarded(
     let mut fail_bits = vec![0u64; rows * words_per_row_map];
     let mut report = MarchReport::default();
 
-    let mark =
-        |fail_bits: &mut Vec<u64>, report: &mut MarchReport, row: usize, slot: usize, diff: u32| {
-            for b in 0..code {
-                if diff >> b & 1 == 1 {
-                    let col = slot * code + b;
-                    let idx = row * words_per_row_map + col / 64;
-                    if fail_bits[idx] >> (col % 64) & 1 == 0 {
-                        fail_bits[idx] |= 1 << (col % 64);
-                    }
-                    report.fails += 1;
-                }
+    let mark = |fail_bits: &mut Vec<u64>,
+                report: &mut MarchReport,
+                row: usize,
+                slot: usize,
+                mut diff: u32| {
+        while diff != 0 {
+            let col = slot * code + diff.trailing_zeros() as usize;
+            fail_bits[row * words_per_row_map + col / 64] |= 1 << (col % 64);
+            report.fails += 1;
+            diff &= diff - 1;
+        }
+    };
+
+    // The `i`-th address of an ascending or descending (row, slot) walk.
+    let n = rows * slots;
+    let at = |i: usize, down: bool| {
+        let a = if down { n - 1 - i } else { i };
+        (a / slots, a % slots)
+    };
+
+    // Solid zero, then a per-row/slot checkerboard so bridged neighbors
+    // carry opposite values.
+    for checker in [false, true] {
+        let bg = |row: usize, slot: usize| {
+            let alt = 0x2AAAAAu32 & mask;
+            match (checker, (row + slot).is_multiple_of(2)) {
+                (false, _) => 0,
+                (true, true) => alt,
+                (true, false) => !alt & mask,
             }
         };
 
-    // Background value for one address: solid zero or per-row/slot
-    // checkerboard so bridged neighbors carry opposite values.
-    let backgrounds: [Box<dyn Fn(usize, usize) -> u32>; 2] = [
-        Box::new(|_, _| 0u32),
-        Box::new(move |row, slot| {
-            let alt = 0x2AAAAAu32 & mask;
-            if (row + slot) % 2 == 0 {
-                alt
-            } else {
-                !alt & mask
-            }
-        }),
-    ];
-
-    for bg in &backgrounds {
-        let asc: Vec<(usize, usize)> = (0..rows)
-            .flat_map(|r| (0..slots).map(move |s| (r, s)))
-            .collect();
-        let desc: Vec<(usize, usize)> = asc.iter().rev().copied().collect();
-
         // ⇑(w0)
         stall(mem);
-        for &(r, s) in &asc {
+        for (r, s) in (0..n).map(|i| at(i, false)) {
             if aborted(mem) {
                 return None;
             }
             mem.bist_write(r, s, bg(r, s));
         }
         // ⇑(r0, w1); ⇑(r1, w0); ⇓(r0, w1); ⇓(r1, w0)
-        for (order, flip) in [(&asc, false), (&asc, true), (&desc, false), (&desc, true)] {
+        for (down, flip) in [(false, false), (false, true), (true, false), (true, true)] {
             stall(mem);
-            for &(r, s) in order {
+            for (r, s) in (0..n).map(|i| at(i, down)) {
                 if aborted(mem) {
                     return None;
                 }
@@ -162,7 +160,7 @@ pub fn march_cminus_guarded(
         }
         // ⇑(r0)
         stall(mem);
-        for &(r, s) in &asc {
+        for (r, s) in (0..n).map(|i| at(i, false)) {
             if aborted(mem) {
                 return None;
             }
