@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, OptStats};
+use dta_logic::{optimize, FuseBuilder, FusedExec, FusedProgram, OptStats};
 use dta_logic::{LutInstr, LutProgram, Netlist, NodeId, SlotMap};
 
 use crate::fault::{FaultPlan, Layer, NeuronFaults};
@@ -280,7 +280,7 @@ impl FusedForward {
         )?;
 
         let raw = fb.finish();
-        let (prog, sm, stats) = optimize_with_consts(&raw, &roots, &known);
+        let (prog, sm, stats, _) = optimize(&raw, &roots, &known, &[]);
         let hidden = hidden.into_iter().map(|p| remap_plan(p, &sm)).collect();
         let output = output.into_iter().map(|p| remap_plan(p, &sm)).collect();
         Some(FusedForward {
@@ -648,7 +648,7 @@ fn append_op(
 ) -> Vec<u32> {
     let bind: Vec<(u32, u32)> = binds.collect();
     let prog = LutProgram::cached(net);
-    fb.append(instrs, prog.n_slots(), prog.latch_slots(), &bind)
+    fb.append(instrs, prog.n_slots(), &bind)
 }
 
 /// Groups the sorted faulty-adder synapses of one neuron into maximal

@@ -675,7 +675,7 @@ mod tests {
                         .zip(&buses)
                         .flat_map(|(b, f)| b.iter().map(|id| id.index() as u32).zip(f.clone()))
                         .collect();
-                    let map = fb.append(&instrs, prog.n_slots(), prog.latch_slots(), &bind);
+                    let map = fb.append(&instrs, prog.n_slots(), &bind);
                     let out_slots: Vec<u32> = out.iter().map(|id| map[id.index()]).collect();
                     let mut ex = FusedExec::new(Arc::new(fb.finish()));
                     let mut sim = Simulator::new(Arc::clone(net));

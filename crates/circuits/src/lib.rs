@@ -4,11 +4,12 @@
 //!
 //! The spatially expanded accelerator is made of three operator types per
 //! neuron — synaptic multipliers, accumulation adders, and the sigmoid
-//! look-up unit — plus weight/input latches. This crate builds each of
-//! them as a [`dta_logic::Netlist`] of standard cells, so that defects
-//! can be injected *into a specific transistor of a specific 1-bit cell*
-//! and the resulting operator behavior observed, exactly as in §III of
-//! the paper:
+//! look-up unit — plus weight/input latches, whose defects `dta-ann`
+//! models as stuck bits, the model the paper uses for state elements.
+//! This crate builds each operator as a [`dta_logic::Netlist`] of
+//! standard cells, so that defects can be injected *into a specific
+//! transistor of a specific 1-bit cell* and the resulting operator
+//! behavior observed, exactly as in §III of the paper:
 //!
 //! * [`AdderCircuit`] — W-bit ripple-carry adder (wrapping);
 //! * [`SatAdderCircuit`] — the 16-bit Q6.10 saturating adder used in
@@ -20,7 +21,6 @@
 //! * [`SigmoidUnitCircuit`] — the 16-segment piecewise-linear activation
 //!   unit (LUT + multiply + add + clamp), bit-exact with
 //!   [`dta_fixed::SigmoidLut`];
-//! * [`WordLatch`] — a 16-bit synaptic-weight register;
 //! * [`inject`] — random defect placement (uniform over operator bits,
 //!   then over transistors / stuck-at sites within the bit cell) for both
 //!   fault models;
@@ -49,7 +49,6 @@ pub mod ops;
 pub mod sigmoid_unit;
 pub mod visibility;
 pub mod wallace;
-pub mod word_latch;
 
 pub use adder::{AdderCircuit, SatAdderCircuit};
 pub use cla_adder::ClaAdderCircuit;
@@ -60,4 +59,3 @@ pub use ops::{HwAdder, HwMultiplier, HwSigmoid};
 pub use sigmoid_unit::SigmoidUnitCircuit;
 pub use visibility::VisibilityReport;
 pub use wallace::WallaceMultiplier;
-pub use word_latch::WordLatch;

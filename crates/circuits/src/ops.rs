@@ -16,8 +16,8 @@
 //! intermittent activations) as step instructions that advance exactly
 //! one state step per call — optimized, mapped onto 4-input LUTs and
 //! swept one lane at a time. Injection lowers the plan; the executor is
-//! built on the first call after it, so an operator that collects
-//! several defects compiles once.
+//! built from that lowering on the first call after it, so an operator
+//! that collects several defects lowers and compiles once.
 //! The reference [`dta_logic::Simulator`] carrying
 //! [`DefectPlan::apply`] gives bit-identical results. When the plan has
 //! no step instruction the operator also keeps the patched stream
@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use rand::Rng;
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{LutInstr, LutProgram, OpExec};
+use dta_logic::{GateBehavior, LutInstr, LutProgram, OpExec};
 
 use crate::adder::SatAdderCircuit;
 use crate::inject::{DefectPlan, FaultModel};
@@ -41,6 +41,11 @@ fn sigmoid_lut() -> &'static SigmoidLut {
     static LUT: OnceLock<SigmoidLut> = OnceLock::new();
     LUT.get_or_init(SigmoidLut::new)
 }
+
+/// A lowering with step instructions that no executor has taken yet:
+/// its patched truth words by stream position, and its steps with their
+/// fresh behaviors.
+type Held = (Vec<(usize, u16)>, Vec<(usize, Box<dyn GateBehavior>)>);
 
 /// One call of a two-operand faulty operator.
 fn call2(exec: &mut OpExec, a: Fx, b: Fx) -> Fx {
@@ -60,8 +65,14 @@ macro_rules! hw_operator {
             /// The circuit's LUT instruction stream with the plan's truth
             /// words patched in, present iff the plan is non-empty and
             /// lowered without step instructions (see
-            /// [`DefectPlan::lower`]).
+            /// [`DefectPlan::lower`]). Network-level fusion reads it.
             patched: Option<Vec<LutInstr>>,
+            /// A lowering with step instructions, from the injection
+            /// until the executor takes it. It keeps the patched words
+            /// rather than the stream, so an operator waiting for its
+            /// first call does not hold a copy of the whole stream, and
+            /// it is boxed, so every operator grows by one pointer only.
+            held: Option<Box<Held>>,
             plan: DefectPlan,
         }
 
@@ -78,6 +89,7 @@ macro_rules! hw_operator {
                     circuit,
                     exec: None,
                     patched: None,
+                    held: None,
                     plan: DefectPlan::new(FaultModel::TransistorLevel),
                 }
             }
@@ -87,29 +99,45 @@ macro_rules! hw_operator {
             fn lower(&mut self) {
                 self.exec = None;
                 self.patched = None;
+                self.held = None;
                 if !self.plan.is_empty() {
                     let prog = LutProgram::cached(self.circuit.netlist());
                     let (instrs, steps) = self.plan.lower(&prog);
-                    self.patched = steps.is_empty().then_some(instrs);
+                    if steps.is_empty() {
+                        self.patched = Some(instrs);
+                    } else {
+                        let words = instrs
+                            .iter()
+                            .zip(prog.instrs())
+                            .enumerate()
+                            .filter(|(_, (ins, healthy))| ins.table != healthy.table)
+                            .map(|(at, (ins, _))| (at, ins.table))
+                            .collect();
+                        self.held = Some(Box::new((words, steps)));
+                    }
                 }
             }
 
-            /// The compiled faulty operator, built on first use; `None`
-            /// for a healthy operator. A plan with step instructions is
-            /// lowered again here, which gives the same stream and
-            /// fresh behaviors, rather than holding its stream until the
-            /// first call.
+            /// The compiled faulty operator, built on first use from the
+            /// lowering made at injection; `None` for a healthy operator.
             fn exec(&mut self) -> Option<&mut OpExec> {
                 if self.exec.is_none() && !self.plan.is_empty() {
                     let c = &self.circuit;
                     let prog = LutProgram::cached(c.netlist());
-                    let relowered;
-                    let (instrs, steps) = match &self.patched {
-                        Some(instrs) => (instrs, Vec::new()),
-                        None => {
-                            relowered = self.plan.lower(&prog);
-                            (&relowered.0, relowered.1)
+                    let mut stream = Vec::new();
+                    let (instrs, steps) = match self.held.take() {
+                        Some(held) => {
+                            let (words, steps) = *held;
+                            stream.extend_from_slice(prog.instrs());
+                            for (at, table) in words {
+                                stream[at].table = table;
+                            }
+                            (&stream, steps)
                         }
+                        None => (
+                            self.patched.as_ref().expect("injection lowers a non-empty plan"),
+                            Vec::new(),
+                        ),
                     };
                     self.exec = Some(OpExec::compile(
                         &prog,
@@ -196,8 +224,9 @@ macro_rules! hw_operator {
             }
 
             /// Clears memory effects and delay-line state left by
-            /// previous evaluations (call between independent runs). An
-            /// executor not built yet starts from fresh behaviors.
+            /// previous evaluations (call between independent runs).
+            /// Behaviors held for an executor not built yet have never
+            /// run, so they are fresh already.
             pub fn reset_state(&mut self) {
                 if let Some(exec) = &mut self.exec {
                     exec.reset_state();

@@ -207,8 +207,10 @@ fn stimulus(rng: &mut ChaCha8Rng, n_buses: usize, len: usize) -> Vec<Vec<u64>> {
 
 /// Drives one operator and its reference through plans of both fault
 /// models and every lifetime, with `reset_state` and a second injection
-/// (which rebuilds the engine) mid-sequence. Returns the largest step
-/// count seen per fault model.
+/// (which rebuilds the engine) mid-sequence. A `reset_state` also lands
+/// right after each injection, while the lowered behaviors are held and
+/// no executor is built yet. Returns the largest step count seen per
+/// fault model.
 fn engine_matches_reference(make: impl Fn() -> Box<dyn Operator>) -> [usize; 2] {
     let mut most_steps = [0usize; 2];
     for (m, model) in [FaultModel::TransistorLevel, FaultModel::GateLevel]
@@ -232,6 +234,8 @@ fn engine_matches_reference(make: impl Fn() -> Box<dyn Operator>) -> [usize; 2] 
                 };
                 inject(&mut op, &mut reference, act, 2 + seed as usize * 2);
                 most_steps[m] = most_steps[m].max(reference.steps());
+                op.reset_state();
+                reference.sim.reset_state();
                 let mut data = ChaCha8Rng::seed_from_u64(seed ^ 0xD1FF);
                 let seq = stimulus(&mut data, reference.ins.len(), 48);
                 for (call, words) in seq.iter().enumerate() {
@@ -248,6 +252,8 @@ fn engine_matches_reference(make: impl Fn() -> Box<dyn Operator>) -> [usize; 2] 
                         // A second lifetime joins mid-sequence.
                         inject(&mut op, &mut reference, LIFETIMES[(l + 1) % 3], 2);
                         most_steps[m] = most_steps[m].max(reference.steps());
+                        op.reset_state();
+                        reference.sim.reset_state();
                     }
                 }
             }

@@ -6,8 +6,8 @@
 //! model:
 //!
 //! * transistor counts come from the *actual netlists* of `dta-circuits`
-//!   (multipliers, adders, activation units, latch words), composed
-//!   according to the accelerator geometry;
+//!   (multipliers, adders, activation units) plus 8 per latch bit,
+//!   composed according to the accelerator geometry;
 //! * critical-path depth comes from the netlists' longest combinational
 //!   paths;
 //! * three coefficients (area per transistor, energy per transistor per
@@ -63,7 +63,10 @@ pub struct OperatorMetrics {
     pub add_transistors: u64,
     /// Transistors in one activation unit.
     pub act_transistors: u64,
-    /// Transistors in one 16-bit latch word.
+    /// Transistors in one 16-bit latch word: an 8-transistor
+    /// transmission-gate D-latch per bit. Latches are not built as
+    /// netlists (their defects are modelled as stuck bits), so this is
+    /// the one count not measured from a netlist.
     pub latch_word_transistors: u64,
     /// Critical-path depth (gate levels) of the multiplier.
     pub mul_depth: usize,

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::gate::GateKind;
-use crate::netlist::{Netlist, Node, NodeId};
+use crate::netlist::{Netlist, NodeId};
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -121,18 +121,6 @@ pub fn kind_table(kind: GateKind) -> u16 {
     table
 }
 
-/// A latch compiled to register-file bookkeeping: on
-/// [`crate::FusedExec::tick`] slot `latch` captures slot `data`.
-#[derive(Clone, Copy, Debug)]
-pub struct LatchSlot {
-    /// The latch's own register slot.
-    pub latch: u32,
-    /// The register slot of its data input.
-    pub data: u32,
-    /// Power-on value, broadcast across all lanes on reset.
-    pub init: bool,
-}
-
 /// A netlist compiled to a topological LUT instruction stream.
 ///
 /// Instruction `i` is gate `i` of the netlist's evaluation schedule,
@@ -144,7 +132,6 @@ pub struct LutProgram {
     instrs: Vec<LutInstr>,
     /// Node index → instruction position (`u32::MAX` for non-gates).
     instr_of: Vec<u32>,
-    latches: Vec<LatchSlot>,
 }
 
 impl LutProgram {
@@ -168,25 +155,10 @@ impl LutProgram {
                 }
             })
             .collect();
-
-        let latches = net
-            .latches()
-            .iter()
-            .map(|&l| match net.node(l) {
-                Node::Latch { data, init } => LatchSlot {
-                    latch: l.0,
-                    data: data.0,
-                    init: *init,
-                },
-                _ => unreachable!("latch list holds latches"),
-            })
-            .collect();
-
         LutProgram {
             net,
             instrs,
             instr_of,
-            latches,
         }
     }
 
@@ -236,12 +208,6 @@ impl LutProgram {
             Some(&p) if p != u32::MAX => Some(p as usize),
             _ => None,
         }
-    }
-
-    /// The latch capture list (declaration order, matching
-    /// [`crate::Simulator::tick`] semantics).
-    pub fn latch_slots(&self) -> &[LatchSlot] {
-        &self.latches
     }
 
     /// Number of register-file slots an executor needs.

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use crate::compile::{LatchSlot, LutInstr};
+use crate::compile::LutInstr;
 
 /// Sentinel slot index for a register eliminated by the optimizer
 /// ([`crate::opt::optimize`]). Bus helpers on [`FusedExec`] skip dead
@@ -44,9 +44,8 @@ pub struct FusedProgram {
     /// end of the stream). Entries are non-decreasing.
     stage_start: Vec<u32>,
     n_slots: usize,
-    latches: Vec<LatchSlot>,
     /// Slots holding a compile-time constant in every lane, materialized
-    /// once by the executor and never written by the stream (the
+    /// once by [`FusedExec::new`] and never written by the stream (the
     /// optimizer's constant-register lowering).
     consts: Vec<(u32, bool)>,
 }
@@ -56,14 +55,12 @@ impl FusedProgram {
         instrs: Vec<LutInstr>,
         stage_start: Vec<u32>,
         n_slots: usize,
-        latches: Vec<LatchSlot>,
         consts: Vec<(u32, bool)>,
     ) -> FusedProgram {
         FusedProgram {
             instrs,
             stage_start,
             n_slots,
-            latches,
             consts,
         }
     }
@@ -102,13 +99,7 @@ impl FusedProgram {
         self.stage_start[stage] as usize..hi
     }
 
-    /// Latch capture list (same semantics as
-    /// [`crate::LutProgram::latch_slots`]).
-    pub fn latch_slots(&self) -> &[LatchSlot] {
-        &self.latches
-    }
-
-    /// Constant registers materialized at reset.
+    /// Constant registers, materialized when an executor is built.
     pub fn consts(&self) -> &[(u32, bool)] {
         &self.consts
     }
@@ -126,8 +117,8 @@ impl FusedProgram {
 /// let not = |out, pin| LutInstr { table: 0b01, arity: 1, out, pins: [pin, 0, 0, 0] };
 /// let mut fb = FuseBuilder::new();
 /// let a = fb.fresh_slot();
-/// let m1 = fb.append(&[not(1, 0)], 2, &[], &[(0, a)]);
-/// let m2 = fb.append(&[not(1, 0)], 2, &[], &[(0, m1[1])]);
+/// let m1 = fb.append(&[not(1, 0)], 2, &[(0, a)]);
+/// let m2 = fb.append(&[not(1, 0)], 2, &[(0, m1[1])]);
 /// let prog = std::sync::Arc::new(fb.finish());
 /// let mut ex = FusedExec::new(prog);
 /// ex.set_slot(a, 0b1010);
@@ -141,7 +132,6 @@ pub struct FuseBuilder {
     stage_start: Vec<u32>,
     /// Number of slots allocated so far.
     n_slots: usize,
-    latches: Vec<LatchSlot>,
 }
 
 impl FuseBuilder {
@@ -190,12 +180,11 @@ impl FuseBuilder {
 
     /// Appends one compiled (and possibly fault-patched) instruction
     /// stream. `n_slots` is the segment's own register-file size;
-    /// `latches` its latch list; `bind` maps segment-local slots
-    /// (typically primary-input slots) onto existing fused slots — a
-    /// producer's outputs become this consumer's inputs with no
-    /// repacking. Unbound local slots get fresh fused slots. Returns the
-    /// local→fused slot map, so the caller can locate the segment's
-    /// output slots.
+    /// `bind` maps segment-local slots (typically primary-input slots)
+    /// onto existing fused slots — a producer's outputs become this
+    /// consumer's inputs with no repacking. Unbound local slots get
+    /// fresh fused slots. Returns the local→fused slot map, so the
+    /// caller can locate the segment's output slots.
     ///
     /// The segment must be in topological (schedule) order, and bound
     /// slots must not be written by the segment.
@@ -204,13 +193,7 @@ impl FuseBuilder {
     ///
     /// Panics if a binding is out of range, if a bound slot is written
     /// by the segment, or if the segment writes one slot twice.
-    pub fn append(
-        &mut self,
-        instrs: &[LutInstr],
-        n_slots: usize,
-        latches: &[LatchSlot],
-        bind: &[(u32, u32)],
-    ) -> Vec<u32> {
+    pub fn append(&mut self, instrs: &[LutInstr], n_slots: usize, bind: &[(u32, u32)]) -> Vec<u32> {
         let mut map = vec![DEAD_SLOT; n_slots];
         for &(local, fused) in bind {
             assert!((local as usize) < n_slots, "binding past segment slots");
@@ -219,13 +202,6 @@ impl FuseBuilder {
                 "binding to unallocated fused slot"
             );
             map[local as usize] = fused;
-        }
-        // Latch registers are state slots the stream reads but never
-        // writes; allocate them before the instructions' slots.
-        for ls in latches {
-            if map[ls.latch as usize] == DEAD_SLOT {
-                map[ls.latch as usize] = self.fresh_slot();
-            }
         }
         for ins in instrs {
             let mut fused = *ins;
@@ -246,29 +222,12 @@ impl FuseBuilder {
             fused.out = slot;
             self.instrs.push(fused);
         }
-        for ls in latches {
-            let data = ls.data as usize;
-            if map[data] == DEAD_SLOT {
-                map[data] = self.fresh_slot();
-            }
-            self.latches.push(LatchSlot {
-                latch: map[ls.latch as usize],
-                data: map[data],
-                init: ls.init,
-            });
-        }
         map
     }
 
     /// Finishes the build.
     pub fn finish(self) -> FusedProgram {
-        FusedProgram::from_parts(
-            self.instrs,
-            self.stage_start,
-            self.n_slots,
-            self.latches,
-            Vec::new(),
-        )
+        FusedProgram::from_parts(self.instrs, self.stage_start, self.n_slots, Vec::new())
     }
 }
 
@@ -280,21 +239,17 @@ impl FuseBuilder {
 pub struct FusedExec {
     prog: Arc<FusedProgram>,
     regs: Vec<u64>,
-    /// Scratch for two-phase latch capture (no per-tick allocation).
-    tick_buf: Vec<u64>,
 }
 
 impl FusedExec {
-    /// Creates an executor: all slots zero, constant registers
-    /// materialized, latch slots at their init value in every lane.
+    /// Creates an executor: constant registers materialized in every
+    /// lane, all other slots zero.
     pub fn new(prog: Arc<FusedProgram>) -> FusedExec {
-        let mut ex = FusedExec {
-            regs: vec![0u64; prog.n_slots()],
-            tick_buf: Vec::with_capacity(prog.latch_slots().len()),
-            prog,
-        };
-        ex.reset_state();
-        ex
+        let mut regs = vec![0u64; prog.n_slots()];
+        for &(slot, bit) in prog.consts() {
+            regs[slot as usize] = if bit { !0 } else { 0 };
+        }
+        FusedExec { prog, regs }
     }
 
     /// The fused program this executor runs.
@@ -392,35 +347,6 @@ impl FusedExec {
     pub fn read_words(&self, bus: &[u32], n_lanes: usize) -> Vec<u64> {
         (0..n_lanes).map(|l| self.read_word_lane(bus, l)).collect()
     }
-
-    /// Latch capture across all lanes. Two-phase (all data words are
-    /// sampled before any latch updates): a fused stream can chain one
-    /// segment's latch output into another segment's latch data, and
-    /// per-operator composition samples every operator's inputs before
-    /// any operator ticks — simultaneous capture preserves that.
-    pub fn tick(&mut self) {
-        self.tick_buf.clear();
-        self.tick_buf.extend(
-            self.prog
-                .latch_slots()
-                .iter()
-                .map(|ls| self.regs[ls.data as usize]),
-        );
-        for (ls, &v) in self.prog.latch_slots().iter().zip(&self.tick_buf) {
-            self.regs[ls.latch as usize] = v;
-        }
-    }
-
-    /// Resets latch slots to their init values and re-materializes
-    /// constant registers. Other slots are left untouched.
-    pub fn reset_state(&mut self) {
-        for &(slot, bit) in self.prog.consts() {
-            self.regs[slot as usize] = if bit { !0 } else { 0 };
-        }
-        for ls in self.prog.latch_slots() {
-            self.regs[ls.latch as usize] = if ls.init { !0 } else { 0 };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,7 +390,7 @@ mod tests {
             .chain(b_bus.iter().zip(&b))
             .map(|(&l, &f)| (l, f))
             .collect();
-        let m1 = fb.append(prog.instrs(), prog.n_slots(), &[], &bind1);
+        let m1 = fb.append(prog.instrs(), prog.n_slots(), &bind1);
         // Second adder: a-input = first sum (low 2 bits), b-input = c.
         let bind2: Vec<(u32, u32)> = a_bus
             .iter()
@@ -472,7 +398,7 @@ mod tests {
             .chain(b_bus.iter().zip(c.iter().copied()))
             .map(|(&l, f)| (l, f))
             .collect();
-        let m2 = fb.append(prog.instrs(), prog.n_slots(), &[], &bind2);
+        let m2 = fb.append(prog.instrs(), prog.n_slots(), &bind2);
         let sum2: Vec<u32> = s_bus.iter().map(|&s| m2[s as usize]).collect();
         let fused = Arc::new(fb.finish());
         assert_eq!(fused.n_stages(), 1);
@@ -503,7 +429,7 @@ mod tests {
             .chain(b_bus.iter().zip(&b))
             .map(|(&l, &f)| (l, f))
             .collect();
-        let m1 = fb.append(prog.instrs(), prog.n_slots(), &[], &bind1);
+        let m1 = fb.append(prog.instrs(), prog.n_slots(), &bind1);
         fb.barrier();
         // Stage 1 segment reads a *runtime* input written between the
         // stages, plus stage 0's fused output.
@@ -514,7 +440,7 @@ mod tests {
             .chain(b_bus.iter().zip(c.iter().copied()))
             .map(|(&l, f)| (l, f))
             .collect();
-        let m2 = fb.append(prog.instrs(), prog.n_slots(), &[], &bind2);
+        let m2 = fb.append(prog.instrs(), prog.n_slots(), &bind2);
         let sum1: Vec<u32> = s_bus.iter().map(|&s| m1[s as usize]).collect();
         let sum2: Vec<u32> = s_bus.iter().map(|&s| m2[s as usize]).collect();
         let fused = Arc::new(fb.finish());
@@ -535,49 +461,6 @@ mod tests {
         ex.set_bus_words(&c, &[first & 0x3]);
         ex.exec_stage(1);
         assert_eq!(ex.read_word_lane(&sum2, 0), (5 % 4) + (5 % 4));
-    }
-
-    #[test]
-    fn latched_segments_tick_like_the_simulator() {
-        let mut b = NetlistBuilder::new();
-        let d = b.input("d");
-        let q = b.latch(d, true);
-        let g = b.gate(GateKind::Xor2, &[q, d]);
-        b.output("y", g);
-        let net = Arc::new(b.build());
-        let prog = Arc::new(LutProgram::compile(Arc::clone(&net)));
-
-        let mut fb = FuseBuilder::new();
-        let din = fb.fresh_slot();
-        let map = fb.append(
-            prog.instrs(),
-            prog.n_slots(),
-            prog.latch_slots(),
-            &[(d.index() as u32, din)],
-        );
-        let y = map[g.index()];
-        let fused = Arc::new(fb.finish());
-        assert_eq!(fused.latch_slots().len(), 1);
-        let mut fx = FusedExec::new(fused);
-
-        let mut sim = crate::Simulator::new(net);
-        for step in 0..6u64 {
-            let bit = (0x5A5A ^ (step * 0x1111)) & 1 == 1;
-            fx.set_slot_uniform(din, bit);
-            sim.set_input(d, bit);
-            fx.exec();
-            sim.settle();
-            assert_eq!(fx.slot(y), if sim.value(g) { !0 } else { 0 }, "step {step}");
-            fx.tick();
-            sim.tick();
-        }
-        fx.reset_state();
-        sim.reset_state();
-        fx.set_slot(din, 0);
-        sim.set_input(d, false);
-        fx.exec();
-        sim.settle();
-        assert_eq!(fx.slot(y) & 1 == 1, sim.value(g), "after reset");
     }
 
     #[test]
@@ -604,6 +487,6 @@ mod tests {
             pins: [0, 0, 0, 0],
         };
         // Local slot 0 is both bound and written by the segment.
-        fb.append(&[not], 1, &[], &[(0, a)]);
+        fb.append(&[not], 1, &[(0, a)]);
     }
 }

@@ -3,19 +3,19 @@
 //! Gate-level netlist representation and simulation.
 //!
 //! The accelerator's arithmetic operators (ripple-carry adders, array
-//! multipliers, latches, the sigmoid look-up unit) are built in
+//! multipliers, the sigmoid look-up unit) are built in
 //! `dta-circuits` as netlists of the CMOS standard-cell library defined
 //! here. This crate provides:
 //!
 //! * [`GateKind`] — the cell library (inverter, NAND/NOR, XOR, AOI/OAI
 //!   complex gates, 2:1 mux, constants), each with its CMOS transistor
 //!   count for the cost model;
-//! * [`Netlist`] / [`NetlistBuilder`] — an immutable combinational +
-//!   latch DAG with named input/output buses;
+//! * [`Netlist`] / [`NetlistBuilder`] — an immutable combinational gate
+//!   DAG with named input/output buses. Weight latches are not modelled
+//!   at the gate level: `dta-ann` models their defects as stuck bits;
 //! * [`Simulator`] — the reference oracle: each settle is one full sweep
-//!   of the combinational logic in topological order, and latches step
-//!   on [`Simulator::tick`]; any gate can be overridden with a
-//!   [`GateBehavior`], which is how both fault models plug in;
+//!   of the gates in topological order; any gate can be overridden with
+//!   a [`GateBehavior`], which is how both fault models plug in;
 //! * [`LutProgram`] — the netlist compiled to a topological LUT
 //!   instruction stream, into which permanent faults patch their truth
 //!   words, and [`FusedProgram`] / [`FusedExec`], the 64-lane engine that
@@ -61,12 +61,12 @@ pub mod opt;
 pub mod sim;
 pub mod stuck;
 
-pub use compile::{kind_table, program_cache_stats, LatchSlot, LutInstr, LutProgram};
+pub use compile::{kind_table, program_cache_stats, LutInstr, LutProgram};
 pub use fuse::{FuseBuilder, FusedExec, FusedProgram, DEAD_SLOT};
 pub use gate::{GateBehavior, GateKind};
 pub use map::map_luts;
 pub use netlist::{Netlist, NetlistBuilder, NetlistError, Node, NodeId};
 pub use op::{OpExec, OpProgram};
-pub use opt::{optimize, optimize_opaque, optimize_with_consts, OptStats, SlotMap};
+pub use opt::{optimize, OptStats, SlotMap};
 pub use sim::Simulator;
 pub use stuck::{StuckAt, StuckPort, StuckSet};

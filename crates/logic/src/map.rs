@@ -22,7 +22,7 @@
 //!    stream is exact by construction: patched truth words included.
 //!
 //! Opaque instructions (step instructions, see
-//! [`crate::opt::optimize_opaque`]) are cut boundaries: a step's output
+//! [`crate::opt::optimize`]) are cut boundaries: a step's output
 //! is a leaf that no cut looks through, each of its pins is a mapped
 //! root, and the step itself is emitted unchanged.
 
@@ -233,10 +233,10 @@ impl Cones<'_> {
 /// Leaf `k`'s value in each of the 16 packed leaf assignments.
 const LEAF_WORDS: [u16; K] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
-/// Maps a one-stage, latch-free program onto instructions of at most
+/// Maps a one-stage program onto instructions of at most
 /// four pins. `roots` are the slots the caller reads; `opaque` are the
 /// positions (ascending) of step instructions, as
-/// [`crate::opt::optimize_opaque`] reports them.
+/// [`crate::opt::optimize`] reports them.
 ///
 /// Returns the mapped program, over the same slot numbering (slots of
 /// absorbed cells are simply no longer written), and the new position
@@ -247,17 +247,14 @@ const LEAF_WORDS: [u16; K] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 ///
 /// # Panics
 ///
-/// Panics if the program has latches, more than one stage or more than
+/// Panics if the program has more than one stage or more than
 /// 65,535 slots, or if `opaque` is not ascending and in range.
 pub fn map_luts(
     prog: &FusedProgram,
     roots: &[u32],
     opaque: &[usize],
 ) -> (FusedProgram, Vec<usize>) {
-    assert!(
-        prog.latch_slots().is_empty() && prog.n_stages() == 1,
-        "mapping takes one latch-free stage"
-    );
+    assert_eq!(prog.n_stages(), 1, "mapping takes one stage");
     assert!(
         opaque.windows(2).all(|w| w[0] < w[1]) && opaque.last().is_none_or(|&i| i < prog.len()),
         "opaque positions must be ascending and in range"
@@ -409,7 +406,7 @@ pub fn map_luts(
             pins,
         });
     }
-    let out = FusedProgram::from_parts(mapped, vec![0], n, Vec::new(), prog.consts().to_vec());
+    let out = FusedProgram::from_parts(mapped, vec![0], n, prog.consts().to_vec());
     (out, moved)
 }
 
@@ -466,7 +463,7 @@ mod tests {
             instr(0b1110, 2, 6, [5, 3, 0, 0]),
         ];
         let bind: Vec<(u32, u32)> = (0..4).map(|k| (k, ins[k as usize])).collect();
-        let map = fb.append(&seg, 7, &[], &bind);
+        let map = fb.append(&seg, 7, &bind);
         let prog = fb.finish();
         let y = map[6];
         let (mapped, moved) = map_luts(&prog, &[y], &[]);
@@ -494,7 +491,7 @@ mod tests {
             instr(0b01, 1, 2, [1, 0, 0, 0]),
             instr(0b1110, 2, 3, [2, 0, 0, 0]),
         ];
-        let map = fb.append(&seg, 4, &[], &[(0, a)]);
+        let map = fb.append(&seg, 4, &[(0, a)]);
         let prog = fb.finish();
         let (mapped, _) = map_luts(&prog, &[map[3]], &[]);
         assert_eq!(mapped.len(), 1);
@@ -514,7 +511,7 @@ mod tests {
             instr(0b10, 1, 3, [2, 0, 0, 0]),
             instr(0b0110, 2, 4, [3, 2, 0, 0]),
         ];
-        let map = fb.append(&seg, 5, &[], &[(0, ins[0]), (1, ins[1])]);
+        let map = fb.append(&seg, 5, &[(0, ins[0]), (1, ins[1])]);
         let prog = fb.finish();
         let (mapped, moved) = map_luts(&prog, &[map[4]], &[1]);
         assert_eq!(moved, vec![1]);

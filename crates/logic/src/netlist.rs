@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::gate::GateKind;
 
-/// Handle to a node (input, gate, or latch) inside a [`Netlist`].
+/// Handle to a node (input or gate) inside a [`Netlist`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
@@ -37,15 +37,6 @@ pub enum Node {
         /// Driver of each input pin, in pin order.
         inputs: Vec<NodeId>,
     },
-    /// Level-insensitive storage element: on [`crate::Simulator::tick`]
-    /// it captures the settled value of `data`; between ticks it drives
-    /// its stored value.
-    Latch {
-        /// Data input.
-        data: NodeId,
-        /// Power-on value.
-        init: bool,
-    },
 }
 
 /// Error raised when a netlist fails validation.
@@ -67,7 +58,7 @@ pub enum NetlistError {
         /// Number of connections provided.
         got: usize,
     },
-    /// The combinational part (latches excluded) contains a cycle.
+    /// The gates form a cycle.
     CombinationalCycle {
         /// A node on the cycle.
         on: NodeId,
@@ -128,7 +119,6 @@ pub struct Netlist {
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<(String, NodeId)>,
     pub(crate) order: Vec<NodeId>,
-    pub(crate) latches: Vec<NodeId>,
     /// Gates of `order`, compiled to a flat schedule at build time.
     sched: Vec<SchedGate>,
     /// Flat pin (driver-index) array referenced by `sched`.
@@ -163,11 +153,6 @@ impl Netlist {
         &self.outputs
     }
 
-    /// Latch nodes, in declaration order.
-    pub fn latches(&self) -> &[NodeId] {
-        &self.latches
-    }
-
     /// Looks up a primary input by name.
     pub fn input(&self, name: &str) -> Option<NodeId> {
         self.input_index.get(name).copied()
@@ -191,11 +176,9 @@ impl Netlist {
         self.gates().count()
     }
 
-    /// Total CMOS transistor count: gates plus 8 transistors per latch
-    /// (transmission-gate D-latch).
+    /// Total CMOS transistor count of the gates.
     pub fn transistor_count(&self) -> u64 {
-        let gate_t: u64 = self.gates().map(|(_, k)| k.transistor_count() as u64).sum();
-        gate_t + 8 * self.latches.len() as u64
+        self.gates().map(|(_, k)| k.transistor_count() as u64).sum()
     }
 
     /// The compiled gate schedule and its flat pin array, for the
@@ -204,68 +187,9 @@ impl Netlist {
         (&self.sched, &self.sched_pins)
     }
 
-    /// Counts gate instances per cell type — the structural summary the
-    /// cost model and experiment reports print.
-    pub fn kind_histogram(&self) -> Vec<(GateKind, usize)> {
-        let mut hist: Vec<(GateKind, usize)> = Vec::new();
-        for (_, kind) in self.gates() {
-            match hist.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => hist.push((kind, 1)),
-            }
-        }
-        hist.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        hist
-    }
-
-    /// Renders the netlist as a Graphviz `dot` digraph (inputs as boxes,
-    /// gates as ellipses labelled with their cell type, latches as
-    /// diamonds; named outputs double-circled) — handy for inspecting
-    /// small circuits and for documentation figures.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph netlist {\n  rankdir=LR;\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            match node {
-                Node::Input { name } => {
-                    let _ = writeln!(out, "  {id} [shape=box label=\"{name}\"];");
-                }
-                Node::Gate { kind, .. } => {
-                    let _ = writeln!(out, "  {id} [label=\"{kind}\"];");
-                }
-                Node::Latch { .. } => {
-                    let _ = writeln!(out, "  {id} [shape=diamond label=\"LATCH\"];");
-                }
-            }
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            match node {
-                Node::Gate { inputs, .. } => {
-                    for inp in inputs {
-                        let _ = writeln!(out, "  {inp} -> {id};");
-                    }
-                }
-                Node::Latch { data, .. } => {
-                    let _ = writeln!(out, "  {data} -> {id} [style=dashed];");
-                }
-                Node::Input { .. } => {}
-            }
-        }
-        for (name, id) in &self.outputs {
-            let _ = writeln!(
-                out,
-                "  \"out_{name}\" [shape=doublecircle label=\"{name}\"];\n  {id} -> \"out_{name}\";"
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Length (in gates) of the longest combinational path — the
-    /// critical-path depth used by the latency model. Inputs, latches
-    /// and constants contribute depth 0.
+    /// critical-path depth used by the latency model. Inputs and
+    /// constants contribute depth 0.
     pub fn logic_depth(&self) -> usize {
         let mut depth = vec![0usize; self.nodes.len()];
         let mut max = 0;
@@ -301,7 +225,6 @@ pub struct NetlistBuilder {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<(String, NodeId)>,
-    latches: Vec<NodeId>,
 }
 
 impl NetlistBuilder {
@@ -344,13 +267,6 @@ impl NetlistBuilder {
         self.gate(GateKind::Const(value), &[])
     }
 
-    /// Instantiates a latch capturing `data` on each tick.
-    pub fn latch(&mut self, data: NodeId, init: bool) -> NodeId {
-        let id = self.push(Node::Latch { data, init });
-        self.latches.push(id);
-        id
-    }
-
     /// Names an output.
     pub fn output(&mut self, name: impl Into<String>, node: NodeId) {
         self.outputs.push((name.into(), node));
@@ -368,7 +284,7 @@ impl NetlistBuilder {
     /// # Errors
     ///
     /// Returns a [`NetlistError`] if a gate references a missing node or
-    /// has the wrong arity, if the combinational part is cyclic, or if an
+    /// has the wrong arity, if the gates form a cycle, or if an
     /// output name is duplicated.
     pub fn try_build(self) -> Result<Netlist, NetlistError> {
         let n = self.nodes.len();
@@ -393,21 +309,11 @@ impl NetlistBuilder {
                         }
                     }
                 }
-                Node::Latch { data, .. } => {
-                    if data.index() >= n {
-                        return Err(NetlistError::DanglingReference {
-                            gate: id,
-                            missing: *data,
-                        });
-                    }
-                }
                 Node::Input { .. } => {}
             }
         }
 
-        // Kahn topological sort over combinational edges. Latch outputs are
-        // sources (their stored value is available before settling); the
-        // latch data input is *not* a combinational dependency.
+        // Kahn topological sort over the gate edges.
         let mut indegree = vec![0usize; n];
         let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, node) in self.nodes.iter().enumerate() {
@@ -477,7 +383,6 @@ impl NetlistBuilder {
             inputs: self.inputs,
             outputs: self.outputs,
             order,
-            latches: self.latches,
             sched,
             sched_pins,
             input_index,
@@ -557,19 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn latch_breaks_cycles() {
-        let mut b = NetlistBuilder::new();
-        // A toggle: latch feeds an inverter which feeds the latch.
-        let l = NodeId(1); // forward reference to the latch
-        let inv = b.gate(GateKind::Not, &[l]);
-        let l_real = b.latch(inv, false);
-        assert_eq!(l_real, l);
-        b.output("q", l_real);
-        let net = b.try_build().expect("latch must break the cycle");
-        assert_eq!(net.latches().len(), 1);
-    }
-
-    #[test]
     fn dangling_reference_detected() {
         let mut b = NetlistBuilder::new();
         let a = b.input("a");
@@ -597,10 +489,9 @@ mod tests {
         let mut b = NetlistBuilder::new();
         let a = b.input("a");
         let x = b.gate(GateKind::Not, &[a]); // 2
-        let y = b.gate(GateKind::Nand2, &[a, x]); // 4
-        b.latch(y, false); // 8
+        b.gate(GateKind::Nand2, &[a, x]); // 4
         let net = b.build();
-        assert_eq!(net.transistor_count(), 14);
+        assert_eq!(net.transistor_count(), 6);
     }
 
     #[test]
@@ -629,34 +520,5 @@ mod tests {
         let a = b.input("a");
         b.output("y", a);
         assert_eq!(b.build().logic_depth(), 0);
-    }
-
-    #[test]
-    fn dot_export_mentions_everything() {
-        let mut b = NetlistBuilder::new();
-        let a = b.input("alpha");
-        let g = b.gate(GateKind::Nand2, &[a, a]);
-        let l = b.latch(g, false);
-        b.output("q", l);
-        let dot = b.build().to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("alpha"));
-        assert!(dot.contains("NAND2"));
-        assert!(dot.contains("LATCH"));
-        assert!(dot.contains("out_q"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn kind_histogram_counts() {
-        let mut b = NetlistBuilder::new();
-        let a = b.input("a");
-        let n1 = b.gate(GateKind::Not, &[a]);
-        let n2 = b.gate(GateKind::Not, &[n1]);
-        let g = b.gate(GateKind::And2, &[n1, n2]);
-        b.output("y", g);
-        let hist = b.build().kind_histogram();
-        assert_eq!(hist[0], (GateKind::Not, 2));
-        assert_eq!(hist[1], (GateKind::And2, 1));
     }
 }

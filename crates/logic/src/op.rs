@@ -4,7 +4,7 @@
 //! the native operator" for every operator marked defective, one
 //! operand pair at a time — the hot path of every retraining run.
 //! [`OpExec`] is that function: the operator's fault-patched LUT stream,
-//! optimized ([`crate::opt::optimize_opaque`]), mapped onto 4-input
+//! optimized ([`crate::opt::optimize`]), mapped onto 4-input
 //! LUTs ([`crate::map::map_luts`]) and swept over a byte register file,
 //! one lane per call. Each input and output bus occupies a contiguous
 //! register range, so a call drives and reads a bus eight bits per word
@@ -24,7 +24,7 @@ use crate::fuse::{FusedProgram, DEAD_SLOT};
 use crate::gate::GateBehavior;
 use crate::map::map_luts;
 use crate::netlist::NodeId;
-use crate::opt::optimize_opaque;
+use crate::opt::optimize;
 use crate::sim::MAX_ARITY;
 
 /// Register-file size. Every operator of the library fits even
@@ -117,8 +117,8 @@ fn sweep(code: &[OpInstr], regs: &mut Regs, steps: &mut [Step], from: usize) {
     run_luts(&code[pos..], regs);
 }
 
-/// One operator's stream in the form [`OpExec`] runs: a one-stage,
-/// latch-free program, the positions of its step instructions and the
+/// One operator's stream in the form [`OpExec`] runs: a one-stage
+/// program, the positions of its step instructions and the
 /// slots of its buses.
 #[derive(Debug)]
 pub struct OpProgram {
@@ -143,8 +143,7 @@ impl OpProgram {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist holds latches (operators are
-    /// combinational), if `instrs` is not a stream of `prog`, or if step
+    /// Panics if `instrs` is not a stream of `prog`, or if step
     /// positions are not ascending.
     pub fn optimize(
         prog: &LutProgram,
@@ -153,23 +152,13 @@ impl OpProgram {
         inputs: &[&[NodeId]],
         output: &[NodeId],
     ) -> OpProgram {
-        assert!(
-            prog.latch_slots().is_empty(),
-            "operator netlists hold no latches"
-        );
         assert_eq!(instrs.len(), prog.len(), "instrs must be a stream of prog");
         // A program's slots are its netlist's node indices.
         let slots =
             |bus: &[NodeId]| -> Vec<u32> { bus.iter().map(|id| id.index() as u32).collect() };
-        let stream = FusedProgram::from_parts(
-            instrs.to_vec(),
-            vec![0],
-            prog.n_slots(),
-            Vec::new(),
-            Vec::new(),
-        );
+        let stream = FusedProgram::from_parts(instrs.to_vec(), vec![0], prog.n_slots(), Vec::new());
         let out = slots(output);
-        let (prog, sm, _, steps) = optimize_opaque(&stream, &out, &[], steps);
+        let (prog, sm, _, steps) = optimize(&stream, &out, &[], steps);
         OpProgram {
             prog,
             steps,
@@ -300,12 +289,10 @@ impl OpExec {
     ///
     /// # Panics
     ///
-    /// Panics if the program holds latches, if the behaviors do not
-    /// match the steps, if a bus is wider than 64 bits or if the
+    /// Panics if the behaviors do not match the steps, if a bus is wider than 64 bits or if the
     /// register file exceeds 4,096 slots.
     pub fn new(op: &OpProgram, behaviors: Vec<Box<dyn GateBehavior>>) -> OpExec {
         let prog = &op.prog;
-        assert!(prog.latch_slots().is_empty(), "operators hold no latches");
         assert_eq!(behaviors.len(), op.steps.len(), "one behavior per step");
         assert!(
             op.inputs.iter().chain([&op.output]).all(|b| b.len() <= 64),
@@ -498,11 +485,8 @@ fn read_bus(regs: &Regs, bus: Bus) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::gate::GateKind;
-    use crate::netlist::NetlistBuilder;
 
     #[test]
     fn padded_tables_ignore_unused_pins() {
@@ -520,16 +504,5 @@ mod tests {
                 assert_eq!((padded.table >> v) & 1, want, "{kind} at {v:04b}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no latches")]
-    fn latches_are_refused() {
-        let mut b = NetlistBuilder::new();
-        let d = b.input("d");
-        let q = b.latch(d, false);
-        b.output("q", q);
-        let prog = LutProgram::compile(Arc::new(b.build()));
-        OpExec::compile(&prog, prog.instrs(), Vec::new(), &[&[d][..]], &[q]);
     }
 }

@@ -13,26 +13,23 @@
 //!    replaced by slot aliases.
 //! 2. **Dead-LUT elimination** — instructions whose outputs nothing
 //!    reads (transitively from the caller's root slots) are removed.
-//!    Latch *data* slots are implicit roots: an instruction feeding a
-//!    latch is state-bearing and is never eliminated, even when no
-//!    combinational output depends on it this cycle.
 //! 3. **Register-file liveness compaction** — surviving slots are
 //!    renumbered densely, in ascending slot order, so the working set
 //!    stays cache-resident; [`SlotMap`] tells the caller where its slots
 //!    went ([`DEAD_SLOT`] for eliminated ones, which the executor's bus
 //!    writers skip).
 //!
-//! [`optimize_opaque`] additionally keeps a caller-chosen set of
-//! *opaque* instructions — step instructions whose output a stateful
-//! behavior computes at run time — as untouchable roots whose outputs
-//! the folding pass treats as unknown.
+//! The caller may also declare input slots known to be constant, and
+//! a set of *opaque* instructions — step instructions whose output a
+//! stateful behavior computes at run time — which stay as untouchable
+//! roots whose outputs the folding pass treats as unknown.
 //!
 //! Surviving instructions keep their stream order, so the result stays
 //! topological, and stage windows ([`FusedProgram::stage_range`]) are
 //! preserved: each stage starts at its first surviving instruction, so
 //! runners that interleave native work between stages are unaffected.
 
-use crate::compile::{LatchSlot, LutInstr};
+use crate::compile::LutInstr;
 use crate::fuse::{FusedProgram, DEAD_SLOT};
 
 /// What the optimizer did, for logging and benchmark breakdowns.
@@ -108,46 +105,29 @@ fn pin_independent(table: u16, arity: usize, k: usize) -> bool {
     (table ^ (table >> (1 << k))) & LOW[k] & live == 0
 }
 
-/// Optimizes a fused program against the given live output slots.
-/// Equivalent to [`optimize_with_consts`] with no known-constant inputs.
-pub fn optimize(prog: &FusedProgram, roots: &[u32]) -> (FusedProgram, SlotMap, OptStats) {
-    optimize_with_consts(prog, roots, &[])
-}
-
 /// Optimizes a fused program. `roots` are the slots the caller reads
 /// after execution (outputs); everything not transitively needed by a
-/// root or a latch is removed. `known` declares input slots whose lanes
-/// are a compile-time constant (e.g. operands that are structurally
-/// zero), enabling folding through them.
+/// root is removed. `known` declares input slots whose lanes are a
+/// compile-time constant (e.g. operands that are structurally zero),
+/// enabling folding through them.
 ///
-/// Returns the rewritten program, the old→new [`SlotMap`], and pass
-/// statistics. Bit-identical to the input program on every root and
-/// latch under any sequence of stage executions and ticks.
-pub fn optimize_with_consts(
-    prog: &FusedProgram,
-    roots: &[u32],
-    known: &[(u32, bool)],
-) -> (FusedProgram, SlotMap, OptStats) {
-    let (opt, map, stats, _) = optimize_opaque(prog, roots, known, &[]);
-    (opt, map, stats)
-}
-
-/// [`optimize_with_consts`] with a set of **opaque** instructions: the
-/// positions (ascending) of instructions whose output the caller
-/// computes itself at run time — the step instructions of stateful
-/// faulty cells. An opaque instruction is a root: it is never folded and
-/// never eliminated, it keeps its pin order and arity, its pins resolve
-/// through aliases (a constant pin reads a materialized constant
-/// register), and its output is unknown to the folding pass.
+/// `opaque` lists the positions (ascending) of instructions whose output
+/// the caller computes itself at run time — the step instructions of
+/// stateful faulty cells. An opaque instruction is a root: it is never
+/// folded and never eliminated, it keeps its pin order and arity, its
+/// pins resolve through aliases (a constant pin reads a materialized
+/// constant register), and its output is unknown to the folding pass.
 ///
-/// The fourth result gives the new position of each opaque
-/// instruction, in the order of `opaque`.
+/// Returns the rewritten program, the old→new [`SlotMap`], pass
+/// statistics, and the new position of each opaque instruction, in the
+/// order of `opaque`. Bit-identical to the input program on every root
+/// under any sequence of stage executions.
 ///
 /// # Panics
 ///
 /// Panics if `opaque` is not strictly ascending or names a position
 /// past the end of the stream.
-pub fn optimize_opaque(
+pub fn optimize(
     prog: &FusedProgram,
     roots: &[u32],
     known: &[(u32, bool)],
@@ -243,26 +223,10 @@ pub fn optimize_opaque(
         kept.push((idx, ins));
     }
 
-    // Latches: the stored slot never folds (it is state); the data slot
-    // resolves through aliases and is a mandatory liveness root.
-    let latches: Vec<LatchSlot> = prog
-        .latch_slots()
-        .iter()
-        .map(|ls| LatchSlot {
-            latch: ls.latch,
-            data: resolve(&vals, ls.data),
-            init: ls.init,
-        })
-        .collect();
-
-    // Pass 2: dead-LUT elimination, reverse sweep from roots + latches.
+    // Pass 2: dead-LUT elimination, reverse sweep from the roots.
     let mut live = vec![false; n];
     for &r in roots {
         live[resolve(&vals, r) as usize] = true;
-    }
-    for ls in &latches {
-        live[ls.latch as usize] = true;
-        live[ls.data as usize] = true;
     }
     let mut survivors: Vec<(usize, LutInstr)> = Vec::with_capacity(kept.len());
     for &(idx, ins) in kept.iter().rev() {
@@ -280,8 +244,8 @@ pub fn optimize_opaque(
     }
     survivors.reverse();
 
-    // Constant registers that something still reads (a root or a latch
-    // data slot; constant pins were substituted away above).
+    // Constant registers that something still reads (a root or an
+    // opaque pin; other constant pins were substituted away above).
     let consts: Vec<(u32, bool)> = (0..n as u32)
         .filter(|&s| live[s as usize])
         .filter_map(|s| match vals[s as usize] {
@@ -331,14 +295,6 @@ pub fn optimize_opaque(
             ins
         })
         .collect();
-    let latches = latches
-        .iter()
-        .map(|ls| LatchSlot {
-            latch: compact[ls.latch as usize],
-            data: compact[ls.data as usize],
-            init: ls.init,
-        })
-        .collect();
     let consts = consts
         .into_iter()
         .map(|(s, b)| (compact[s as usize], b))
@@ -352,7 +308,7 @@ pub fn optimize_opaque(
         .collect();
     stats.instrs_after = survivors.len();
     stats.slots_after = n_new as usize;
-    let optimized = FusedProgram::from_parts(instrs, stage_start, n_new as usize, latches, consts);
+    let optimized = FusedProgram::from_parts(instrs, stage_start, n_new as usize, consts);
     (optimized, slot_map, stats, moved)
 }
 
@@ -361,10 +317,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::compile::LutProgram;
     use crate::fuse::{FuseBuilder, FusedExec};
-    use crate::gate::GateKind;
-    use crate::netlist::NetlistBuilder;
 
     fn instr(table: u16, arity: u8, out: u32, pins: [u32; 4]) -> LutInstr {
         LutInstr {
@@ -401,10 +354,10 @@ mod tests {
             instr(and.table, 2, 3, [0, 2, 0, 0]), // local: a=0, b=1, c0=2
             instr(0b1110, 2, 4, [3, 1, 0, 0]),    // or
         ];
-        let map = fb.append(&seg, 5, &[], &[(0, a), (1, b), (2, c0)]);
+        let map = fb.append(&seg, 5, &[(0, a), (1, b), (2, c0)]);
         let y = map[4];
         let prog = fb.finish();
-        let (opt, sm, stats) = optimize_with_consts(&prog, &[y], &[(c0, false)]);
+        let (opt, sm, stats, _) = optimize(&prog, &[y], &[(c0, false)], &[]);
         assert_eq!(stats.folded, 1, "AND with zero folds");
         assert_eq!(stats.propagated, 1, "OR of zero is a copy");
         assert_eq!(opt.len(), 0);
@@ -431,9 +384,9 @@ mod tests {
             instr(0b1111, 2, 2, [0, 1, 0, 0]), // patched: always 1
             instr(0b1000, 2, 3, [2, 1, 0, 0]), // and(stuck, b) == b
         ];
-        let map = fb.append(&seg, 4, &[], &[(0, a), (1, b)]);
+        let map = fb.append(&seg, 4, &[(0, a), (1, b)]);
         let prog = fb.finish();
-        let (opt, sm, stats) = optimize(&prog, &[map[3]]);
+        let (opt, sm, stats, _) = optimize(&prog, &[map[3]], &[], &[]);
         assert_eq!(stats.folded, 1);
         assert_eq!(stats.propagated, 1);
         assert!(opt.is_empty());
@@ -449,9 +402,9 @@ mod tests {
             instr(0b01, 1, 2, [1, 0, 0, 0]),   // not -> always 0
             instr(0b0110, 2, 3, [1, 2, 0, 0]), // xor(1, 0) -> 1
         ];
-        let map = fb.append(&seg, 4, &[], &[(0, a)]);
+        let map = fb.append(&seg, 4, &[(0, a)]);
         let prog = fb.finish();
-        let (opt, sm, stats) = optimize(&prog, &[map[3]]);
+        let (opt, sm, stats, _) = optimize(&prog, &[map[3]], &[], &[]);
         assert_eq!(stats.folded, 3);
         assert!(opt.is_empty());
         assert_eq!(opt.consts().len(), 1);
@@ -462,65 +415,44 @@ mod tests {
     }
 
     #[test]
-    fn dead_instructions_are_eliminated_but_latch_feeders_survive() {
-        let mut b = NetlistBuilder::new();
-        let d = b.input("d");
-        let dead = b.gate(GateKind::And2, &[d, d]); // no reader
-        let inc = b.gate(GateKind::Not, &[d]);
-        let q = b.latch(inc, false); // latch fed by NOT
-        let y = b.gate(GateKind::Xor2, &[q, d]);
-        b.output("y", y);
-        let net = Arc::new(b.build());
-        let prog = Arc::new(LutProgram::compile(Arc::clone(&net)));
+    fn dead_instructions_are_eliminated() {
         let mut fb = FuseBuilder::new();
-        let din = fb.fresh_slot();
-        let map = fb.append(
-            prog.instrs(),
-            prog.n_slots(),
-            prog.latch_slots(),
-            &[(d.index() as u32, din)],
-        );
-        let fused = fb.finish();
-        assert_eq!(fused.len(), 3);
-        let (opt, sm, stats) = optimize(&fused, &[map[y.index()]]);
+        let d = fb.fresh_slot();
+        let e = fb.fresh_slot();
+        let seg = [
+            instr(0b1000, 2, 2, [0, 1, 0, 0]), // and(d, e): no reader
+            instr(0b01, 1, 3, [0, 0, 0, 0]),   // not d
+            instr(0b0110, 2, 4, [3, 1, 0, 0]), // xor(not d, e)
+        ];
+        let map = fb.append(&seg, 5, &[(0, d), (1, e)]);
+        let prog = fb.finish();
+        let (opt, sm, stats, _) = optimize(&prog, &[map[4]], &[], &[]);
         assert_eq!(stats.eliminated, 1, "only the unread AND dies");
-        assert_eq!(opt.len(), 2, "XOR and the latch-feeding NOT survive");
-        assert_eq!(opt.latch_slots().len(), 1);
-        assert_eq!(sm.get(map[dead.index()]), DEAD_SLOT);
-        assert_ne!(sm.get(map[inc.index()]), DEAD_SLOT);
-        // Tick behavior must be preserved.
+        assert_eq!(opt.len(), 2);
+        assert_eq!(sm.get(map[2]), DEAD_SLOT);
+        assert_ne!(sm.get(map[3]), DEAD_SLOT);
         let mut ex = FusedExec::new(Arc::new(opt));
-        let yq = sm.get(map[y.index()]);
-        ex.set_slot(sm.get(din), 0b1);
+        ex.set_slot(sm.get(d), 0b0011);
+        ex.set_slot(sm.get(e), 0b0101);
         ex.exec();
-        assert_eq!(ex.slot(yq) & 1, 1, "q=0 ^ d=1");
-        ex.tick(); // q captures !d = 0
-        ex.exec();
-        assert_eq!(ex.slot(yq) & 1, 1);
-        ex.set_slot(sm.get(din), 0b0);
-        ex.exec();
-        assert_eq!(ex.slot(yq) & 1, 0, "q=0 ^ d=0");
-        ex.tick(); // q captures !d = 1
-        ex.exec();
-        assert_eq!(ex.slot(yq) & 1, 1);
+        assert_eq!(ex.slot(sm.get(map[4])) & 0xF, 0b1001);
     }
 
     #[test]
     fn stage_windows_survive_optimization() {
         let mut fb = FuseBuilder::new();
         let a = fb.fresh_slot();
-        let m1 = fb.append(&[instr(0b01, 1, 1, [0, 0, 0, 0])], 2, &[], &[(0, a)]);
+        let m1 = fb.append(&[instr(0b01, 1, 1, [0, 0, 0, 0])], 2, &[(0, a)]);
         fb.barrier();
         let r = fb.fresh_slot(); // runtime input written between stages
         let m2 = fb.append(
             &[instr(0b0110, 2, 2, [0, 1, 0, 0])],
             3,
-            &[],
             &[(0, m1[1]), (1, r)],
         );
         let prog = fb.finish();
         assert_eq!(prog.n_stages(), 2);
-        let (opt, sm, _) = optimize(&prog, &[m2[2]]);
+        let (opt, sm, _, _) = optimize(&prog, &[m2[2]], &[], &[]);
         assert_eq!(opt.n_stages(), 2);
         assert_eq!(opt.stage_range(0).len(), 1);
         assert_eq!(opt.stage_range(1).len(), 1);
@@ -547,10 +479,10 @@ mod tests {
             instr(0b01, 1, 4, [3, 0, 0, 0]),   // not o
             instr(0b1111, 2, 5, [0, 0, 0, 0]), // opaque, unread, const table
         ];
-        let map = fb.append(&seg, 6, &[], &[(0, a)]);
+        let map = fb.append(&seg, 6, &[(0, a)]);
         let prog = fb.finish();
         let y = map[4];
-        let (opt, sm, stats, moved) = optimize_opaque(&prog, &[y], &[], &[2, 4]);
+        let (opt, sm, stats, moved) = optimize(&prog, &[y], &[], &[2, 4]);
         assert_eq!(stats.folded, 1);
         assert_eq!(stats.propagated, 1);
         assert_eq!(moved, vec![0, 2]);
@@ -577,15 +509,10 @@ mod tests {
         let a = fb.fresh_slot();
         let _unused = fb.fresh_bus(10); // slots that die
         let b = fb.fresh_slot();
-        let m = fb.append(
-            &[instr(0b0110, 2, 2, [0, 1, 0, 0])],
-            3,
-            &[],
-            &[(0, a), (1, b)],
-        );
+        let m = fb.append(&[instr(0b0110, 2, 2, [0, 1, 0, 0])], 3, &[(0, a), (1, b)]);
         let prog = fb.finish();
         assert_eq!(prog.n_slots(), 13);
-        let (opt, sm, stats) = optimize(&prog, &[m[2]]);
+        let (opt, sm, stats, _) = optimize(&prog, &[m[2]], &[], &[]);
         assert_eq!(stats.slots_after, 3);
         assert_eq!(opt.n_slots(), 3);
         let slots = [sm.get(a), sm.get(b), sm.get(m[2])];

@@ -39,8 +39,8 @@ fn eval_pins(kind: GateKind, values: &[bool], pins: &[u32]) -> bool {
     }
 }
 
-/// Evaluates a [`Netlist`]: settles combinational logic, steps latches,
-/// and applies per-gate behavioral overrides (the fault-injection hook).
+/// Evaluates a [`Netlist`]: settles its gates and applies per-gate
+/// behavioral overrides (the fault-injection hook).
 ///
 /// This is the reference oracle every fast path is tested against: each
 /// [`Simulator::settle`] is one full sweep over the gate schedule, so
@@ -51,8 +51,7 @@ fn eval_pins(kind: GateKind, values: &[bool], pins: &[u32]) -> bool {
 ///
 /// 1. [`Simulator::set_input`] for each primary input;
 /// 2. [`Simulator::settle`] to propagate through the combinational logic;
-/// 3. read outputs with [`Simulator::value`] / [`Simulator::output`];
-/// 4. optionally [`Simulator::tick`] to capture latch data inputs.
+/// 3. read outputs with [`Simulator::value`] / [`Simulator::output`].
 ///
 /// # Example
 ///
@@ -80,16 +79,11 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator with all inputs low and latches at their init
-    /// values. The netlist is shared via [`Arc`], so several simulators
-    /// (e.g. a healthy and a defective instance) can run the same circuit.
+    /// Creates a simulator with all inputs low. The netlist is shared via
+    /// [`Arc`], so several simulators (e.g. a healthy and a defective
+    /// instance) can run the same circuit.
     pub fn new(net: Arc<Netlist>) -> Simulator {
-        let mut values = vec![false; net.len()];
-        for &l in net.latches() {
-            if let Node::Latch { init, .. } = net.node(l) {
-                values[l.index()] = *init;
-            }
-        }
+        let values = vec![false; net.len()];
         let overrides = std::iter::repeat_with(|| None).take(values.len()).collect();
         Simulator {
             net,
@@ -159,17 +153,6 @@ impl Simulator {
         }
     }
 
-    /// Captures each latch's data input into its stored value. Call after
-    /// [`Simulator::settle`].
-    pub fn tick(&mut self) {
-        let net = Arc::clone(&self.net);
-        for &l in net.latches() {
-            if let Node::Latch { data, .. } = net.node(l) {
-                self.values[l.index()] = self.values[data.index()];
-            }
-        }
-    }
-
     /// Reads the settled value of any node.
     pub fn value(&self, id: NodeId) -> bool {
         self.values[id.index()]
@@ -223,16 +206,9 @@ impl Simulator {
         self.n_overrides
     }
 
-    /// Resets latches to their init values and clears the internal state
-    /// of every override (memory effects, delay pipelines). Driven input
-    /// values are preserved.
+    /// Clears the internal state of every override (memory effects,
+    /// delay pipelines). Node values are preserved.
     pub fn reset_state(&mut self) {
-        let net = Arc::clone(&self.net);
-        for &l in net.latches() {
-            if let Node::Latch { init, .. } = net.node(l) {
-                self.values[l.index()] = *init;
-            }
-        }
         for behavior in self.overrides.iter_mut().flatten() {
             behavior.reset();
         }
@@ -288,42 +264,6 @@ mod tests {
         sim.settle();
         assert_eq!(sim.read_word(&bus), 0b1010_0110);
         assert_eq!(sim.read_word(&inverted) as u8, !0b1010_0110u8);
-    }
-
-    #[test]
-    fn latch_toggles_through_inverter() {
-        let mut b = NetlistBuilder::new();
-        let l = NodeId(1);
-        let inv = b.gate(GateKind::Not, &[l]);
-        let l_real = b.latch(inv, false);
-        assert_eq!(l_real, l);
-        b.output("q", l_real);
-        let net = std::sync::Arc::new(b.build());
-        let mut sim = Simulator::new(net.clone());
-        let mut seen = Vec::new();
-        for _ in 0..4 {
-            sim.settle();
-            seen.push(sim.output("q").unwrap());
-            sim.tick();
-        }
-        assert_eq!(seen, vec![false, true, false, true]);
-    }
-
-    #[test]
-    fn reset_restores_latch_init() {
-        let mut b = NetlistBuilder::new();
-        let d = b.input("d");
-        let q = b.latch(d, true);
-        b.output("q", q);
-        let net = std::sync::Arc::new(b.build());
-        let mut sim = Simulator::new(net.clone());
-        assert!(sim.output("q").unwrap(), "init value");
-        sim.set_input(d, false);
-        sim.settle();
-        sim.tick();
-        assert!(!sim.output("q").unwrap());
-        sim.reset_state();
-        assert!(sim.output("q").unwrap(), "back to init");
     }
 
     #[derive(Debug)]

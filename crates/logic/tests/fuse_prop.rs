@@ -1,7 +1,8 @@
 //! Property tests for the fused-stream compiler and its optimizer.
 //!
-//! The invariant ladder: for any pair of random (latched) netlists with
-//! random permanent truth-word patches, stitched into one fused stream,
+//! The invariant ladder: for any pair of random combinational netlists
+//! with random permanent truth-word patches, stitched into one fused
+//! stream,
 //!
 //! * the **unoptimized** fused program,
 //! * the **optimized** fused program (constant folding through patched
@@ -11,7 +12,7 @@
 //!   [`TableBehavior`] overrides (one per segment, chained by hand)
 //!
 //! must be bit-identical on every surviving register, every lane, every
-//! step, across latch ticks and state resets. Both fused programs must
+//! step of a stimulus sequence. Both fused programs must
 //! also be straight-line schedules: every operand is written before it
 //! is read, and every instruction sits inside its own stage's range.
 //! Permanent combinational faults are the only class that lowers into
@@ -23,8 +24,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dta_logic::{
-    optimize, optimize_with_consts, FuseBuilder, FusedExec, FusedProgram, GateBehavior, GateKind,
-    LutInstr, LutProgram, Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
+    optimize, FuseBuilder, FusedExec, FusedProgram, GateBehavior, GateKind, LutInstr, LutProgram,
+    Netlist, NetlistBuilder, NodeId, Simulator, DEAD_SLOT,
 };
 use proptest::prelude::*;
 
@@ -38,46 +39,28 @@ fn kinds() -> [GateKind; 13] {
     GateKind::ALL
 }
 
-/// Random netlist with a latch layer between two gate clouds (either
-/// cloud may be trivially small, so latches can feed outputs directly).
-#[allow(clippy::type_complexity)]
-fn build_seq(
+/// Random netlist: each gate reads inputs or earlier gates; the last
+/// four nodes are the outputs.
+fn build(
     n_inputs: usize,
-    pre: &[GateRecipe],
-    latch_sels: &[(u16, bool)],
-    post: &[GateRecipe],
-) -> (
-    Arc<Netlist>,
-    Vec<NodeId>,
-    Vec<NodeId>,
-    Vec<NodeId>,
-    Vec<NodeId>,
-) {
+    recipes: &[GateRecipe],
+) -> (Arc<Netlist>, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
     let mut b = NetlistBuilder::new();
     let inputs = b.input_bus("x", n_inputs);
     let mut pool: Vec<NodeId> = inputs.clone();
     let mut gates = Vec::new();
-    let mut grow = |b: &mut NetlistBuilder, pool: &mut Vec<NodeId>, recipes: &[GateRecipe]| {
-        for r in recipes {
-            let kind = kinds()[r.kind_sel as usize % kinds().len()];
-            let ins: Vec<NodeId> = (0..kind.arity())
-                .map(|k| pool[r.input_sels[k] as usize % pool.len()])
-                .collect();
-            let g = b.gate(kind, &ins);
-            pool.push(g);
-            gates.push(g);
-        }
-    };
-    grow(&mut b, &mut pool, pre);
-    let latches: Vec<NodeId> = latch_sels
-        .iter()
-        .map(|&(sel, init)| b.latch(pool[sel as usize % pool.len()], init))
-        .collect();
-    pool.extend(&latches);
-    grow(&mut b, &mut pool, post);
+    for r in recipes {
+        let kind = kinds()[r.kind_sel as usize % kinds().len()];
+        let ins: Vec<NodeId> = (0..kind.arity())
+            .map(|k| pool[r.input_sels[k] as usize % pool.len()])
+            .collect();
+        let g = b.gate(kind, &ins);
+        pool.push(g);
+        gates.push(g);
+    }
     let outputs: Vec<NodeId> = pool.iter().rev().take(4).copied().collect();
     b.output_bus("y", &outputs);
-    (Arc::new(b.build()), inputs, gates, latches, outputs)
+    (Arc::new(b.build()), inputs, gates, outputs)
 }
 
 /// Stateless truth-word override: the scalar-simulator twin of a
@@ -112,20 +95,13 @@ struct Segment {
     net: Arc<Netlist>,
     inputs: Vec<NodeId>,
     gates: Vec<NodeId>,
-    latches: Vec<NodeId>,
     outputs: Vec<NodeId>,
     patches: Vec<(NodeId, u16)>,
 }
 
 impl Segment {
-    fn new(
-        n_inputs: usize,
-        pre: &[GateRecipe],
-        latch_sels: &[(u16, bool)],
-        post: &[GateRecipe],
-        patch_sels: &[(u16, u16)],
-    ) -> Self {
-        let (net, inputs, gates, latches, outputs) = build_seq(n_inputs, pre, latch_sels, post);
+    fn new(n_inputs: usize, recipes: &[GateRecipe], patch_sels: &[(u16, u16)]) -> Self {
+        let (net, inputs, gates, outputs) = build(n_inputs, recipes);
         let mut patches = Vec::new();
         for &(sel, table) in patch_sels {
             let g = gates[sel as usize % gates.len()];
@@ -137,7 +113,6 @@ impl Segment {
             net,
             inputs,
             gates,
-            latches,
             outputs,
             patches,
         }
@@ -166,7 +141,7 @@ impl Segment {
 }
 
 /// Checks that `prog` is a straight-line schedule: every operand slot
-/// is an external input, a constant register or a latch slot, or is
+/// is an external input or a constant register, or is
 /// written by an earlier instruction; and instruction `i` lies inside
 /// `stage_range(stage_of[out])`, the stage its segment was appended in.
 fn assert_schedule(
@@ -179,8 +154,7 @@ fn assert_schedule(
     let external = inputs
         .iter()
         .copied()
-        .chain(prog.consts().iter().map(|&(s, _)| s))
-        .chain(prog.latch_slots().iter().map(|ls| ls.latch));
+        .chain(prog.consts().iter().map(|&(s, _)| s));
     for s in external.filter(|&s| s != DEAD_SLOT) {
         ready[s as usize] = true;
     }
@@ -217,20 +191,12 @@ fn recipe_strategy() -> impl Strategy<Value = GateRecipe> {
     })
 }
 
-type SegParams = (
-    usize,
-    Vec<GateRecipe>,
-    Vec<(u16, bool)>,
-    Vec<GateRecipe>,
-    Vec<(u16, u16)>,
-);
+type SegParams = (usize, Vec<GateRecipe>, Vec<(u16, u16)>);
 
 fn seg_strategy() -> impl Strategy<Value = SegParams> {
     (
         1usize..5,
-        prop::collection::vec(recipe_strategy(), 1..15),
-        prop::collection::vec((any::<u16>(), any::<bool>()), 0..4),
-        prop::collection::vec(recipe_strategy(), 1..15),
+        prop::collection::vec(recipe_strategy(), 2..30),
         prop::collection::vec((any::<u16>(), any::<u16>()), 0..4),
     )
 }
@@ -250,8 +216,8 @@ proptest! {
         use_barrier in any::<bool>(),
         stimulus in prop::collection::vec(any::<[u16; LANES]>(), 1..10),
     ) {
-        let a = Segment::new(seg_a.0, &seg_a.1, &seg_a.2, &seg_a.3, &seg_a.4);
-        let b = Segment::new(seg_b.0, &seg_b.1, &seg_b.2, &seg_b.3, &seg_b.4);
+        let a = Segment::new(seg_a.0, &seg_a.1, &seg_a.2);
+        let b = Segment::new(seg_b.0, &seg_b.1, &seg_b.2);
         let (prog_a, instrs_a) = a.patched();
         let (prog_b, instrs_b) = b.patched();
 
@@ -265,7 +231,7 @@ proptest! {
             .zip(&in_a)
             .map(|(id, &s)| (id.index() as u32, s))
             .collect();
-        let map_a = fb.append(&instrs_a, prog_a.n_slots(), prog_a.latch_slots(), &bind_a);
+        let map_a = fb.append(&instrs_a, prog_a.n_slots(), &bind_a);
         if use_barrier {
             fb.barrier();
         }
@@ -282,7 +248,7 @@ proptest! {
             };
             bind_b.push((id.index() as u32, fused));
         }
-        let map_b = fb.append(&instrs_b, prog_b.n_slots(), prog_b.latch_slots(), &bind_b);
+        let map_b = fb.append(&instrs_b, prog_b.n_slots(), &bind_b);
         let fused = fb.finish();
 
         // Known-constant primary inputs of A, declared to the optimizer.
@@ -302,7 +268,7 @@ proptest! {
             .map(|o| map_a[o.index()])
             .chain(b.outputs.iter().map(|o| map_b[o.index()]))
             .collect();
-        let (opt, sm, _) = optimize_with_consts(&fused, &roots, &consts);
+        let (opt, sm, _, _) = optimize(&fused, &roots, &consts, &[]);
 
         // Stream invariants. A raw instruction's stage is the one its
         // segment was appended in; an optimized instruction inherits the
@@ -382,12 +348,12 @@ proptest! {
                 }
                 sim_b.settle();
 
-                // Every gate and latch of both segments must agree.
+                // Every gate of both segments must agree.
                 for (tag, seg, map, sim) in [
                     ("A", &a, &map_a, &mut *sim_a),
                     ("B", &b, &map_b, &mut *sim_b),
                 ] {
-                    for &id in seg.gates.iter().chain(&seg.latches) {
+                    for &id in &seg.gates {
                         let slot = map[id.index()];
                         let want = sim.value(id);
                         prop_assert_eq!(
@@ -414,74 +380,7 @@ proptest! {
                     }
                 }
             }
-
-            plain.tick();
-            optim.tick();
-            for sim in sims_a.iter_mut().chain(sims_b.iter_mut()) {
-                sim.tick();
-            }
-            if step % 4 == 3 {
-                plain.reset_state();
-                optim.reset_state();
-                for sim in sims_a.iter_mut().chain(sims_b.iter_mut()) {
-                    sim.reset_state();
-                }
-            }
         }
     }
 
-    /// Regression: dead-LUT elimination never removes a latch-feeding
-    /// instruction, even when *no* combinational root depends on the
-    /// latch — state must keep evolving exactly like the reference
-    /// simulator across ticks.
-    #[test]
-    fn dead_lut_elimination_preserves_latch_feeders(
-        seg in seg_strategy(),
-        stimulus in prop::collection::vec(any::<u8>(), 1..12),
-    ) {
-        let mut seg = seg;
-        if seg.2.is_empty() {
-            seg.2.push((0, false)); // the property needs at least one latch
-        }
-        let s = Segment::new(seg.0, &seg.1, &seg.2, &seg.3, &seg.4);
-        let (prog_s, instrs_s) = s.patched();
-        let mut fb = FuseBuilder::new();
-        let in_s: Vec<u32> = s.inputs.iter().map(|_| fb.fresh_slot()).collect();
-        let bind: Vec<(u32, u32)> = s
-            .inputs
-            .iter()
-            .zip(&in_s)
-            .map(|(id, &sl)| (id.index() as u32, sl))
-            .collect();
-        let map = fb.append(&instrs_s, prog_s.n_slots(), prog_s.latch_slots(), &bind);
-        let fused = fb.finish();
-        let n_latches = fused.latch_slots().len();
-
-        // No roots at all: only latch state keeps anything alive.
-        let (opt, sm, _) = optimize(&fused, &[]);
-        prop_assert_eq!(opt.latch_slots().len(), n_latches, "no latch dropped");
-
-        let mut ex = FusedExec::new(Arc::new(opt));
-        let mut sim = s.reference();
-        for (step, &word) in stimulus.iter().enumerate() {
-            for (j, &slot) in in_s.iter().enumerate() {
-                let bit = word >> j & 1 == 1;
-                ex.set_slot(sm.get(slot), if bit { !0 } else { 0 });
-                sim.set_input(s.inputs[j], bit);
-            }
-            ex.exec();
-            sim.settle();
-            for &l in &s.latches {
-                prop_assert_eq!(
-                    ex.slot(sm.get(map[l.index()])) & 1 == 1,
-                    sim.value(l),
-                    "latch {:?} step {}",
-                    l,
-                    step
-                );
-            }
-            ex.tick();
-            sim.tick();
-        }
-    }
 }

@@ -51,43 +51,6 @@ fn build_with_gates(
     (Arc::new(b.build()), inputs, gates, outputs)
 }
 
-/// Like [`build_with_gates`], but with a layer of latches between two
-/// gate clouds: latch data inputs come from the first cloud, the second
-/// cloud consumes the latch outputs.
-#[allow(clippy::type_complexity)]
-fn build_seq(
-    n_inputs: usize,
-    pre: &[GateRecipe],
-    latch_sels: &[(u16, bool)],
-    post: &[GateRecipe],
-) -> (Arc<Netlist>, Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
-    let mut b = NetlistBuilder::new();
-    let inputs = b.input_bus("x", n_inputs);
-    let mut pool: Vec<NodeId> = inputs.clone();
-    let mut gates = Vec::new();
-    let mut grow = |b: &mut NetlistBuilder, pool: &mut Vec<NodeId>, recipes: &[GateRecipe]| {
-        for r in recipes {
-            let kind = kinds()[r.kind_sel as usize % kinds().len()];
-            let ins: Vec<NodeId> = (0..kind.arity())
-                .map(|k| pool[r.input_sels[k] as usize % pool.len()])
-                .collect();
-            let g = b.gate(kind, &ins);
-            pool.push(g);
-            gates.push(g);
-        }
-    };
-    grow(&mut b, &mut pool, pre);
-    let latches: Vec<NodeId> = latch_sels
-        .iter()
-        .map(|&(sel, init)| b.latch(pool[sel as usize % pool.len()], init))
-        .collect();
-    pool.extend(&latches);
-    grow(&mut b, &mut pool, post);
-    let outputs: Vec<NodeId> = pool.iter().rev().take(4).copied().collect();
-    b.output_bus("y", &outputs);
-    (Arc::new(b.build()), inputs, gates, outputs)
-}
-
 /// A stateful faulty cell: passes its first input through, but flips it
 /// on every `period`-th evaluation. Bit-identity across engines requires
 /// that they feed every override the exact same evaluation sequence.
@@ -155,7 +118,7 @@ fn fused(
         .iter()
         .map(|id| (id.index() as u32, fb.fresh_slot()))
         .collect();
-    let map = fb.append(&instrs, prog.n_slots(), prog.latch_slots(), &bind);
+    let map = fb.append(&instrs, prog.n_slots(), &bind);
     (FusedExec::new(Arc::new(fb.finish())), map)
 }
 
@@ -180,7 +143,6 @@ fn reference_eval(net: &Netlist, id: NodeId, input_vals: &[(NodeId, bool)]) -> b
                 .collect();
             kind.eval(&vals)
         }
-        Node::Latch { .. } => unreachable!("no latches generated"),
     }
 }
 
@@ -335,19 +297,16 @@ proptest! {
     }
 
     /// A patched one-segment fused stream, read in lane 0, must be
-    /// bit-identical to the reference simulator with the same
-    /// truth words installed, for any netlist with latches, across
-    /// settle/tick cycles and state resets.
+    /// bit-identical on every gate to the reference simulator with the
+    /// same truth words installed, over a stimulus sequence.
     #[test]
     fn fused_matches_event_simulator(
         n_inputs in 1usize..5,
-        pre in prop::collection::vec(recipe_strategy(), 1..20),
-        latch_sels in prop::collection::vec((any::<u16>(), any::<bool>()), 1..5),
-        post in prop::collection::vec(recipe_strategy(), 1..20),
+        recipes in prop::collection::vec(recipe_strategy(), 2..40),
         patch_sels in prop::collection::vec((any::<u16>(), any::<u16>()), 0..3),
         stimulus in prop::collection::vec(any::<u8>(), 1..16),
     ) {
-        let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
+        let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
         let mut sim = Simulator::new(net.clone());
         let mut patches = Vec::new();
         for &(sel, table) in &patch_sels {
@@ -370,27 +329,19 @@ proptest! {
                     "node {:?} at step {}", id, step
                 );
             }
-            sim.tick();
-            ex.tick();
-            if step % 5 == 4 {
-                sim.reset_state();
-                ex.reset_state();
-            }
         }
     }
 
-    /// 64-lane sweeps over a patched sequential netlist must match an
-    /// identically faulted scalar engine run independently per lane.
+    /// 64-lane sweeps over a patched netlist must match an identically
+    /// faulted scalar engine run independently per lane.
     #[test]
     fn fused_lanes_match_per_lane_scalar(
         n_inputs in 1usize..5,
-        pre in prop::collection::vec(recipe_strategy(), 1..15),
-        latch_sels in prop::collection::vec((any::<u16>(), any::<bool>()), 1..4),
-        post in prop::collection::vec(recipe_strategy(), 1..15),
+        recipes in prop::collection::vec(recipe_strategy(), 2..30),
         patch_sels in prop::collection::vec((any::<u16>(), any::<u16>()), 0..3),
         stimulus in prop::collection::vec(any::<[u8; 6]>(), 1..8),
     ) {
-        let (net, inputs, gates, _) = build_seq(n_inputs, &pre, &latch_sels, &post);
+        let (net, inputs, gates, _) = build_with_gates(n_inputs, &recipes);
         let mut sims: Vec<Simulator> = (0..6).map(|_| Simulator::new(net.clone())).collect();
         let mut patches = Vec::new();
         for &(sel, table) in &patch_sels {
@@ -416,10 +367,6 @@ proptest! {
                         "node {:?}, lane {}, step {}", id, lane, step
                     );
                 }
-            }
-            ex.tick();
-            for sim in &mut sims {
-                sim.tick();
             }
         }
     }

@@ -2,13 +2,16 @@
 """Paired A/B comparison of the benchmark between a parent revision and
 the working tree.
 
-    python3 scripts/ab_pairs.py --parent <rev> [--workload W]... \\
+    python3 scripts/ab_pairs.py --parent <rev|dir> [--workload W]... \\
         [--pairs 10] [--first-seed 1]
 
-Run from the repository root. The parent revision is checked out with
+Run from the repository root. A parent revision is checked out with
 `git worktree add --detach` into a temporary directory, which is removed
-afterwards. Each tree builds and runs the exact benchmark command from
-BENCHMARK.json with its own CARGO_TARGET_DIR, at `run_seconds`. Pair i
+afterwards. A parent that names a directory is taken as an unpacked
+parent tree (e.g. from `git archive <rev> | tar -x -C <dir>`) and used
+as it is, for hosts where worktrees cannot be made. Each tree builds
+and runs the exact benchmark command from BENCHMARK.json with its own
+CARGO_TARGET_DIR, at `run_seconds`. Pair i
 runs both trees on seed first-seed + i; odd pairs run the parent first,
 even pairs the child, so a drift in host speed hits both sides alike.
 Workloads default to every workload in BENCHMARK.json.
@@ -91,9 +94,13 @@ def main():
     build = ["cargo", "build"] + cmd[2:cmd.index("--")]
 
     scratch = tempfile.mkdtemp(prefix="ab_pairs.")
-    parent_tree = os.path.join(scratch, "parent")
-    subprocess.run(["git", "worktree", "add", "--detach", parent_tree, args.parent],
-                   check=True, capture_output=True)
+    worktree = not os.path.isdir(args.parent)
+    if worktree:
+        parent_tree = os.path.join(scratch, "parent")
+        subprocess.run(["git", "worktree", "add", "--detach", parent_tree, args.parent],
+                       check=True, capture_output=True)
+    else:
+        parent_tree = os.path.abspath(args.parent)
     ok = True
     try:
         sides = {
@@ -134,9 +141,10 @@ def main():
                       f"wins={wins} losses={losses} spread={spread:.4f} "
                       f"bound={m['bound']} -> {v}{same}", flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent_tree],
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], capture_output=True)
+        if worktree:
+            subprocess.run(["git", "worktree", "remove", "--force", parent_tree],
+                           capture_output=True)
+            subprocess.run(["git", "worktree", "prune"], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
     sys.exit(0 if ok else 1)
 
