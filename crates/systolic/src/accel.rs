@@ -9,9 +9,16 @@
 //! accumulations. The activation unit stays host-side: pre-activation
 //! sums leave the array and pass through the shared Q6.10 sigmoid LUT,
 //! exactly as in the reference `Mlp::forward_fixed` — which the
-//! defect-free grid is bit-identical to by construction (tile walks
-//! accumulate synapses in ascending index order with the same
+//! defect-free grid is bit-identical to by construction (the kernel
+//! accumulates synapses in ascending index order with the same
 //! saturating arithmetic).
+//!
+//! Every forward — single rows, batches and the retraining forward —
+//! runs one kernel: per neuron and synapse it looks up the compiled
+//! `PeMask` of the PE hosting the synapse and applies it to every
+//! sample lane, with activations held transposed (samples contiguous).
+//! A healthy grid is the all-pass table, so there is no separate
+//! fault-free path.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -25,11 +32,10 @@ use dta_core::{check_hyperparameters, AccelError};
 use dta_datasets::Dataset;
 use dta_fixed::{Fx, SigmoidLut};
 
-use crate::grid::{GridGeometry, PassMask, PeGrid};
-use crate::schedule::{run_tiles, run_tiles_batch, TileSchedule};
+use crate::grid::{GridGeometry, PeGrid};
 
-/// Samples per batch block: one stationary weight fetch serves up to
-/// this many MAC lanes.
+/// Samples per batch block: one stationary weight fetch and one mask
+/// lookup serve up to this many MAC lanes.
 pub const BATCH_LANES: usize = 64;
 
 /// The weight-stationary systolic MAC-array accelerator.
@@ -109,75 +115,32 @@ impl SystolicAccelerator {
         Ok(self.grid.inject_random(n, activation, rng))
     }
 
-    /// Ground-truth fault sites of every injected defect.
-    pub fn fault_sites(&self) -> Vec<FaultSite> {
-        self.grid.sites()
-    }
-
-    /// True when the grid can take the fault-free fast path: no
-    /// defects injected and no repairs installed.
-    pub fn fast_path(&self) -> bool {
-        !self.grid.has_defects() && self.grid.is_pristine_routing()
-    }
-
     fn require_network(&self) -> Result<&Mlp, AccelError> {
         self.network.as_ref().ok_or(AccelError::NoNetwork)
     }
 
-    /// One forward pass through the grid, fast-pathing to the
-    /// reference fixed-point walk when the grid is pristine.
+    /// One forward pass through the grid.
     ///
     /// # Errors
     ///
     /// [`AccelError::NoNetwork`] / [`AccelError::WrongRowWidth`].
     pub fn forward(&mut self, x: &[f64]) -> Result<ForwardTrace, AccelError> {
-        let expected = self.require_network()?.topology().inputs;
-        if x.len() != expected {
-            return Err(AccelError::WrongRowWidth {
-                got: x.len(),
-                expected,
-            });
-        }
-        self.passes += 1;
-        let net = self.network.as_ref().expect("checked above");
-        if self.fast_path() {
-            return Ok(net.forward_fixed(x, &self.lut));
-        }
-        let mask = self.grid.pass_mask();
-        Ok(forward_with_mask(&self.grid, net, x, &self.lut, &mask))
+        let mut traces = self.forward_batch(&[x])?;
+        Ok(traces.pop().expect("one trace per row"))
     }
 
-    /// One forward pass that always takes the tiled grid walk (no fast
-    /// path) — the entry point the bit-identity properties probe.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SystolicAccelerator::forward`].
-    pub fn forward_tiled(&mut self, x: &[f64]) -> Result<ForwardTrace, AccelError> {
-        let expected = self.require_network()?.topology().inputs;
-        if x.len() != expected {
-            return Err(AccelError::WrongRowWidth {
-                got: x.len(),
-                expected,
-            });
-        }
-        self.passes += 1;
-        let mask = self.grid.pass_mask();
-        let net = self.network.as_ref().expect("checked above");
-        Ok(forward_with_mask(&self.grid, net, x, &self.lut, &mask))
-    }
-
-    /// Batched forward over many rows: samples run in blocks of
-    /// [`BATCH_LANES`], tiles outer / lanes inner, each stationary
-    /// weight fetched once per block. Pass masks are drawn in sample
-    /// order before the block runs, so the result is bit-identical to
-    /// calling [`SystolicAccelerator::forward`] row by row.
+    /// Batched forward over many rows, bit-identical to calling
+    /// [`SystolicAccelerator::forward`] row by row. On a grid whose
+    /// defects are all permanent, samples run in blocks of
+    /// [`BATCH_LANES`]; a dynamic defect makes every row its own pass,
+    /// its activation streams advancing in sample order.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SystolicAccelerator::forward`].
     pub fn forward_batch(&mut self, rows: &[&[f64]]) -> Result<Vec<ForwardTrace>, AccelError> {
-        let expected = self.require_network()?.topology().inputs;
+        let net = self.require_network()?;
+        let expected = net.topology().inputs;
         for row in rows {
             if row.len() != expected {
                 return Err(AccelError::WrongRowWidth {
@@ -186,23 +149,9 @@ impl SystolicAccelerator {
                 });
             }
         }
+        let weights = QuantizedNet::new(net);
         self.passes += rows.len() as u64;
-        if self.fast_path() {
-            let net = self.network.as_ref().expect("checked above");
-            return Ok(rows
-                .iter()
-                .map(|r| net.forward_fixed(r, &self.lut))
-                .collect());
-        }
-        let mut traces = Vec::with_capacity(rows.len());
-        for block in rows.chunks(BATCH_LANES) {
-            // Activation streams advance once per sample, in sample
-            // order — exactly as the scalar path would draw them.
-            let masks: Vec<PassMask> = block.iter().map(|_| self.grid.pass_mask()).collect();
-            let net = self.network.as_ref().expect("checked above");
-            traces.extend(forward_block(&self.grid, net, block, &self.lut, &masks));
-        }
-        Ok(traces)
+        Ok(forward_rows(&mut self.grid, &weights, &self.lut, rows))
     }
 
     /// Bypasses every PE the diagnosis flags (Zhang-style fail-silent
@@ -307,11 +256,9 @@ impl SystolicAccelerator {
                 // A third operand for the incoming partial sum,
                 // drawn from the same deterministic vector set.
                 let acc = vectors[(vi + 1) % vectors.len()].1;
-                let mask = self.grid.pass_mask();
-                if self.grid.pe_step_raw(p, c, acc, a, b, &mask) != acc + a * b {
-                    bad = true;
-                }
-                if self.grid.pe_idle_raw(p, c, acc, &mask) != acc {
+                let pass = self.grid.pass_mask();
+                let pe = self.grid.raw_mask(p, c, &pass);
+                if pe.mac(acc, a, b) != acc + a * b || pe.idle(acc) != acc {
                     bad = true;
                 }
             }
@@ -344,104 +291,138 @@ fn flagged_pes(diagnosis: &Diagnosis) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// One full two-layer forward pass under a fixed pass mask.
-fn forward_with_mask(
-    grid: &PeGrid,
-    net: &Mlp,
-    x: &[f64],
-    lut: &SigmoidLut,
-    mask: &PassMask,
-) -> ForwardTrace {
-    let topo = net.topology();
-    let geom = grid.geometry();
-    let xq: Vec<Fx> = x.iter().map(|&v| Fx::from_f64(v)).collect();
+/// A network's Q6.10 weights, quantized once per forward call. Row
+/// `j` of a layer holds neuron `j`'s synapses and then its bias, the
+/// layout `Mlp` stores.
+struct QuantizedNet {
+    topo: Topology,
+    hidden: Vec<Fx>,
+    output: Vec<Fx>,
+}
 
-    let sched1 = TileSchedule::for_layer(&geom, topo.inputs, topo.hidden);
-    let mut acc1: Vec<Fx> = (0..topo.hidden)
-        .map(|j| Fx::from_f64(net.w_hidden(j, topo.inputs)))
-        .collect();
-    run_tiles(
-        grid,
-        &sched1,
-        |j, i| Fx::from_f64(net.w_hidden(j, i)),
-        &xq,
-        &mut acc1,
-        mask,
-    );
-    let hidden_fx: Vec<Fx> = acc1.iter().map(|&a| lut.eval(a)).collect();
-
-    let sched2 = TileSchedule::for_layer(&geom, topo.hidden, topo.outputs);
-    let mut acc2: Vec<Fx> = (0..topo.outputs)
-        .map(|k| Fx::from_f64(net.w_output(k, topo.hidden)))
-        .collect();
-    run_tiles(
-        grid,
-        &sched2,
-        |k, j| Fx::from_f64(net.w_output(k, j)),
-        &hidden_fx,
-        &mut acc2,
-        mask,
-    );
-
-    ForwardTrace {
-        hidden: hidden_fx.iter().map(|h| h.to_f64()).collect(),
-        output_pre: acc2.iter().map(|a| a.to_f64()).collect(),
-        output: acc2.iter().map(|&a| lut.eval(a).to_f64()).collect(),
+impl QuantizedNet {
+    fn new(net: &Mlp) -> QuantizedNet {
+        let topo = net.topology();
+        QuantizedNet {
+            topo,
+            hidden: quantize(topo.hidden, topo.inputs, |j, i| net.w_hidden(j, i)),
+            output: quantize(topo.outputs, topo.hidden, |k, j| net.w_output(k, j)),
+        }
     }
 }
 
-/// One block (≤ [`BATCH_LANES`] samples) of the batched forward pass.
-fn forward_block(
-    grid: &PeGrid,
-    net: &Mlp,
-    rows: &[&[f64]],
+/// Quantizes an `n_out × (n_in + 1)` weight matrix row by row.
+fn quantize(n_out: usize, n_in: usize, w: impl Fn(usize, usize) -> f64) -> Vec<Fx> {
+    let mut q = Vec::with_capacity(n_out * (n_in + 1));
+    for j in 0..n_out {
+        for i in 0..=n_in {
+            q.push(Fx::from_f64(w(j, i)));
+        }
+    }
+    q
+}
+
+/// Runs `rows` through the grid: blocks of [`BATCH_LANES`] lanes when
+/// every defect is permanent, else one pass (and one lane) per row.
+fn forward_rows(
+    grid: &mut PeGrid,
+    net: &QuantizedNet,
     lut: &SigmoidLut,
-    masks: &[PassMask],
+    rows: &[&[f64]],
 ) -> Vec<ForwardTrace> {
-    let topo = net.topology();
-    let geom = grid.geometry();
-    let lanes1: Vec<Vec<Fx>> = rows
-        .iter()
-        .map(|r| r.iter().map(|&v| Fx::from_f64(v)).collect())
-        .collect();
+    let block = if grid.has_dynamic_defects() {
+        1
+    } else {
+        BATCH_LANES
+    };
+    let mut traces = Vec::with_capacity(rows.len());
+    for lanes in rows.chunks(block) {
+        grid.advance_pass();
+        forward_lanes(grid, net, lut, lanes, &mut traces);
+    }
+    traces
+}
 
-    let sched1 = TileSchedule::for_layer(&geom, topo.inputs, topo.hidden);
-    let mut acc1: Vec<Vec<Fx>> = (0..topo.hidden)
-        .map(|j| vec![Fx::from_f64(net.w_hidden(j, topo.inputs)); rows.len()])
-        .collect();
-    run_tiles_batch(
-        grid,
-        &sched1,
-        |j, i| Fx::from_f64(net.w_hidden(j, i)),
-        &lanes1,
-        &mut acc1,
-        masks,
-    );
+/// One two-layer forward of up to [`BATCH_LANES`] samples under the
+/// grid's current masks, appending one trace per sample.
+fn forward_lanes(
+    grid: &PeGrid,
+    net: &QuantizedNet,
+    lut: &SigmoidLut,
+    rows: &[&[f64]],
+    traces: &mut Vec<ForwardTrace>,
+) {
+    let topo = net.topo;
+    let lanes = rows.len();
+    let mut x = vec![Fx::ZERO; topo.inputs * lanes];
+    for (s, row) in rows.iter().enumerate() {
+        for (i, &v) in row.iter().enumerate() {
+            x[i * lanes + s] = Fx::from_f64(v);
+        }
+    }
+    // A literal lane count lets the compiler drop the lane loop from
+    // one-lane (per-row) calls.
+    let run = |w: &[Fx], n_in: usize, x: &[Fx], acc: &mut [Fx]| match lanes {
+        1 => layer(grid, w, n_in, 1, x, acc),
+        _ => layer(grid, w, n_in, lanes, x, acc),
+    };
+    let mut acc1 = vec![Fx::ZERO; topo.hidden * lanes];
+    run(&net.hidden, topo.inputs, &x, &mut acc1);
     // Hidden activations become the second layer's streaming lanes.
-    let lanes2: Vec<Vec<Fx>> = (0..rows.len())
-        .map(|s| acc1.iter().map(|accs| lut.eval(accs[s])).collect())
-        .collect();
+    let hidden: Vec<Fx> = acc1.iter().map(|&a| lut.eval(a)).collect();
+    let mut acc2 = vec![Fx::ZERO; topo.outputs * lanes];
+    run(&net.output, topo.hidden, &hidden, &mut acc2);
+    traces.extend((0..lanes).map(|s| {
+        let lane = |v: &[Fx]| -> Vec<Fx> { v.iter().skip(s).step_by(lanes).copied().collect() };
+        let pre = lane(&acc2);
+        ForwardTrace {
+            hidden: lane(&hidden).iter().map(|h| h.to_f64()).collect(),
+            output_pre: pre.iter().map(|a| a.to_f64()).collect(),
+            output: pre.iter().map(|&a| lut.eval(a).to_f64()).collect(),
+        }
+    }));
+}
 
-    let sched2 = TileSchedule::for_layer(&geom, topo.hidden, topo.outputs);
-    let mut acc2: Vec<Vec<Fx>> = (0..topo.outputs)
-        .map(|k| vec![Fx::from_f64(net.w_output(k, topo.hidden)); rows.len()])
-        .collect();
-    run_tiles_batch(
-        grid,
-        &sched2,
-        |k, j| Fx::from_f64(net.w_output(k, j)),
-        &lanes2,
-        &mut acc2,
-        masks,
-    );
-
-    (0..rows.len())
-        .map(|s| ForwardTrace {
-            hidden: lanes2[s].iter().map(|h| h.to_f64()).collect(),
-            output_pre: acc2.iter().map(|accs| accs[s].to_f64()).collect(),
-            output: acc2.iter().map(|accs| lut.eval(accs[s]).to_f64()).collect(),
-        })
-        .collect()
+/// One layer's weight-stationary walk. `x` holds the `n_in` inputs
+/// transposed (`x[i * lanes + s]`); `acc` receives the pre-activation
+/// sums the same way.
+/// Neuron `j`'s synapse `i` runs on the PE in column `j % cols` of the
+/// physical row schedule row `i % rows` maps to; synapses accumulate in
+/// ascending order from the bias, and the idle slots of the last row
+/// tile pass each sum through their PEs' result registers.
+#[inline(always)]
+fn layer(grid: &PeGrid, weights: &[Fx], n_in: usize, lanes: usize, x: &[Fx], acc: &mut [Fx]) {
+    let geom = grid.geometry();
+    let masks = grid.masks();
+    let row_map = grid.row_map();
+    // Schedule rows the last row tile leaves without a synapse.
+    let idle_rows = match n_in % geom.rows {
+        0 => &[][..],
+        used => &row_map[used..],
+    };
+    for (j, (acc, w)) in acc
+        .chunks_exact_mut(lanes)
+        .zip(weights.chunks_exact(n_in + 1))
+        .enumerate()
+    {
+        let pe = |p: usize| masks[p * geom.cols + j % geom.cols];
+        acc.fill(w[n_in]);
+        let tiles = w[..n_in].chunks(geom.rows).zip(x.chunks(geom.rows * lanes));
+        for (tile_w, tile_x) in tiles {
+            for ((&w, xs), &p) in tile_w.iter().zip(tile_x.chunks_exact(lanes)).zip(row_map) {
+                let m = pe(p);
+                for (a, &x) in acc.iter_mut().zip(xs) {
+                    *a = m.mac(*a, w, x);
+                }
+            }
+        }
+        for &p in idle_rows {
+            let m = pe(p);
+            for a in acc.iter_mut() {
+                *a = m.idle(*a);
+            }
+        }
+    }
 }
 
 impl Accel for SystolicAccelerator {
@@ -506,18 +487,16 @@ impl Accel for SystolicAccelerator {
         let mut mlp = self.network.take().ok_or(AccelError::NoNetwork)?;
         let trainer = Trainer::new(learning_rate, momentum, epochs, dta_ann::ForwardMode::Fixed);
         self.grid.reset_state();
-        let fast = self.fast_path();
         let lut = &self.lut;
         let grid = &mut self.grid;
         let mut passes = 0u64;
         trainer.train_with(&mut mlp, ds, idx, rng, |m, x| {
             passes += 1;
-            if fast {
-                m.forward_fixed(x, lut)
-            } else {
-                let mask = grid.pass_mask();
-                forward_with_mask(grid, m, x, lut, &mask)
-            }
+            // The weights change every step, so quantize per step.
+            let weights = QuantizedNet::new(m);
+            forward_rows(grid, &weights, lut, &[x])
+                .pop()
+                .expect("one trace per row")
         });
         self.passes += passes;
         self.network = Some(mlp);
@@ -691,8 +670,7 @@ mod tests {
         accel.map_network(mlp.clone()).unwrap();
         let x: Vec<f64> = (0..7).map(|i| (i as f64) * 0.37 - 1.2).collect();
         let want = mlp.forward_fixed(&x, &lut);
-        assert_eq!(accel.forward(&x).unwrap(), want, "fast path");
-        assert_eq!(accel.forward_tiled(&x).unwrap(), want, "tiled walk");
+        assert_eq!(accel.forward(&x).unwrap(), want, "single row");
         let rows: Vec<&[f64]> = vec![&x; 70];
         for t in accel.forward_batch(&rows).unwrap() {
             assert_eq!(t, want, "batch lane");
@@ -701,9 +679,10 @@ mod tests {
 
     #[test]
     fn commissioning_matches_the_spatial_array_bit_for_bit() {
-        // Clean training takes the fast path (== forward_fixed), which
-        // is exactly what the spatial array trains through — so both
-        // topologies commission to identical weights and accuracy.
+        // Clean training runs the all-pass grid, bit-identical to
+        // forward_fixed, which is exactly what the spatial array trains
+        // through — so both topologies commission to identical weights
+        // and accuracy.
         let (mut sys, ds, train, test) = commissioned(11);
         let mut spatial = dta_core::Accelerator::new();
         spatial
@@ -744,7 +723,7 @@ mod tests {
 
     impl SystolicAccelerator {
         fn fault_sites_sorted(&self) -> Vec<FaultSite> {
-            let mut v = self.fault_sites();
+            let mut v = self.grid.sites();
             v.sort();
             v
         }
@@ -993,5 +972,35 @@ mod tests {
             .map_network(Mlp::new(Topology::new(91, 10, 10), 1))
             .unwrap_err();
         assert!(matches!(err, AccelError::DoesNotFit { .. }));
+    }
+
+    #[test]
+    fn healthy_tile_walk_matches_direct_accumulation() {
+        let geom = GridGeometry::default();
+        let grid = PeGrid::new(geom);
+        let (n_in, n_out, lanes) = (23, 13, 3); // partial tiles on both axes
+        let w = |j: usize, i: usize| Fx::from_f64((j as f64 - i as f64) * 0.07);
+        let bias = |j: usize| Fx::from_f64(j as f64 * 0.01);
+        let weights: Vec<Fx> = (0..n_out)
+            .flat_map(|j| (0..n_in).map(move |i| w(j, i)).chain([bias(j)]))
+            .collect();
+        let xq = |i: usize, s: usize| Fx::from_f64(i as f64 * 0.11 - 1.0 + s as f64 * 0.3);
+        let x: Vec<Fx> = (0..n_in)
+            .flat_map(|i| (0..lanes).map(move |s| xq(i, s)))
+            .collect();
+        let want: Vec<Fx> = (0..n_out)
+            .flat_map(|j| {
+                (0..lanes).map(move |s| {
+                    let mut acc = bias(j);
+                    for i in 0..n_in {
+                        acc += w(j, i) * xq(i, s);
+                    }
+                    acc
+                })
+            })
+            .collect();
+        let mut acc = vec![Fx::ZERO; n_out * lanes];
+        layer(&grid, &weights, n_in, lanes, &x, &mut acc);
+        assert_eq!(acc, want);
     }
 }

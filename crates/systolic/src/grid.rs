@@ -9,6 +9,10 @@
 //! classes — a stuck product bit, a stuck sum bit, a stuck bit of the
 //! result register (which corrupts even idle pass-through), and a dead
 //! PE that forwards its incoming partial sum unchanged.
+//!
+//! Each class lowers to fixed bit masks, so the grid compiles every PE
+//! into one `PeMask` and keeps the table current as defects arrive
+//! and repairs are installed; the MAC kernel only reads it.
 
 use std::fmt;
 
@@ -124,11 +128,87 @@ pub struct PeDefect {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassMask(Vec<bool>);
 
-/// Forces one bit of a Q6.10 word — the stuck-at lowering shared by all
-/// three stuck-bit classes.
-fn force_bit(v: Fx, bit: u32, stuck_one: bool) -> Fx {
+impl PassMask {
+    /// Whether defect `d` is active this pass (defects the snapshot
+    /// does not cover are inactive).
+    pub fn is_active(&self, d: usize) -> bool {
+        self.0.get(d).copied().unwrap_or(false)
+    }
+}
+
+/// The fault one PE applies to every word it handles, compiled from
+/// its active defects into AND/OR masks per datapath stage: product,
+/// sum, keep-select (all ones while the PE adds its product, zero for
+/// a dead or bypassed PE, which forwards the incoming partial sum) and
+/// result register. A stuck bit forces `v ↦ (v & !b) | (stuck · b)`;
+/// stuck bits of one stage compose in defect-index order, so a later
+/// defect wins a shared bit. [`PeMask::HEALTHY`] passes every word
+/// through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PeMask {
+    mul_and: u16,
+    mul_or: u16,
+    /// The sum, keep-select and register stages folded into one
+    /// select on the sum `s` and the incoming `acc`:
+    /// `(((s & sum_and | sum_or) & keep | acc & !keep) & acc_and) |
+    /// acc_or` is `s & pass | acc & hold | set`, so only two operations
+    /// follow the add on the accumulation chain.
+    pass: u16,
+    hold: u16,
+    set: u16,
+    acc_and: u16,
+    acc_or: u16,
+}
+
+/// One stage's `(and, or)` pair.
+type Stage = (u16, u16);
+
+/// The stage that forces no bit.
+const CLEAN: Stage = (!0, 0);
+
+impl PeMask {
+    /// A PE with no active fault: the native saturating MAC.
+    const HEALTHY: PeMask = PeMask::fold(CLEAN, CLEAN, !0, CLEAN);
+
+    /// A bypassed PE: its register is routed around, so every word
+    /// passes untouched whatever its defects.
+    const BYPASSED: PeMask = PeMask::fold(CLEAN, CLEAN, 0, CLEAN);
+
+    const fn fold(mul: Stage, sum: Stage, keep: u16, acc: Stage) -> PeMask {
+        PeMask {
+            mul_and: mul.0,
+            mul_or: mul.1,
+            pass: sum.0 & keep & acc.0,
+            hold: !keep & acc.0,
+            set: (sum.1 & keep & acc.0) | acc.1,
+            acc_and: acc.0,
+            acc_or: acc.1,
+        }
+    }
+
+    /// One MAC step: `acc + w·x` with the stages faulted in order —
+    /// product bits, sum bits, the dead-PE drop, then the result
+    /// register bits.
+    #[inline(always)]
+    pub(crate) fn mac(&self, acc: Fx, w: Fx, x: Fx) -> Fx {
+        let p = ((w * x).to_bits() & self.mul_and) | self.mul_or;
+        let s = (acc + Fx::from_bits(p)).to_bits();
+        Fx::from_bits((s & self.pass) | (acc.to_bits() & self.hold) | self.set)
+    }
+
+    /// An idle step (no synapse on this PE): the partial sum passes
+    /// through the result register, so only register bits apply.
+    #[inline(always)]
+    pub(crate) fn idle(&self, acc: Fx) -> Fx {
+        Fx::from_bits((acc.to_bits() & self.acc_and) | self.acc_or)
+    }
+}
+
+/// Composes one stuck bit onto a stage.
+fn stick(stage: &mut Stage, bit: u32, stuck_one: bool) {
     debug_assert!(bit < 16);
-    Fx::from_bits((v.to_bits() & !(1u16 << bit)) | ((u16::from(stuck_one)) << bit))
+    stage.0 &= !(1u16 << bit);
+    stage.1 = (stage.1 & !(1u16 << bit)) | (u16::from(stuck_one) << bit);
 }
 
 /// The weight-stationary PE grid with its defect and repair state.
@@ -136,9 +216,17 @@ fn force_bit(v: Fx, bit: u32, stuck_one: bool) -> Fx {
 pub struct PeGrid {
     geom: GridGeometry,
     defects: Vec<PeDefect>,
-    /// Defect indices per PE (`phys_row * cols + col`), rebuilt on
-    /// injection so the MAC inner loop touches only its own faults.
+    /// Defect indices per PE (`phys_row * cols + col`), in injection
+    /// order.
     by_pe: Vec<Vec<u32>>,
+    /// The compiled fault of every PE (`phys_row * cols + col`), bypass
+    /// applied and every permanent defect active. Rebuilt per PE on
+    /// injection and bypass; a row remap leaves it valid because it is
+    /// indexed by physical PE. Entries in `dynamic_pes` are refreshed
+    /// by [`PeGrid::advance_pass`].
+    masks: Vec<PeMask>,
+    /// PEs hosting a transient or intermittent defect, ascending.
+    dynamic_pes: Vec<usize>,
     /// Schedule row → physical row (identity until the grid-remap rung
     /// steers rows onto spares).
     row_map: Vec<usize>,
@@ -157,6 +245,8 @@ impl PeGrid {
             geom,
             defects: Vec::new(),
             by_pe: vec![Vec::new(); geom.pes()],
+            masks: vec![PeMask::HEALTHY; geom.pes()],
+            dynamic_pes: Vec::new(),
             row_map: (0..geom.rows).collect(),
             bypass: vec![false; geom.pes()],
             chaos_stall_ms: None,
@@ -190,16 +280,21 @@ impl PeGrid {
         &self.row_map
     }
 
-    /// True while the grid carries no repairs (identity row map, no
-    /// bypassed PE) — together with an empty defect list this enables
-    /// the fault-free fast path.
-    pub fn is_pristine_routing(&self) -> bool {
-        self.row_map.iter().enumerate().all(|(r, &p)| r == p) && self.bypass.iter().all(|&b| !b)
+    /// The compiled per-PE faults (`phys_row * cols + col`) under the
+    /// installed bypasses and the current pass.
+    pub(crate) fn masks(&self) -> &[PeMask] {
+        &self.masks
     }
 
     /// True when any defect is injected.
     pub fn has_defects(&self) -> bool {
         !self.defects.is_empty()
+    }
+
+    /// True when a transient or intermittent defect is injected, so
+    /// every pass must advance the activation streams.
+    pub(crate) fn has_dynamic_defects(&self) -> bool {
+        !self.dynamic_pes.is_empty()
     }
 
     fn pe_index(&self, row: usize, col: usize) -> usize {
@@ -230,6 +325,12 @@ impl PeGrid {
             state: ActivationState::new(activation, seed),
         });
         self.by_pe[pe].push(idx);
+        if !activation.is_permanent() {
+            if let Err(at) = self.dynamic_pes.binary_search(&pe) {
+                self.dynamic_pes.insert(at, pe);
+            }
+        }
+        self.compile(pe, |_| true);
     }
 
     /// Injects `n` random defects (uniform PE, uniform class, random
@@ -292,9 +393,62 @@ impl PeGrid {
     }
 
     /// Advances every defect's activation stream by one pass and
-    /// snapshots which are active — call exactly once per forward pass.
+    /// snapshots which are active.
     pub fn pass_mask(&mut self) -> PassMask {
         PassMask(self.defects.iter_mut().map(|d| d.state.advance()).collect())
+    }
+
+    /// Starts one forward pass: advances the activation streams and
+    /// refreshes the masks of the PEs hosting a dynamic defect. When
+    /// every defect is permanent nothing changes from pass to pass, so
+    /// no stream is drawn (a permanent stream has no state to
+    /// advance).
+    pub(crate) fn advance_pass(&mut self) {
+        if self.dynamic_pes.is_empty() {
+            return;
+        }
+        let pass = self.pass_mask();
+        for k in 0..self.dynamic_pes.len() {
+            self.compile(self.dynamic_pes[k], |d| pass.is_active(d));
+        }
+    }
+
+    /// The fault of the PE at `(row, col)` with the defects `pass`
+    /// marks active, ignoring its bypass latch — the raw silicon the
+    /// BIST probes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PE coordinates are outside the physical grid.
+    pub(crate) fn raw_mask(&self, row: usize, col: usize, pass: &PassMask) -> PeMask {
+        self.compose(self.pe_index(row, col), |d| pass.is_active(d))
+    }
+
+    /// Composes PE `pe`'s defects that `active` selects into one mask.
+    fn compose(&self, pe: usize, active: impl Fn(usize) -> bool) -> PeMask {
+        let (mut mul, mut sum, mut keep, mut acc) = (CLEAN, CLEAN, !0, CLEAN);
+        for &di in &self.by_pe[pe] {
+            if !active(di as usize) {
+                continue;
+            }
+            match self.defects[di as usize].kind {
+                PeFaultKind::StuckMulBit { bit, stuck_one } => stick(&mut mul, bit, stuck_one),
+                PeFaultKind::StuckAddBit { bit, stuck_one } => stick(&mut sum, bit, stuck_one),
+                PeFaultKind::StuckAccBit { bit, stuck_one } => stick(&mut acc, bit, stuck_one),
+                PeFaultKind::DeadPe => keep = 0,
+            }
+        }
+        PeMask::fold(mul, sum, keep, acc)
+    }
+
+    /// Rebuilds PE `pe`'s table entry with the defects `active`
+    /// selects.
+    fn compile(&mut self, pe: usize, active: impl Fn(usize) -> bool) {
+        self.masks[pe] = if self.bypass[pe] {
+            PeMask::BYPASSED
+        } else {
+            self.compose(pe, active)
+        };
     }
 
     /// Marks one PE bypassed (fail-silent). Idempotent; returns `true`
@@ -307,12 +461,17 @@ impl PeGrid {
         let pe = self.pe_index(row, col);
         let fresh = !self.bypass[pe];
         self.bypass[pe] = true;
+        self.masks[pe] = PeMask::BYPASSED;
         fresh
     }
 
     /// Whether a PE is bypassed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PE coordinates are outside the physical grid.
     pub fn is_bypassed(&self, row: usize, col: usize) -> bool {
-        self.bypass[row * self.geom.cols + col]
+        self.bypass[self.pe_index(row, col)]
     }
 
     /// Re-points schedule row `schedule_row` at physical row
@@ -330,96 +489,6 @@ impl PeGrid {
         self.row_map[schedule_row] = phys_row;
     }
 
-    /// One MAC step of the (possibly faulty) PE at physical
-    /// coordinates `(row, col)`: `acc + w·x` with this pass's active
-    /// faults applied in stage order — product bits, then sum bits,
-    /// then the dead-PE drop, then the result-register bits. A
-    /// bypassed PE forwards `acc` untouched (its register is routed
-    /// around entirely).
-    pub fn pe_step(&self, row: usize, col: usize, acc: Fx, w: Fx, x: Fx, mask: &PassMask) -> Fx {
-        if self.bypass[row * self.geom.cols + col] {
-            return acc;
-        }
-        self.pe_step_raw(row, col, acc, w, x, mask)
-    }
-
-    /// The MAC step ignoring the bypass latch — the raw hardware
-    /// behavior the BIST probes.
-    pub fn pe_step_raw(
-        &self,
-        row: usize,
-        col: usize,
-        acc: Fx,
-        w: Fx,
-        x: Fx,
-        mask: &PassMask,
-    ) -> Fx {
-        let idxs = &self.by_pe[row * self.geom.cols + col];
-        if idxs.is_empty() {
-            return acc + w * x;
-        }
-        let active = |di: u32| mask.0.get(di as usize).copied().unwrap_or(false);
-        let mut product = w * x;
-        let mut dead = false;
-        for &di in idxs {
-            if !active(di) {
-                continue;
-            }
-            match self.defects[di as usize].kind {
-                PeFaultKind::StuckMulBit { bit, stuck_one } => {
-                    product = force_bit(product, bit, stuck_one);
-                }
-                PeFaultKind::DeadPe => dead = true,
-                _ => {}
-            }
-        }
-        let mut out = acc + product;
-        for &di in idxs {
-            if !active(di) {
-                continue;
-            }
-            if let PeFaultKind::StuckAddBit { bit, stuck_one } = self.defects[di as usize].kind {
-                out = force_bit(out, bit, stuck_one);
-            }
-        }
-        if dead {
-            out = acc;
-        }
-        for &di in idxs {
-            if !active(di) {
-                continue;
-            }
-            if let PeFaultKind::StuckAccBit { bit, stuck_one } = self.defects[di as usize].kind {
-                out = force_bit(out, bit, stuck_one);
-            }
-        }
-        out
-    }
-
-    /// An idle step (the tile has no synapse for this PE): the partial
-    /// sum passes through the PE's result register, so only register
-    /// faults can corrupt it. Bypassed PEs forward untouched.
-    pub fn pe_idle(&self, row: usize, col: usize, acc: Fx, mask: &PassMask) -> Fx {
-        if self.bypass[row * self.geom.cols + col] {
-            return acc;
-        }
-        self.pe_idle_raw(row, col, acc, mask)
-    }
-
-    /// The idle step ignoring the bypass latch (BIST probe path).
-    pub fn pe_idle_raw(&self, row: usize, col: usize, acc: Fx, mask: &PassMask) -> Fx {
-        let mut out = acc;
-        for &di in &self.by_pe[row * self.geom.cols + col] {
-            if !mask.0.get(di as usize).copied().unwrap_or(false) {
-                continue;
-            }
-            if let PeFaultKind::StuckAccBit { bit, stuck_one } = self.defects[di as usize].kind {
-                out = force_bit(out, bit, stuck_one);
-            }
-        }
-        out
-    }
-
     /// Measured visible fraction of one defect: random `(acc, w, x)`
     /// MAC triples with only this defect forced active, compared
     /// against the healthy MAC — the grid analog of the spatial
@@ -427,15 +496,14 @@ impl PeGrid {
     pub fn defect_visibility(&self, defect: usize, samples: usize, seed: u64) -> f64 {
         use rand::SeedableRng;
         let d = &self.defects[defect];
-        let mut mask = PassMask(vec![false; self.defects.len()]);
-        mask.0[defect] = true;
+        let mask = self.compose(self.pe_index(d.row, d.col), |di| di == defect);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut visible = 0usize;
         for _ in 0..samples {
             let acc = Fx::from_raw(rng.random::<i16>());
             let w = Fx::from_raw(rng.random::<i16>());
             let x = Fx::from_raw(rng.random::<i16>());
-            if self.pe_step_raw(d.row, d.col, acc, w, x, &mask) != acc + w * x {
+            if mask.mac(acc, w, x) != acc + w * x {
                 visible += 1;
             }
         }
@@ -447,27 +515,27 @@ impl PeGrid {
 mod tests {
     use super::*;
 
-    fn no_faults() -> PassMask {
-        PassMask::default()
+    /// The compiled fault of the PE at `(row, col)`.
+    fn pe(grid: &PeGrid, row: usize, col: usize) -> PeMask {
+        grid.masks()[grid.pe_index(row, col)]
     }
 
     #[test]
     fn healthy_pe_is_native_mac() {
         let grid = PeGrid::new(GridGeometry::default());
         let (acc, w, x) = (Fx::from_f64(0.5), Fx::from_f64(-1.25), Fx::from_f64(2.0));
-        assert_eq!(grid.pe_step(0, 0, acc, w, x, &no_faults()), acc + w * x);
-        assert_eq!(grid.pe_idle(3, 7, acc, &no_faults()), acc);
+        assert_eq!(pe(&grid, 0, 0).mac(acc, w, x), acc + w * x);
+        assert_eq!(pe(&grid, 3, 7).idle(acc), acc);
     }
 
     #[test]
     fn dead_pe_forwards_partial_sum() {
         let mut grid = PeGrid::new(GridGeometry::default());
         grid.inject(2, 3, PeFaultKind::DeadPe, Activation::Permanent, 1);
-        let mask = grid.pass_mask();
         let (acc, w, x) = (Fx::from_f64(0.5), Fx::ONE, Fx::ONE);
-        assert_eq!(grid.pe_step(2, 3, acc, w, x, &mask), acc);
+        assert_eq!(pe(&grid, 2, 3).mac(acc, w, x), acc);
         // Neighbors are unaffected.
-        assert_eq!(grid.pe_step(2, 4, acc, w, x, &mask), acc + w * x);
+        assert_eq!(pe(&grid, 2, 4).mac(acc, w, x), acc + w * x);
     }
 
     #[test]
@@ -493,10 +561,9 @@ mod tests {
             Activation::Permanent,
             8,
         );
-        let mask = grid.pass_mask();
         let acc = Fx::from_bits(0x0100); // LSB clear
-        assert_eq!(grid.pe_idle(1, 1, acc, &mask), Fx::from_bits(0x0101));
-        assert_eq!(grid.pe_idle(1, 2, acc, &mask), acc, "add fault idle-silent");
+        assert_eq!(pe(&grid, 1, 1).idle(acc), Fx::from_bits(0x0101));
+        assert_eq!(pe(&grid, 1, 2).idle(acc), acc, "add fault idle-silent");
     }
 
     #[test]
@@ -514,11 +581,15 @@ mod tests {
         );
         assert!(grid.bypass_pe(0, 0));
         assert!(!grid.bypass_pe(0, 0), "second bypass is a no-op");
-        let mask = grid.pass_mask();
         let acc = Fx::from_f64(1.5);
-        assert_eq!(grid.pe_step(0, 0, acc, Fx::ONE, Fx::ONE, &mask), acc);
-        assert_eq!(grid.pe_idle(0, 0, acc, &mask), acc);
-        assert!(!grid.is_pristine_routing());
+        assert_eq!(pe(&grid, 0, 0).mac(acc, Fx::ONE, Fx::ONE), acc);
+        assert_eq!(pe(&grid, 0, 0).idle(acc), acc);
+        assert!(grid.is_bypassed(0, 0));
+        assert!(!grid.is_bypassed(0, 1));
+        // The BIST still sees the raw register fault.
+        let pass = grid.pass_mask();
+        let raw = grid.raw_mask(0, 0, &pass);
+        assert_eq!(raw.idle(Fx::ZERO), Fx::from_bits(1 << 3));
     }
 
     #[test]
@@ -536,8 +607,8 @@ mod tests {
         let (acc, w, x) = (Fx::ZERO, Fx::ONE, Fx::ONE);
         let run: Vec<bool> = (0..64)
             .map(|_| {
-                let mask = grid.pass_mask();
-                grid.pe_step(4, 4, acc, w, x, &mask) == acc
+                grid.advance_pass();
+                pe(&grid, 4, 4).mac(acc, w, x) == acc
             })
             .collect();
         assert!(run.iter().any(|&b| b), "never activated");
@@ -546,8 +617,8 @@ mod tests {
         grid.reset_state();
         let replay: Vec<bool> = (0..64)
             .map(|_| {
-                let mask = grid.pass_mask();
-                grid.pe_step(4, 4, acc, w, x, &mask) == acc
+                grid.advance_pass();
+                pe(&grid, 4, 4).mac(acc, w, x) == acc
             })
             .collect();
         assert_eq!(run, replay);
@@ -585,5 +656,25 @@ mod tests {
         assert!(dead > 0.9, "dead PE visibility {dead}");
         assert!((0.0..=1.0).contains(&lsb));
         assert!(lsb < dead, "LSB stuck bit should be less visible");
+    }
+
+    #[test]
+    fn stuck_bits_of_one_stage_compose_in_injection_order() {
+        let mut grid = PeGrid::new(GridGeometry::default());
+        let acc_bit = |stuck_one| PeFaultKind::StuckAccBit { bit: 2, stuck_one };
+        grid.inject(0, 0, acc_bit(true), Activation::Permanent, 1);
+        grid.inject(0, 0, acc_bit(false), Activation::Permanent, 2);
+        grid.inject(0, 1, acc_bit(false), Activation::Permanent, 3);
+        grid.inject(0, 1, acc_bit(true), Activation::Permanent, 4);
+        let ones = Fx::from_bits(0xFFFF);
+        assert_eq!(pe(&grid, 0, 0).idle(ones), Fx::from_bits(0xFFFB));
+        assert_eq!(pe(&grid, 0, 1).idle(Fx::ZERO), Fx::from_bits(0x0004));
+    }
+
+    #[test]
+    #[should_panic(expected = "col 10 out of grid")]
+    fn is_bypassed_rejects_a_column_outside_the_grid() {
+        // (0, 10) would alias PE (1, 0) on a 10-column grid.
+        PeGrid::new(GridGeometry::default()).is_bypassed(0, 10);
     }
 }

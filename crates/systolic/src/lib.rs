@@ -17,21 +17,23 @@
 //! (fail-silent, Zhang-style) and fault-aware row remap onto spare PE
 //! rows.
 //!
-//! A defect-free grid is **bit-identical** to the reference
-//! `Mlp::forward_fixed`: the tile walk accumulates synapses in
-//! ascending index order with the same saturating Q6.10 arithmetic.
+//! Each PE's defects and repair state compile into one `PeMask` of
+//! AND/OR masks, and one branch-free MAC kernel applies them to every
+//! sample lane. A defect-free grid is the all-pass table and is
+//! **bit-identical** to the reference `Mlp::forward_fixed`: the kernel
+//! accumulates synapses in ascending index order with the same
+//! saturating Q6.10 arithmetic.
 //!
-//! - [`grid`] — PE grid, defect model, bypass/remap state
-//! - [`schedule`] — weight-tile schedule and the (batched) tile walk
-//! - [`SystolicAccelerator`] — the `Accel` implementation
+//! - [`grid`] — PE grid, defect model, compiled masks, bypass/remap
+//!   state
+//! - [`SystolicAccelerator`] — the `Accel` implementation and its
+//!   tile-walk kernel
 
 #![warn(missing_docs)]
 
 pub mod grid;
-pub mod schedule;
 
 mod accel;
 
 pub use accel::{SystolicAccelerator, BATCH_LANES};
 pub use grid::{GridGeometry, PeDefect, PeFaultKind, PeGrid};
-pub use schedule::TileSchedule;
