@@ -33,11 +33,12 @@
 //! instructions).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dta_fixed::{Fx, SigmoidLut};
-use dta_logic::{optimize, FuseBuilder, FusedExec, FusedProgram, OptStats};
+use dta_logic::{optimize, FuseBuilder, FusedExec, FusedProgram};
 use dta_logic::{LutInstr, LutProgram, Netlist, NodeId, SlotMap};
 
 use crate::fault::{FaultPlan, Layer, NeuronFaults};
@@ -47,6 +48,9 @@ use crate::mlp::{ForwardTrace, Mlp};
 /// cleared wholesale (campaign sweeps mint one plan per cell; an
 /// unbounded cache would grow with the sweep).
 const CACHE_CAP: usize = 256;
+
+/// Samples one stream sweep evaluates (the executor's lane count).
+const LANES: usize = 64;
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -192,6 +196,9 @@ struct LayerStages {
     add0: usize,
     n_runs: usize,
     act: usize,
+    /// Input columns the layer reads: its logical width, or more when a
+    /// gated neuron evaluates physical synapses beyond it.
+    width: usize,
 }
 
 /// Per-call weight preparation for one neuron (bias and weights fetched
@@ -212,7 +219,6 @@ pub struct FusedForward {
     output: Vec<NeuronPlan>,
     h_stages: LayerStages,
     o_stages: LayerStages,
-    stats: OptStats,
 }
 
 impl FusedForward {
@@ -280,7 +286,7 @@ impl FusedForward {
         )?;
 
         let raw = fb.finish();
-        let (prog, sm, stats, _) = optimize(&raw, &roots, &known, &[]);
+        let (prog, sm, _, _) = optimize(&raw, &roots, &known, &[]);
         let hidden = hidden.into_iter().map(|p| remap_plan(p, &sm)).collect();
         let output = output.into_iter().map(|p| remap_plan(p, &sm)).collect();
         Some(FusedForward {
@@ -289,18 +295,12 @@ impl FusedForward {
             output,
             h_stages,
             o_stages,
-            stats,
         })
     }
 
     /// The optimized fused instruction stream.
     pub fn program(&self) -> &Arc<FusedProgram> {
         &self.prog
-    }
-
-    /// What the optimization pipeline did to this program.
-    pub fn opt_stats(&self) -> OptStats {
-        self.stats
     }
 
     /// Evaluates every row of `xs` bit-identically to the scalar
@@ -320,14 +320,6 @@ impl FusedForward {
         let topo = mlp.topology();
         assert_eq!(self.hidden.len(), topo.hidden, "topology mismatch");
         assert_eq!(self.output.len(), topo.outputs, "topology mismatch");
-        let xq: Vec<Vec<Fx>> = xs
-            .iter()
-            .map(|x| {
-                let x = x.as_ref();
-                assert_eq!(x.len(), topo.inputs);
-                x.iter().map(|&v| Fx::from_f64(v)).collect()
-            })
-            .collect();
 
         // Weights and biases stream through the attached memory once per
         // batch (pure on vectorizable plans), latch masks applied — the
@@ -367,221 +359,204 @@ impl FusedForward {
                 }
             }
         }
-        let mut traces = Vec::with_capacity(xq.len());
-        let mut h_flat: Vec<Fx> = Vec::new();
-        for chunk in xq.chunks(64) {
-            let xrows: Vec<&[Fx]> = chunk.iter().map(|r| r.as_slice()).collect();
-            let h_res = self.run_layer(&self.hidden, &self.h_stages, &prep_h, &xrows, lut, &mut ex);
-            // Row-major hidden activations in one flat buffer; rows are
-            // contiguous slices, so the output layer borrows them
-            // without per-row allocations.
-            h_flat.clear();
-            h_flat.reserve(xrows.len() * topo.hidden);
-            for r in 0..xrows.len() {
-                for n in &h_res {
-                    h_flat.push(n.as_ref().map_or(Fx::ZERO, |(_, ys)| ys[r]));
+
+        // Every layer value is held samples-contiguous: column `i` of a
+        // chunk is `[i * stride..][..rows]`. Columns past a layer's
+        // logical width stay zero, so synapses beyond it read zero like
+        // the scalar path's; a masked hidden lane is a zero column. The
+        // buffers serve every chunk of the call.
+        let stride = xs.len().min(LANES);
+        let mut x = vec![Fx::ZERO; self.h_stages.width * stride];
+        let mut h_pre = vec![Fx::ZERO; topo.hidden * stride];
+        let mut h = vec![Fx::ZERO; self.o_stages.width * stride];
+        let mut o_pre = vec![Fx::ZERO; topo.outputs * stride];
+        let mut o = vec![Fx::ZERO; topo.outputs * stride];
+        let mut traces = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(LANES) {
+            for (r, row) in chunk.iter().enumerate() {
+                let row = row.as_ref();
+                assert_eq!(row.len(), topo.inputs);
+                for (i, &v) in row.iter().enumerate() {
+                    x[i * stride + r] = Fx::from_f64(v);
                 }
             }
-            let hrefs: Vec<&[Fx]> = h_flat.chunks(topo.hidden).collect();
-            let o_res = self.run_layer(&self.output, &self.o_stages, &prep_o, &hrefs, lut, &mut ex);
-            for r in 0..xrows.len() {
-                traces.push(ForwardTrace {
-                    hidden: hrefs[r].iter().map(|h| h.to_f64()).collect(),
-                    output_pre: o_res
-                        .iter()
-                        .map(|n| n.as_ref().map_or(0.0, |(accs, _)| accs[r].to_f64()))
-                        .collect(),
-                    output: o_res
-                        .iter()
-                        .map(|n| n.as_ref().map_or(0.0, |(_, ys)| ys[r].to_f64()))
-                        .collect(),
-                });
-            }
+            let n = chunk.len();
+            let h_act = &mut h[..topo.hidden * stride];
+            run_layer(
+                &self.hidden,
+                &self.h_stages,
+                &prep_h,
+                (&x, stride, n),
+                lut,
+                &mut ex,
+                &mut h_pre,
+                h_act,
+            );
+            run_layer(
+                &self.output,
+                &self.o_stages,
+                &prep_o,
+                (&h, stride, n),
+                lut,
+                &mut ex,
+                &mut o_pre,
+                &mut o,
+            );
+            let h_act = &h[..topo.hidden * stride];
+            ForwardTrace::extend_from_columns(&mut traces, stride, n, h_act, &o_pre, &o);
         }
         traces
     }
+}
 
-    /// Runs one layer for one chunk of ≤ 64 rows: gate stages through
-    /// the fused stream, native arithmetic between them. Returns
-    /// `(pre-activations, activations)` per neuron, `None` for masked.
-    #[allow(clippy::type_complexity)]
-    fn run_layer(
-        &self,
-        plans: &[NeuronPlan],
-        stages: &LayerStages,
-        prep: &[RtPrep],
-        xrows: &[&[Fx]],
-        lut: &SigmoidLut,
-        ex: &mut FusedExec,
-    ) -> Vec<Option<(Vec<Fx>, Vec<Fx>)>> {
-        let nrows = xrows.len();
-        let mut buf = vec![0u64; nrows];
+/// Runs one layer over one chunk of `n ≤ 64` samples: gate stages
+/// through the fused stream, native arithmetic between them, each native
+/// multiply-accumulate one loop over the chunk's samples. `x` holds the
+/// input columns and `pre`/`act` receive each neuron's pre-activation and
+/// activation column (zero for a masked neuron), all at column `stride`.
+#[allow(clippy::too_many_arguments)]
+fn run_layer(
+    plans: &[NeuronPlan],
+    stages: &LayerStages,
+    prep: &[RtPrep],
+    (x, stride, n): (&[Fx], usize, usize),
+    lut: &SigmoidLut,
+    ex: &mut FusedExec,
+    pre: &mut [Fx],
+    act: &mut [Fx],
+) {
+    let col = move |i: usize| &x[i * stride..i * stride + n];
+    let mut lanes = [0u64; LANES];
+    let buf = &mut lanes[..n];
 
-        // Multiplier stage inputs: samples lane-packed (weight buses are
-        // batch-uniform, written once by `forward`).
-        for plan in plans {
-            let NeuronPlan::Gated(g) = plan else {
+    // Multiplier stage inputs: samples lane-packed (weight buses are
+    // batch-uniform, written once by `forward`).
+    for plan in plans {
+        let NeuronPlan::Gated(g) = plan else {
+            continue;
+        };
+        for mp in g.muls.iter().filter(|mp| !mp.x_const) {
+            pack_fx(buf, col(mp.syn));
+            ex.set_bus_words(&mp.x, buf);
+        }
+    }
+    ex.exec_stage(stages.mul);
+
+    // Accumulation: native adds between fused adder runs; the native
+    // stretch before run `r` starts where run `r - 1` ended.
+    for (k, rt) in prep.iter().enumerate() {
+        if let RtPrep::Gated { bias, .. } = rt {
+            pre[k * stride..][..n].fill(*bias);
+        }
+    }
+    for r in 0..stages.n_runs {
+        for (k, (plan, rt)) in plans.iter().zip(prep).enumerate() {
+            let (NeuronPlan::Gated(g), RtPrep::Gated { w_eff, .. }) = (plan, rt) else {
                 continue;
             };
-            for mp in &g.muls {
-                if !mp.x_const {
-                    pack_x(&mut buf, xrows, mp.syn);
-                    ex.set_bus_words(&mp.x, &buf);
-                }
-            }
-        }
-        ex.exec_stage(stages.mul);
-
-        // Accumulation: native adds between fused adder runs.
-        let mut scratch: Vec<Option<(Vec<Fx>, usize)>> = plans
-            .iter()
-            .zip(prep)
-            .map(|(p, rt)| match (p, rt) {
-                (NeuronPlan::Gated(_), RtPrep::Gated { bias, .. }) => Some((vec![*bias; nrows], 0)),
-                _ => None,
-            })
-            .collect();
-        for r in 0..stages.n_runs {
-            for ((plan, rt), sc) in plans.iter().zip(prep).zip(scratch.iter_mut()) {
-                let (NeuronPlan::Gated(g), RtPrep::Gated { w_eff, .. }, Some((accs, cursor))) =
-                    (plan, rt, sc.as_mut())
-                else {
+            let Some(run) = g.runs.get(r) else { continue };
+            let accs = &mut pre[k * stride..][..n];
+            let from = r.checked_sub(1).map_or(0, |p| g.runs[p].end);
+            advance_native(g, w_eff, accs, from..run.start, col, ex);
+            pack_fx(buf, accs);
+            ex.set_bus_words(&run.a_in, buf);
+            for rs in &run.syns {
+                let Some(b) = rs.b.as_ref().filter(|_| !rs.b_const) else {
                     continue;
                 };
-                let Some(run) = g.runs.get(r) else { continue };
-                advance_native(g, w_eff, accs, cursor, run.start, xrows, ex);
-                pack_fx(&mut buf, accs);
-                ex.set_bus_words(&run.a_in, &buf);
-                for rs in &run.syns {
-                    let Some(b) = rs.b.as_ref().filter(|_| !rs.b_const) else {
-                        continue;
-                    };
-                    for (slot, row) in buf.iter_mut().zip(xrows) {
-                        *slot = (w_eff[rs.syn] * x_at(row, rs.syn)).to_bits() as u64;
-                    }
-                    ex.set_bus_words(b, &buf);
+                let w = w_eff[rs.syn];
+                for (slot, &xv) in buf.iter_mut().zip(col(rs.syn)) {
+                    *slot = (w * xv).to_bits() as u64;
                 }
-            }
-            ex.exec_stage(stages.add0 + r);
-            for (plan, sc) in plans.iter().zip(scratch.iter_mut()) {
-                let (NeuronPlan::Gated(g), Some((accs, cursor))) = (plan, sc.as_mut()) else {
-                    continue;
-                };
-                let Some(run) = g.runs.get(r) else { continue };
-                for (acc, w) in accs.iter_mut().zip(ex.read_words(&run.out, nrows)) {
-                    *acc = Fx::from_bits(w as u16);
-                }
-                *cursor = run.end;
+                ex.set_bus_words(b, buf);
             }
         }
-        for ((plan, rt), sc) in plans.iter().zip(prep).zip(scratch.iter_mut()) {
-            let (NeuronPlan::Gated(g), RtPrep::Gated { w_eff, .. }, Some((accs, cursor))) =
-                (plan, rt, sc.as_mut())
-            else {
-                continue;
-            };
-            advance_native(g, w_eff, accs, cursor, g.n_eff, xrows, ex);
+        ex.exec_stage(stages.add0 + r);
+        for (k, plan) in plans.iter().enumerate() {
+            let NeuronPlan::Gated(g) = plan else { continue };
+            let Some(run) = g.runs.get(r) else { continue };
+            for (l, acc) in pre[k * stride..][..n].iter_mut().enumerate() {
+                *acc = Fx::from_bits(ex.read_word_lane(&run.out, l) as u16);
+            }
         }
+    }
 
-        // Activation stage: faulty units in-stream, healthy ones native.
-        for (plan, sc) in plans.iter().zip(&scratch) {
-            let (NeuronPlan::Gated(g), Some((accs, _))) = (plan, sc) else {
-                continue;
-            };
-            if let Some(act) = &g.act {
-                pack_fx(&mut buf, accs);
-                ex.set_bus_words(&act.x, &buf);
+    // The native tails and native neurons, then the activation stage:
+    // faulty units in-stream, healthy ones through the LUT.
+    for (k, (plan, rt)) in plans.iter().zip(prep).enumerate() {
+        let accs = &mut pre[k * stride..][..n];
+        match (plan, rt) {
+            (NeuronPlan::Gated(g), RtPrep::Gated { w_eff, .. }) => {
+                let from = g.runs.last().map_or(0, |run| run.end);
+                advance_native(g, w_eff, accs, from..g.n_eff, col, ex);
+                if let Some(a) = &g.act {
+                    pack_fx(buf, accs);
+                    ex.set_bus_words(&a.x, buf);
+                }
+            }
+            (NeuronPlan::Native { .. }, RtPrep::Native { bias, ws }) => {
+                accs.fill(*bias);
+                for (i, &w) in ws.iter().enumerate() {
+                    mac(accs, w, col(i));
+                }
+            }
+            _ => accs.fill(Fx::ZERO),
+        }
+    }
+    ex.exec_stage(stages.act);
+    for (k, plan) in plans.iter().enumerate() {
+        let (accs, ys) = (&pre[k * stride..][..n], &mut act[k * stride..][..n]);
+        match plan {
+            NeuronPlan::Masked => ys.fill(Fx::ZERO),
+            NeuronPlan::Gated(GatedNeuron { act: Some(a), .. }) => {
+                for (l, y) in ys.iter_mut().enumerate() {
+                    *y = Fx::from_bits(ex.read_word_lane(&a.out, l) as u16);
+                }
+            }
+            _ => {
+                for (y, &a) in ys.iter_mut().zip(accs) {
+                    *y = lut.eval(a);
+                }
             }
         }
-        ex.exec_stage(stages.act);
-
-        plans
-            .iter()
-            .zip(prep)
-            .zip(scratch)
-            .map(|((plan, rt), sc)| match (plan, rt) {
-                (NeuronPlan::Masked, _) => None,
-                (NeuronPlan::Native { .. }, RtPrep::Native { bias, ws }) => {
-                    let accs: Vec<Fx> = xrows
-                        .iter()
-                        .map(|row| {
-                            let mut acc = *bias;
-                            for (w, &xi) in ws.iter().zip(row.iter()) {
-                                acc += *w * xi;
-                            }
-                            acc
-                        })
-                        .collect();
-                    let ys = accs.iter().map(|&a| lut.eval(a)).collect();
-                    Some((accs, ys))
-                }
-                (NeuronPlan::Gated(g), _) => {
-                    let (accs, _) = sc.expect("gated neuron has scratch");
-                    let ys = match &g.act {
-                        Some(act) => ex
-                            .read_words(&act.out, nrows)
-                            .into_iter()
-                            .map(|w| Fx::from_bits(w as u16))
-                            .collect(),
-                        None => accs.iter().map(|&a| lut.eval(a)).collect(),
-                    };
-                    Some((accs, ys))
-                }
-                _ => unreachable!("plan/prep variants agree"),
-            })
-            .collect()
     }
 }
 
-/// The input operand of physical synapse `syn` for one row (zero beyond
-/// the logical width, like the scalar path).
-#[inline]
-fn x_at(row: &[Fx], syn: usize) -> Fx {
-    row.get(syn).copied().unwrap_or(Fx::ZERO)
-}
-
-/// Lane-packs one input column across the chunk's rows.
-fn pack_x(buf: &mut [u64], xrows: &[&[Fx]], syn: usize) {
-    for (slot, row) in buf.iter_mut().zip(xrows) {
-        *slot = x_at(row, syn).to_bits() as u64;
-    }
-}
-
-/// Lane-packs a per-row value vector.
+/// Lane-packs a column of values.
 fn pack_fx(buf: &mut [u64], vals: &[Fx]) {
     for (slot, &v) in buf.iter_mut().zip(vals) {
         *slot = v.to_bits() as u64;
     }
 }
 
-/// Native multiply-accumulate from `*cursor` up to `stop`: products of
-/// unbound faulty multipliers are read back from the fused register
-/// file, everything else is native Q6.10 arithmetic.
-fn advance_native(
+/// One synapse over a chunk: `accs[r] += w * xs[r]`, saturating Q6.10.
+#[inline]
+fn mac(accs: &mut [Fx], w: Fx, xs: &[Fx]) {
+    for (acc, &x) in accs.iter_mut().zip(xs) {
+        *acc += w * x;
+    }
+}
+
+/// Native multiply-accumulate over `syns`, one column loop per synapse:
+/// products of unbound faulty multipliers are read back from the fused
+/// register file, everything else is native Q6.10 arithmetic.
+fn advance_native<'x>(
     g: &GatedNeuron,
     w_eff: &[Fx],
     accs: &mut [Fx],
-    cursor: &mut usize,
-    stop: usize,
-    xrows: &[&[Fx]],
+    syns: Range<usize>,
+    col: impl Fn(usize) -> &'x [Fx],
     ex: &FusedExec,
 ) {
-    while *cursor < stop {
-        let i = *cursor;
+    for i in syns {
         match g.mul_at[i] {
             Some(m) => {
-                let prods = ex.read_words(&g.muls[m].out, accs.len());
-                for (acc, w) in accs.iter_mut().zip(prods) {
-                    *acc += Fx::from_bits(w as u16);
+                for (l, acc) in accs.iter_mut().enumerate() {
+                    *acc += Fx::from_bits(ex.read_word_lane(&g.muls[m].out, l) as u16);
                 }
             }
-            None => {
-                for (acc, row) in accs.iter_mut().zip(xrows) {
-                    *acc += w_eff[i] * x_at(row, i);
-                }
-            }
+            None => mac(accs, w_eff[i], col(i)),
         }
-        *cursor += 1;
     }
 }
 
@@ -724,6 +699,10 @@ fn compile_layer(
         });
     }
     let max_runs = skels.iter().map(|s| s.runs.len()).max().unwrap_or(0);
+    let width = plans.iter().fold(n_logical, |w, p| match p {
+        NeuronPlan::Gated(g) => w.max(g.n_eff),
+        _ => w,
+    });
 
     // Stage 1: every faulty multiplier of the layer.
     let mul_stage = *stage;
@@ -857,6 +836,7 @@ fn compile_layer(
             add0: mul_stage + 1,
             n_runs: max_runs,
             act: act_stage,
+            width,
         },
     ))
 }
@@ -1017,9 +997,6 @@ mod tests {
 
         let ff = FusedForward::cached(&mlp, &plan).expect("plan is fusable");
         assert!(!ff.program().is_empty(), "faults compiled into the stream");
-        let stats = ff.opt_stats();
-        assert!(stats.instrs_after <= stats.instrs_before);
-        assert!(stats.slots_after <= stats.slots_before);
         let got = ff.forward(&mlp, &xs, &lut, &mut plan);
         assert_eq!(got, want, "fused stream diverged from scalar reference");
 

@@ -96,6 +96,27 @@ impl ForwardTrace {
             .map(|(i, _)| i)
             .expect("networks have at least one output")
     }
+
+    /// Appends the traces of samples `0..n` from samples-contiguous Q6.10
+    /// layer values: column `c` of each slice holds its value for sample
+    /// `s` at `[c * stride + s]`.
+    pub fn extend_from_columns(
+        traces: &mut Vec<ForwardTrace>,
+        stride: usize,
+        n: usize,
+        hidden: &[Fx],
+        output_pre: &[Fx],
+        output: &[Fx],
+    ) {
+        let sample = |v: &[Fx], s: usize| -> Vec<f64> {
+            v.chunks_exact(stride).map(|c| c[s].to_f64()).collect()
+        };
+        traces.extend((0..n).map(|s| ForwardTrace {
+            hidden: sample(hidden, s),
+            output_pre: sample(output_pre, s),
+            output: sample(output, s),
+        }));
+    }
 }
 
 /// A fully connected 2-layer perceptron with `f64` master weights (the

@@ -190,11 +190,11 @@ impl Trainer {
 
     /// Classification accuracy over the samples selected by `idx`.
     ///
-    /// With a fault plan on the fixed-point path, the whole selection is
-    /// evaluated through [`Mlp::forward_faulty_batch`]: patchable fault
-    /// sets run as one fused LUT stream, 64 samples per sweep, stateful
-    /// ones fall back to per-sample order. Accuracies are identical
-    /// either way.
+    /// On the fixed-point path the whole selection is evaluated through
+    /// [`Mlp::forward_faulty_batch`], on an empty plan when no faults are
+    /// given: patchable fault sets run as one fused LUT stream, 64 samples
+    /// per sweep, stateful ones fall back to per-sample order. Accuracies
+    /// are identical either way. The float path ignores `faults`.
     pub fn evaluate(
         &self,
         mlp: &Mlp,
@@ -202,25 +202,15 @@ impl Trainer {
         idx: &[usize],
         faults: Option<&mut FaultPlan>,
     ) -> f64 {
-        let lut = SigmoidLut::new();
-        if let (ForwardMode::Fixed, Some(plan)) = (self.mode, faults) {
-            let rows: Vec<&[f64]> = idx
-                .iter()
-                .map(|&s| ds.samples()[s].features.as_slice())
-                .collect();
-            let traces = mlp.forward_faulty_batch(&rows, &lut, plan);
-            let correct = idx
-                .iter()
-                .zip(&traces)
-                .filter(|&(&s, t)| t.predicted() == ds.samples()[s].label)
-                .count();
-            return correct as f64 / idx.len() as f64;
+        if self.mode == ForwardMode::Float {
+            return Self::evaluate_with(mlp, ds, idx, |m, x| m.forward_float(x));
         }
-        let mode = self.mode;
-        Self::evaluate_with(mlp, ds, idx, move |m, x| match mode {
-            ForwardMode::Float => m.forward_float(x),
-            ForwardMode::Fixed => m.forward_fixed(x, &lut),
-        })
+        let correct = idx
+            .iter()
+            .zip(&fixed_traces(mlp, ds, idx, faults))
+            .filter(|&(&s, t)| t.predicted() == ds.samples()[s].label)
+            .count();
+        correct as f64 / idx.len() as f64
     }
 
     /// Classification accuracy with an arbitrary forward function.
@@ -326,38 +316,40 @@ impl ConfusionMatrix {
     /// dataset with the hardware (fixed-point) forward path, optionally
     /// through faulty silicon.
     ///
-    /// Faulty selections go through [`Mlp::forward_faulty_batch`], which
-    /// runs one fused LUT stream 64 rows per sweep when the fault set is
-    /// patchable and preserves per-sample order otherwise.
+    /// The selection goes through [`Mlp::forward_faulty_batch`] (on an
+    /// empty plan without faults), which runs one fused LUT stream 64
+    /// rows per sweep when the fault set is patchable and preserves
+    /// per-sample order otherwise.
     pub fn from_evaluation(
         mlp: &Mlp,
         ds: &Dataset,
         idx: &[usize],
         faults: Option<&mut FaultPlan>,
     ) -> ConfusionMatrix {
-        let lut = SigmoidLut::new();
         let mut cm = ConfusionMatrix::new(ds.n_classes());
-        if let Some(plan) = faults {
-            let rows: Vec<&[f64]> = idx
-                .iter()
-                .map(|&s| ds.samples()[s].features.as_slice())
-                .collect();
-            let traces = mlp.forward_faulty_batch(&rows, &lut, plan);
-            for (&s, trace) in idx.iter().zip(&traces) {
-                // Clamp predictions from wider physical outputs.
-                let predicted = trace.predicted().min(ds.n_classes() - 1);
-                cm.record(ds.samples()[s].label, predicted);
-            }
-            return cm;
-        }
-        for &s in idx {
-            let sample = &ds.samples()[s];
-            let trace = mlp.forward_fixed(&sample.features, &lut);
+        for (&s, trace) in idx.iter().zip(&fixed_traces(mlp, ds, idx, faults)) {
+            // Clamp predictions from wider physical outputs.
             let predicted = trace.predicted().min(ds.n_classes() - 1);
-            cm.record(sample.label, predicted);
+            cm.record(ds.samples()[s].label, predicted);
         }
         cm
     }
+}
+
+/// Fixed-point traces of the selected samples in one batched forward,
+/// through `faults` or, without a plan, a defect-free array.
+fn fixed_traces(
+    mlp: &Mlp,
+    ds: &Dataset,
+    idx: &[usize],
+    faults: Option<&mut FaultPlan>,
+) -> Vec<ForwardTrace> {
+    let mut clean = FaultPlan::new(mlp.topology().inputs);
+    let rows: Vec<&[f64]> = idx
+        .iter()
+        .map(|&s| ds.samples()[s].features.as_slice())
+        .collect();
+    mlp.forward_faulty_batch(&rows, &SigmoidLut::new(), faults.unwrap_or(&mut clean))
 }
 
 /// Result of a k-fold cross-validation run.

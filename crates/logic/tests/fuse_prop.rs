@@ -268,7 +268,15 @@ proptest! {
             .map(|o| map_a[o.index()])
             .chain(b.outputs.iter().map(|o| map_b[o.index()]))
             .collect();
-        let (opt, sm, _, _) = optimize(&fused, &roots, &consts, &[]);
+        let (opt, sm, stats, _) = optimize(&fused, &roots, &consts, &[]);
+        // The pipeline only ever removes work, and its counters describe
+        // the streams it was given and returned.
+        prop_assert_eq!(stats.instrs_before, fused.len());
+        prop_assert_eq!(stats.slots_before, fused.n_slots());
+        prop_assert_eq!(stats.instrs_after, opt.len());
+        prop_assert_eq!(stats.slots_after, opt.n_slots());
+        prop_assert!(stats.instrs_after <= stats.instrs_before);
+        prop_assert!(stats.slots_after <= stats.slots_before);
 
         // Stream invariants. A raw instruction's stage is the one its
         // segment was appended in; an optimized instruction inherits the

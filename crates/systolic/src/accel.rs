@@ -372,15 +372,8 @@ fn forward_lanes(
     let hidden: Vec<Fx> = acc1.iter().map(|&a| lut.eval(a)).collect();
     let mut acc2 = vec![Fx::ZERO; topo.outputs * lanes];
     run(&net.output, topo.hidden, &hidden, &mut acc2);
-    traces.extend((0..lanes).map(|s| {
-        let lane = |v: &[Fx]| -> Vec<Fx> { v.iter().skip(s).step_by(lanes).copied().collect() };
-        let pre = lane(&acc2);
-        ForwardTrace {
-            hidden: lane(&hidden).iter().map(|h| h.to_f64()).collect(),
-            output_pre: pre.iter().map(|a| a.to_f64()).collect(),
-            output: pre.iter().map(|&a| lut.eval(a).to_f64()).collect(),
-        }
-    }));
+    let output: Vec<Fx> = acc2.iter().map(|&a| lut.eval(a)).collect();
+    ForwardTrace::extend_from_columns(traces, lanes, lanes, &hidden, &acc2, &output);
 }
 
 /// One layer's weight-stationary walk. `x` holds the `n_in` inputs
