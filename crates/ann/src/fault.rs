@@ -605,29 +605,12 @@ impl FaultPlan {
         masked[lane] = true;
     }
 
-    /// Removes a mask installed by [`FaultPlan::mask`].
-    pub fn unmask(&mut self, layer: Layer, lane: usize) {
-        if let Some(m) = self.masked[layer_ix(layer)].get_mut(lane) {
-            *m = false;
-        }
-    }
-
     /// True if the physical lane's output is gated to 0.
     pub fn is_masked(&self, layer: Layer, lane: usize) -> bool {
         self.masked[layer_ix(layer)]
             .get(lane)
             .copied()
             .unwrap_or(false)
-    }
-
-    /// The masked physical lanes of a layer, sorted.
-    pub fn masked_lanes(&self, layer: Layer) -> Vec<usize> {
-        self.masked[layer_ix(layer)]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(lane, _)| lane)
-            .collect()
     }
 
     /// The fault state of a neuron, if it has any.
@@ -1099,10 +1082,7 @@ mod tests {
         assert!(plan.is_masked(Layer::Hidden, 2));
         assert!(!plan.is_masked(Layer::Output, 2));
         plan.mask(Layer::Output, 0);
-        assert_eq!(plan.masked_lanes(Layer::Hidden), vec![2]);
-        assert_eq!(plan.masked_lanes(Layer::Output), vec![0]);
-        plan.unmask(Layer::Hidden, 2);
-        assert!(!plan.is_masked(Layer::Hidden, 2));
+        assert!(plan.is_masked(Layer::Output, 0));
     }
 
     #[test]

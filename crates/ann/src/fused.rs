@@ -225,7 +225,7 @@ impl FusedForward {
     /// The memoized fused compilation for this `(topology, plan)` pair,
     /// or `None` when the plan is not fusable (stateful faults, or a
     /// faulty operator without a patched LUT stream). Weight values are
-    /// not part of the fingerprint — see [`FuseKey`].
+    /// not part of the fingerprint — see `FuseKey`.
     pub fn cached(mlp: &Mlp, plan: &FaultPlan) -> Option<Arc<FusedForward>> {
         let key = build_key(mlp, plan)?;
         let mut cache = cache().lock().expect("fused cache poisoned");

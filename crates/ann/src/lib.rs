@@ -52,4 +52,4 @@ pub use fused::{clear_fused_cache, fused_cache_stats, FusedForward};
 pub use hyper::{HyperParams, HyperSpace, SearchResult};
 pub use mlp::{ForwardTrace, Mlp, Topology};
 pub use regress::{RegressionSample, RegressionSet, RegressionTrainer};
-pub use train::{cross_validate, ConfusionMatrix, CvResult, ForwardMode, Trainer, Velocity};
+pub use train::{cross_validate, CvResult, ForwardMode, Trainer, Velocity};

@@ -17,6 +17,7 @@ use dta_fixed::SigmoidLut;
 
 use crate::fault::FaultPlan;
 use crate::mlp::Mlp;
+use crate::train::{backprop, Velocity};
 
 /// One regression example: features and continuous targets, all in
 /// `[0, 1]` (the sigmoid output range).
@@ -165,8 +166,7 @@ impl RegressionTrainer {
         assert_eq!(topo.outputs, set.n_targets(), "output/target mismatch");
         let lut = SigmoidLut::new();
         let mut order: Vec<usize> = idx.to_vec();
-        let mut v_hidden = vec![0.0f64; topo.hidden * (topo.inputs + 1)];
-        let mut v_output = vec![0.0f64; topo.outputs * (topo.hidden + 1)];
+        let mut velocity = Velocity::new(topo);
         for _ in 0..self.epochs {
             order.shuffle(rng);
             for &s in &order {
@@ -175,47 +175,15 @@ impl RegressionTrainer {
                     Some(plan) => mlp.forward_faulty(&sample.features, &lut, plan),
                     None => mlp.forward_fixed(&sample.features, &lut),
                 };
-                let mut delta_out = vec![0.0f64; topo.outputs];
-                for (k, d) in delta_out.iter_mut().enumerate() {
-                    let y = trace.output[k];
-                    *d = (sample.targets[k] - y) * y * (1.0 - y);
-                }
-                let mut delta_hid = vec![0.0f64; topo.hidden];
-                for (j, d) in delta_hid.iter_mut().enumerate() {
-                    let h = trace.hidden[j];
-                    let back: f64 = delta_out
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &dk)| dk * mlp.w_output(k, j))
-                        .sum();
-                    *d = h * (1.0 - h) * back;
-                }
-                for (k, &dk) in delta_out.iter().enumerate() {
-                    for j in 0..=topo.hidden {
-                        let y_in = if j == topo.hidden {
-                            1.0
-                        } else {
-                            trace.hidden[j]
-                        };
-                        let vi = k * (topo.hidden + 1) + j;
-                        v_output[vi] =
-                            self.learning_rate * dk * y_in + self.momentum * v_output[vi];
-                        *mlp.w_output_mut(k, j) += v_output[vi];
-                    }
-                }
-                for (j, &dj) in delta_hid.iter().enumerate() {
-                    for i in 0..=topo.inputs {
-                        let x_in = if i == topo.inputs {
-                            1.0
-                        } else {
-                            sample.features[i]
-                        };
-                        let vi = j * (topo.inputs + 1) + i;
-                        v_hidden[vi] =
-                            self.learning_rate * dj * x_in + self.momentum * v_hidden[vi];
-                        *mlp.w_hidden_mut(j, i) += v_hidden[vi];
-                    }
-                }
+                backprop(
+                    mlp,
+                    &sample.features,
+                    |k| sample.targets[k],
+                    &trace,
+                    &mut velocity,
+                    self.learning_rate,
+                    self.momentum,
+                );
             }
         }
     }

@@ -143,49 +143,16 @@ impl Trainer {
         trace: &ForwardTrace,
         velocity: &mut Velocity,
     ) {
-        let topo = mlp.topology();
-        assert_eq!(x.len(), topo.inputs, "row/network mismatch");
-        // Output deltas: (t - y) f'(o), with f' from the output.
-        let mut delta_out = vec![0.0f64; topo.outputs];
-        for (k, d) in delta_out.iter_mut().enumerate() {
-            let t = if k == label { 1.0 } else { 0.0 };
-            let y = trace.output[k];
-            *d = (t - y) * y * (1.0 - y);
-        }
-        // Hidden deltas.
-        let mut delta_hid = vec![0.0f64; topo.hidden];
-        for (j, d) in delta_hid.iter_mut().enumerate() {
-            let h = trace.hidden[j];
-            let mut back = 0.0;
-            for (k, &dk) in delta_out.iter().enumerate() {
-                back += dk * mlp.w_output(k, j);
-            }
-            *d = h * (1.0 - h) * back;
-        }
-        // Output-layer update.
-        for (k, &dk) in delta_out.iter().enumerate() {
-            for j in 0..=topo.hidden {
-                let y_in = if j == topo.hidden {
-                    1.0
-                } else {
-                    trace.hidden[j]
-                };
-                let vi = k * (topo.hidden + 1) + j;
-                let v = &mut velocity.output[vi];
-                *v = self.learning_rate * dk * y_in + self.momentum * *v;
-                *mlp.w_output_mut(k, j) += *v;
-            }
-        }
-        // Hidden-layer update.
-        for (j, &dj) in delta_hid.iter().enumerate() {
-            // The inputs, then the bias input at index `inputs`.
-            for (i, &x_in) in x.iter().chain(&[1.0]).enumerate() {
-                let vi = j * (topo.inputs + 1) + i;
-                let v = &mut velocity.hidden[vi];
-                *v = self.learning_rate * dj * x_in + self.momentum * *v;
-                *mlp.w_hidden_mut(j, i) += *v;
-            }
-        }
+        let one_hot = |k: usize| if k == label { 1.0 } else { 0.0 };
+        backprop(
+            mlp,
+            x,
+            one_hot,
+            trace,
+            velocity,
+            self.learning_rate,
+            self.momentum,
+        );
     }
 
     /// Classification accuracy over the samples selected by `idx`.
@@ -205,9 +172,16 @@ impl Trainer {
         if self.mode == ForwardMode::Float {
             return Self::evaluate_with(mlp, ds, idx, |m, x| m.forward_float(x));
         }
+        let mut clean = FaultPlan::new(mlp.topology().inputs);
+        let rows: Vec<&[f64]> = idx
+            .iter()
+            .map(|&s| ds.samples()[s].features.as_slice())
+            .collect();
+        let traces =
+            mlp.forward_faulty_batch(&rows, &SigmoidLut::new(), faults.unwrap_or(&mut clean));
         let correct = idx
             .iter()
-            .zip(&fixed_traces(mlp, ds, idx, faults))
+            .zip(&traces)
             .filter(|&(&s, t)| t.predicted() == ds.samples()[s].label)
             .count();
         correct as f64 / idx.len() as f64
@@ -229,127 +203,66 @@ impl Trainer {
     }
 }
 
-/// A confusion matrix: `counts[actual][predicted]`.
+/// One back-propagation update: output deltas `(t - y) f'(o)` against
+/// `target(k)`, hidden deltas, then a momentum step on every weight.
+/// Classification ([`Trainer::step`]) and regression
+/// ([`crate::RegressionTrainer::train`]) differ only in the target.
 ///
-/// # Example
+/// # Panics
 ///
-/// ```
-/// use dta_ann::ConfusionMatrix;
-/// let mut cm = ConfusionMatrix::new(2);
-/// cm.record(0, 0);
-/// cm.record(0, 1);
-/// cm.record(1, 1);
-/// assert_eq!(cm.accuracy(), 2.0 / 3.0);
-/// assert_eq!(cm.recall(0), 0.5);
-/// assert_eq!(cm.precision(1), 0.5);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<u64>>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix for `n_classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_classes` is zero.
-    pub fn new(n_classes: usize) -> ConfusionMatrix {
-        assert!(n_classes >= 1);
-        ConfusionMatrix {
-            counts: vec![vec![0; n_classes]; n_classes],
+/// Panics if `x`, `trace` or `velocity` do not match the network's
+/// shape.
+pub(crate) fn backprop(
+    mlp: &mut Mlp,
+    x: &[f64],
+    target: impl Fn(usize) -> f64,
+    trace: &ForwardTrace,
+    velocity: &mut Velocity,
+    learning_rate: f64,
+    momentum: f64,
+) {
+    let topo = mlp.topology();
+    assert_eq!(x.len(), topo.inputs, "row/network mismatch");
+    // Output deltas: (t - y) f'(o), with f' from the output.
+    let mut delta_out = vec![0.0f64; topo.outputs];
+    for (k, d) in delta_out.iter_mut().enumerate() {
+        let y = trace.output[k];
+        *d = (target(k) - y) * y * (1.0 - y);
+    }
+    // Hidden deltas.
+    let mut delta_hid = vec![0.0f64; topo.hidden];
+    for (j, d) in delta_hid.iter_mut().enumerate() {
+        let h = trace.hidden[j];
+        let mut back = 0.0;
+        for (k, &dk) in delta_out.iter().enumerate() {
+            back += dk * mlp.w_output(k, j);
+        }
+        *d = h * (1.0 - h) * back;
+    }
+    // Output-layer update.
+    for (k, &dk) in delta_out.iter().enumerate() {
+        for j in 0..=topo.hidden {
+            let y_in = if j == topo.hidden {
+                1.0
+            } else {
+                trace.hidden[j]
+            };
+            let vi = k * (topo.hidden + 1) + j;
+            let v = &mut velocity.output[vi];
+            *v = learning_rate * dk * y_in + momentum * *v;
+            *mlp.w_output_mut(k, j) += *v;
         }
     }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Records one prediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, actual: usize, predicted: usize) {
-        self.counts[actual][predicted] += 1;
-    }
-
-    /// Count of samples with the given actual and predicted classes.
-    pub fn count(&self, actual: usize, predicted: usize) -> u64 {
-        self.counts[actual][predicted]
-    }
-
-    /// Total recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().flatten().sum()
-    }
-
-    /// Overall accuracy (diagonal mass).
-    pub fn accuracy(&self) -> f64 {
-        let diag: u64 = (0..self.n_classes()).map(|c| self.counts[c][c]).sum();
-        diag as f64 / self.total().max(1) as f64
-    }
-
-    /// Recall of a class: correct / actual occurrences (0 if unseen).
-    pub fn recall(&self, class: usize) -> f64 {
-        let row: u64 = self.counts[class].iter().sum();
-        if row == 0 {
-            0.0
-        } else {
-            self.counts[class][class] as f64 / row as f64
+    // Hidden-layer update.
+    for (j, &dj) in delta_hid.iter().enumerate() {
+        // The inputs, then the bias input at index `inputs`.
+        for (i, &x_in) in x.iter().chain(&[1.0]).enumerate() {
+            let vi = j * (topo.inputs + 1) + i;
+            let v = &mut velocity.hidden[vi];
+            *v = learning_rate * dj * x_in + momentum * *v;
+            *mlp.w_hidden_mut(j, i) += *v;
         }
     }
-
-    /// Precision of a class: correct / predicted occurrences (0 if never
-    /// predicted).
-    pub fn precision(&self, class: usize) -> f64 {
-        let col: u64 = self.counts.iter().map(|r| r[class]).sum();
-        if col == 0 {
-            0.0
-        } else {
-            self.counts[class][class] as f64 / col as f64
-        }
-    }
-
-    /// Builds the matrix by classifying the selected samples of a
-    /// dataset with the hardware (fixed-point) forward path, optionally
-    /// through faulty silicon.
-    ///
-    /// The selection goes through [`Mlp::forward_faulty_batch`] (on an
-    /// empty plan without faults), which runs one fused LUT stream 64
-    /// rows per sweep when the fault set is patchable and preserves
-    /// per-sample order otherwise.
-    pub fn from_evaluation(
-        mlp: &Mlp,
-        ds: &Dataset,
-        idx: &[usize],
-        faults: Option<&mut FaultPlan>,
-    ) -> ConfusionMatrix {
-        let mut cm = ConfusionMatrix::new(ds.n_classes());
-        for (&s, trace) in idx.iter().zip(&fixed_traces(mlp, ds, idx, faults)) {
-            // Clamp predictions from wider physical outputs.
-            let predicted = trace.predicted().min(ds.n_classes() - 1);
-            cm.record(ds.samples()[s].label, predicted);
-        }
-        cm
-    }
-}
-
-/// Fixed-point traces of the selected samples in one batched forward,
-/// through `faults` or, without a plan, a defect-free array.
-fn fixed_traces(
-    mlp: &Mlp,
-    ds: &Dataset,
-    idx: &[usize],
-    faults: Option<&mut FaultPlan>,
-) -> Vec<ForwardTrace> {
-    let mut clean = FaultPlan::new(mlp.topology().inputs);
-    let rows: Vec<&[f64]> = idx
-        .iter()
-        .map(|&s| ds.samples()[s].features.as_slice())
-        .collect();
-    mlp.forward_faulty_batch(&rows, &SigmoidLut::new(), faults.unwrap_or(&mut clean))
 }
 
 /// Result of a k-fold cross-validation run.
@@ -364,22 +277,6 @@ impl CvResult {
     /// reports.
     pub fn mean(&self) -> f64 {
         self.fold_accuracies.iter().sum::<f64>() / self.fold_accuracies.len() as f64
-    }
-
-    /// Sample standard deviation across folds.
-    pub fn std_dev(&self) -> f64 {
-        let m = self.mean();
-        let n = self.fold_accuracies.len();
-        if n < 2 {
-            return 0.0;
-        }
-        (self
-            .fold_accuracies
-            .iter()
-            .map(|a| (a - m).powi(2))
-            .sum::<f64>()
-            / (n - 1) as f64)
-            .sqrt()
     }
 }
 
@@ -460,7 +357,6 @@ mod tests {
         let cv = cross_validate(&trainer, &ds, 4, 5, 7, None);
         assert_eq!(cv.fold_accuracies.len(), 5);
         assert!(cv.mean() > 0.85, "cv mean {}", cv.mean());
-        assert!(cv.std_dev() < 0.2);
         // Deterministic.
         let cv2 = cross_validate(&trainer, &ds, 4, 5, 7, None);
         assert_eq!(cv.fold_accuracies, cv2.fold_accuracies);
@@ -499,25 +395,5 @@ mod tests {
         let mut mlp = Mlp::new(crate::mlp::Topology::new(3, 2, 2), 0);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         trainer.train(&mut mlp, &ds, &[0], None, &mut rng);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_metrics() {
-        let ds = easy_dataset();
-        let trainer = Trainer::new(0.3, 0.2, 40, ForwardMode::Fixed);
-        let topo = crate::mlp::Topology::new(6, 4, 2);
-        let mut mlp = Mlp::new(topo, 1);
-        let idx: Vec<usize> = (0..ds.len()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        trainer.train(&mut mlp, &ds, &idx, None, &mut rng);
-        let cm = ConfusionMatrix::from_evaluation(&mlp, &ds, &idx, None);
-        assert_eq!(cm.total() as usize, ds.len());
-        // Accuracy agrees with the trainer's metric.
-        let acc = trainer.evaluate(&mlp, &ds, &idx, None);
-        assert!((cm.accuracy() - acc).abs() < 1e-12);
-        for c in 0..2 {
-            assert!((0.0..=1.0).contains(&cm.recall(c)));
-            assert!((0.0..=1.0).contains(&cm.precision(c)));
-        }
     }
 }

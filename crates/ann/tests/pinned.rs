@@ -6,9 +6,14 @@
 //! `Trainer::train` through it produce on a fixed grid of fault plans,
 //! as FNV-1a digests of the result bits. The digests were recorded with
 //! the hash-map fault layout the sorted synapse lists replaced, so any
-//! synapse the walk skips or reorders shows up here.
+//! synapse the walk skips or reorders shows up here. A second test pins
+//! the weights `RegressionTrainer::train` produces with and without a
+//! fault plan.
 
-use dta_ann::{FaultPlan, FaultSite, ForwardMode, Layer, Mlp, Topology, Trainer, UnitKind};
+use dta_ann::{
+    FaultPlan, FaultSite, ForwardMode, Layer, Mlp, RegressionSet, RegressionTrainer, Topology,
+    Trainer, UnitKind,
+};
 use dta_circuits::{Activation, FaultModel};
 use dta_datasets::GaussianMixture;
 use dta_fixed::SigmoidLut;
@@ -148,6 +153,21 @@ fn rows() -> Vec<Vec<f64>> {
         .collect()
 }
 
+fn weights_digest(mlp: &Mlp) -> u64 {
+    let mut wts = Digest::new();
+    for j in 0..HIDDEN {
+        for i in 0..=INPUTS {
+            wts.word(mlp.w_hidden(j, i).to_bits());
+        }
+    }
+    for k in 0..OUTPUTS {
+        for j in 0..=HIDDEN {
+            wts.word(mlp.w_output(k, j).to_bits());
+        }
+    }
+    wts.0
+}
+
 fn store_counters(plan: &FaultPlan) -> (u64, u64, u64) {
     let mem = plan.memory().expect("store attached");
     let ecc = mem.ecc_counters();
@@ -185,21 +205,10 @@ fn scalar_faulty_path_reproduces_pinned_digests() {
         plan.reset_state();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         trainer.train(&mut mlp, &ds, &idx, Some(&mut plan), &mut rng);
-        let mut wts = Digest::new();
-        for j in 0..HIDDEN {
-            for i in 0..=INPUTS {
-                wts.word(mlp.w_hidden(j, i).to_bits());
-            }
-        }
-        for k in 0..OUTPUTS {
-            for j in 0..=HIDDEN {
-                wts.word(mlp.w_output(k, j).to_bits());
-            }
-        }
         if plan.memory().is_some() {
             store.push(store_counters(&plan));
         }
-        got.push((case, fwd.0, wts.0));
+        got.push((case, fwd.0, weights_digest(&mlp)));
     }
 
     // The grid must reach what it claims to cover.
@@ -223,4 +232,40 @@ fn scalar_faulty_path_reproduces_pinned_digests() {
 
     assert_eq!(got, PINNED.to_vec(), "forward/weight digests moved");
     assert_eq!(store, PINNED_STORE.to_vec(), "store counters moved");
+}
+
+/// `(case, trained-weights digest)` of regression training; `"none"`
+/// trains on the fault-free fixed-point path.
+const PINNED_REGRESSION: [(&str, u64); 3] = [
+    ("none", 0xfef181d8cfdcecf4),
+    ("permanent", 0x7e3cd7c862c9bfd7),
+    ("transient", 0x27705c8c7dc80b02),
+];
+
+#[test]
+fn regression_training_reproduces_pinned_digests() {
+    let set = RegressionSet::from_function("pinned", INPUTS, OUTPUTS, 32, 13, |x| {
+        vec![
+            0.5 + 0.4 * (x[0] - x[1]),
+            x[2] * x[3],
+            0.2 + 0.6 * x[0] * x[3],
+        ]
+    });
+    let idx: Vec<usize> = (0..set.len()).collect();
+    let trainer = RegressionTrainer::new(0.4, 0.5, 3);
+    let got: Vec<(&str, u64)> = PINNED_REGRESSION
+        .iter()
+        .map(|&(case, _)| {
+            let mut faults = (case != "none").then(|| plan(case));
+            let mut mlp = Mlp::new(Topology::new(INPUTS, HIDDEN, OUTPUTS), 17);
+            let mut rng = ChaCha8Rng::seed_from_u64(19);
+            trainer.train(&mut mlp, &set, &idx, faults.as_mut(), &mut rng);
+            (case, weights_digest(&mlp))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        PINNED_REGRESSION.to_vec(),
+        "regression weight digests moved"
+    );
 }

@@ -10,7 +10,7 @@
 //! campaigns assert that floor at every cell.
 //!
 //! This module holds the protocol once, generically over
-//! [`Accel`](dta_core::accel::Accel), so a new topology gets the whole
+//! [`Accel`], so a new topology gets the whole
 //! campaign machinery — twin construction, state-clean diagnosis,
 //! unified blind policy — by implementing the trait. A cell's four
 //! accuracies journal as one checkpoint line through

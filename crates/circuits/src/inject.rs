@@ -178,14 +178,6 @@ impl DefectPlan {
         self.records.is_empty()
     }
 
-    /// True if any injected defect has a non-permanent lifetime, i.e.
-    /// its gate lowers to a step instruction rather than a truth-word
-    /// patch.
-    pub fn has_dynamic(&self) -> bool {
-        self.trans_cells.values().any(|g| !g.dynamic.is_empty())
-            || self.stuck_sets.values().any(|g| !g.dynamic.is_empty())
-    }
-
     /// Reports of every injected defect, in injection order.
     pub fn records(&self) -> &[DefectRecord] {
         &self.records
@@ -443,6 +435,14 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
 
+    /// True if any injected defect has a non-permanent lifetime, i.e.
+    /// its gate lowers to a step instruction rather than a truth-word
+    /// patch.
+    fn has_dynamic(plan: &DefectPlan) -> bool {
+        plan.trans_cells.values().any(|g| !g.dynamic.is_empty())
+            || plan.stuck_sets.values().any(|g| !g.dynamic.is_empty())
+    }
+
     #[test]
     fn transistor_plan_accumulates_and_applies() {
         let adder = AdderCircuit::new(4);
@@ -454,7 +454,7 @@ mod tests {
         assert_eq!(plan.len(), 20);
         assert_eq!(plan.model(), FaultModel::TransistorLevel);
         assert!(!plan.is_empty());
-        assert!(!plan.has_dynamic());
+        assert!(!has_dynamic(&plan));
         let mut sim = adder.simulator();
         plan.apply(&mut sim);
         assert!(sim.override_count() > 0);
@@ -554,7 +554,7 @@ mod tests {
                 };
                 plan.add_random_with(adder.netlist(), adder.cells(), act, &mut rng);
             }
-            assert!(plan.has_dynamic());
+            assert!(has_dynamic(&plan));
             let mut cached = adder.simulator();
             plan.apply(&mut cached);
             let mut switch = adder.simulator();
@@ -653,7 +653,7 @@ mod tests {
                     for _ in 0..=seed {
                         plan.add_random_with(net, cells, activation, &mut rng);
                     }
-                    let stateful = plan.has_dynamic()
+                    let stateful = has_dynamic(&plan)
                         || plan
                             .trans_cells
                             .values()

@@ -37,7 +37,6 @@ pub struct ArrayMultiplier {
     product: Vec<NodeId>,
     cells: Vec<Vec<NodeId>>,
     width: usize,
-    signed: bool,
 }
 
 impl ArrayMultiplier {
@@ -121,18 +120,12 @@ impl ArrayMultiplier {
             product: acc,
             cells,
             width,
-            signed,
         }
     }
 
     /// Operand width W.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Whether this is the signed (Baugh–Wooley) variant.
-    pub fn is_signed(&self) -> bool {
-        self.signed
     }
 
     /// The underlying netlist (shared).
@@ -368,7 +361,7 @@ mod tests {
         let grouped: usize = mul.cells().iter().map(Vec::len).sum();
         // Two tie cells (const 0/1) are not defect sites.
         assert_eq!(grouped + 2, mul.netlist().gate_count());
-        assert!(mul.width() == 4 && !mul.is_signed());
+        assert_eq!(mul.width(), 4);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use dta_fixed::Fx;
 use dta_logic::{GateKind, Netlist, NetlistBuilder, NodeId, Simulator};
 
 use crate::adder::full_adder;
@@ -170,23 +169,6 @@ impl WallaceMultiplier {
         let sign = 1u64 << (pw - 1);
         ((p ^ sign).wrapping_sub(sign)) as i64
     }
-
-    /// Multiplies two Q6.10 values through a 16-bit instance, applying
-    /// the same bit-select + saturation semantics as `Fx * Fx`
-    /// (behavioral select; the select stage is native here since this
-    /// variant exists for structural comparison, not defect injection
-    /// into the select logic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the multiplier is not 16 bits wide.
-    pub fn compute_fx(&self, sim: &mut Simulator, a: Fx, b: Fx) -> Fx {
-        assert_eq!(self.width, 16, "Q6.10 needs the 16-bit instance");
-        let p = self.compute(sim, a.to_bits() as u64, b.to_bits() as u64);
-        let prod = ((p ^ (1u64 << 31)).wrapping_sub(1u64 << 31)) as i64 as i32;
-        let shifted = prod >> 10;
-        Fx::from_raw(shifted.clamp(i16::MIN as i32, i16::MAX as i32) as i16)
-    }
 }
 
 #[cfg(test)]
@@ -220,19 +202,6 @@ mod tests {
                 array.compute(&mut sa, a, b),
                 "{a}*{b}"
             );
-        }
-    }
-
-    #[test]
-    fn fx_semantics_match_native() {
-        let mul = WallaceMultiplier::signed(16);
-        let mut sim = mul.simulator();
-        let mut raw = -32768i32;
-        while raw <= 32767 {
-            let a = Fx::from_raw(raw as i16);
-            let b = Fx::from_raw((raw.wrapping_mul(73) ^ 0xBEE) as i16);
-            assert_eq!(mul.compute_fx(&mut sim, a, b), a * b, "a={a} b={b}");
-            raw += 1499;
         }
     }
 

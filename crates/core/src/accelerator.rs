@@ -392,31 +392,6 @@ impl Accelerator {
         Ok(mem.records()[before..].to_vec())
     }
 
-    /// Injects memory defects at `density` faulty cells per data cell
-    /// (the Figure-10-style sweep axis), returning the descriptions.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::NoMemory`] if no weight store is attached;
-    /// [`AccelError::NotQuiescent`] while a traffic batch is in flight.
-    pub fn inject_memory_density<R: Rng + ?Sized>(
-        &mut self,
-        density: f64,
-        activation: Activation,
-        rng: &mut R,
-    ) -> Result<Vec<String>, AccelError> {
-        self.ensure_quiescent("inject_memory_defects")?;
-        let mem = self.faults.memory_mut().ok_or(AccelError::NoMemory)?;
-        let before = mem.records().len();
-        mem.inject_density(density, activation, rng);
-        Ok(mem.records()[before..].to_vec())
-    }
-
-    /// Number of injected memory defects (0 when no store is attached).
-    pub fn memory_defect_count(&self) -> usize {
-        self.faults.memory().map_or(0, |m| m.defects().len())
-    }
-
     /// Routes logical hidden neuron `logical` of the mapped network onto
     /// physical lane `physical` — the spare-lane repair of the recovery
     /// ladder. An identity remap clears a previous override.
@@ -936,7 +911,6 @@ mod tests {
 
         accel.attach_weight_memory().unwrap();
         assert!(accel.memory().unwrap().is_transparent());
-        assert_eq!(accel.memory_defect_count(), 0);
         let routed: Vec<Vec<f64>> = ds
             .samples()
             .iter()
@@ -964,10 +938,10 @@ mod tests {
             .unwrap();
         assert_eq!(reports.len(), 4);
         let more = accel
-            .inject_memory_density(1e-4, dta_mem::Activation::Permanent, &mut rng)
+            .inject_memory_defects(3, dta_mem::Activation::Permanent, &mut rng)
             .unwrap();
-        assert!(!more.is_empty());
-        assert_eq!(accel.memory_defect_count(), 4 + more.len());
+        assert_eq!(more.len(), 3);
+        assert_eq!(accel.memory().unwrap().defects().len(), 7);
         assert!(!accel.memory().unwrap().is_transparent());
     }
 

@@ -5,7 +5,7 @@
 //! under [`std::panic::catch_unwind`], so a panicking cell degrades to
 //! a reported [`CellOutcome::Failed`] (after one retry with the same
 //! derived seed) instead of killing the whole run, and finished cells
-//! can be journaled to a [`Checkpoint`](crate::checkpoint::Checkpoint)
+//! can be journaled to a [`Checkpoint`]
 //! so an interrupted campaign resumes where it left off and reproduces
 //! the uninterrupted curve byte-for-byte.
 

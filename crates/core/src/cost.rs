@@ -244,31 +244,6 @@ impl CostModel {
         }
     }
 
-    /// Area overhead of extending the array with on-line training
-    /// hardware (paper §IV: "the accelerator can also be extended to
-    /// include training hardware for tackling both the on-line and
-    /// off-line scenarios"), as a fraction of the base area.
-    ///
-    /// The back-propagation datapath needs, per synapse, a gradient
-    /// multiplier, a weight-update adder and a velocity/gradient latch
-    /// word, plus one derivative multiplier per neuron — roughly
-    /// doubling the array. This is why the paper ships training to the
-    /// companion core for the high-performance (off-line) scenario.
-    pub fn training_hardware_overhead(&self, geometry: Topology) -> f64 {
-        let m = OperatorMetrics::measured();
-        let (i, h, o) = (
-            geometry.inputs as u64,
-            geometry.hidden as u64,
-            geometry.outputs as u64,
-        );
-        let synapses = i * h + h * o;
-        let neurons = h + o;
-        let extra = synapses * (m.mul_transistors + m.add_transistors + m.latch_word_transistors)
-            + neurons * m.mul_transistors;
-        let base = Inventory::for_geometry(geometry).transistors;
-        extra as f64 / base as f64
-    }
-
     /// Fraction of total area that is non-scalable key logic (interface,
     /// write decode, TM control) after `generations` technology nodes,
     /// assuming datapath area halves per node while key logic stays
@@ -476,16 +451,6 @@ mod tests {
         assert_eq!(
             r.hardening_preferable(),
             r.harden_overhead < r.spare_neuron_overhead
-        );
-    }
-
-    #[test]
-    fn training_hardware_roughly_doubles_the_array() {
-        let model = CostModel::calibrated_90nm();
-        let overhead = model.training_hardware_overhead(Topology::accelerator());
-        assert!(
-            (0.5..1.5).contains(&overhead),
-            "training hardware overhead {overhead}"
         );
     }
 }

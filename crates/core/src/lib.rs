@@ -62,7 +62,6 @@ pub mod accelerator;
 pub mod campaign;
 pub mod checkpoint;
 pub mod cost;
-pub mod dark_silicon;
 pub mod health;
 pub mod interface;
 pub mod large;
@@ -80,7 +79,6 @@ pub use campaign::{
 };
 pub use checkpoint::Checkpoint;
 pub use cost::{CostModel, CostReport, SensitiveAreaReport};
-pub use dark_silicon::{DarkSiliconReport, HeterogeneousChip};
 pub use health::{HealthEvent, HealthMonitor, HealthState, IllegalTransition};
 pub use interface::MemoryInterface;
 pub use mission::{

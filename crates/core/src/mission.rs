@@ -21,7 +21,7 @@
 //!    the grid's PE walk) falls through as a typed
 //!    [`MissionEvent::ProbeTimedOut`] instead of hanging the stream.
 //! 4. Probe evidence drives the per-accelerator
-//!    [`HealthMonitor`](crate::health::HealthMonitor) through
+//!    [`HealthMonitor`] through
 //!    Healthy → Suspect → Recovering → {Healthy, Degraded,
 //!    Quarantined}; recovery runs the full ladder
 //!    ([`crate::recover::recover`]), failed episodes charge
@@ -97,14 +97,6 @@ pub struct SurfaceMix {
 }
 
 impl SurfaceMix {
-    /// All `n` defects on the datapath surface.
-    pub fn datapath_only(n: usize) -> SurfaceMix {
-        SurfaceMix {
-            datapath: n,
-            memory: 0,
-        }
-    }
-
     /// `n` defects split across both surfaces: `ceil(n/2)` datapath,
     /// `floor(n/2)` memory.
     pub fn combined(n: usize) -> SurfaceMix {
@@ -630,6 +622,14 @@ mod tests {
     use dta_ann::{Mlp, Topology};
     use dta_datasets::suite;
 
+    /// All `n` defects on the datapath surface.
+    fn datapath_only(n: usize) -> SurfaceMix {
+        SurfaceMix {
+            datapath: n,
+            memory: 0,
+        }
+    }
+
     fn iris_split() -> (Dataset, Vec<usize>, Vec<usize>) {
         let ds = suite::load("iris").unwrap();
         let train: Vec<usize> = (0..ds.len()).filter(|i| i % 3 != 0).collect();
@@ -665,7 +665,7 @@ mod tests {
 
     #[test]
     fn blind_and_mission_arms_see_identical_fault_streams() {
-        let mix = SurfaceMix::datapath_only(2);
+        let mix = datapath_only(2);
         let mut streams: Vec<Vec<(u64, Vec<String>)>> = Vec::new();
         for detection in [false, true] {
             let (mut accel, ds, train, eval) = commissioned(11);
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn mission_detects_recovers_and_beats_the_blind_arm() {
-        let mix = SurfaceMix::datapath_only(3);
+        let mix = datapath_only(3);
         let cfg_base = MissionConfig {
             windows: 5,
             batches_per_window: 12,
@@ -787,7 +787,7 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_and_the_stream_stays_alive() {
         let (mut accel, ds, train, eval) = commissioned(17);
-        let mix = SurfaceMix::datapath_only(10);
+        let mix = datapath_only(10);
         let cfg = MissionConfig {
             windows: 4,
             batches_per_window: 8,
@@ -838,7 +838,7 @@ mod tests {
     #[test]
     fn failed_episodes_charge_exponential_backoff_against_availability() {
         let (mut accel, ds, train, eval) = commissioned(19);
-        let mix = SurfaceMix::datapath_only(8);
+        let mix = datapath_only(8);
         let cfg = MissionConfig {
             windows: 4,
             batches_per_window: 10,
@@ -970,6 +970,13 @@ mod tests {
                 memory: 0
             }
         );
-        assert_eq!(SurfaceMix::datapath_only(7).total(), 7);
+        assert_eq!(
+            SurfaceMix {
+                datapath: 3,
+                memory: 4
+            }
+            .total(),
+            7
+        );
     }
 }

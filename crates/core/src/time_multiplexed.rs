@@ -145,21 +145,6 @@ impl TimeMultiplexedAccelerator {
         (logical.hidden + logical.outputs).div_ceil(self.physical_neurons)
     }
 
-    /// Effective defect count as seen by the application network: each
-    /// shared-neuron defect is replicated onto every logical neuron
-    /// mapped to that physical neuron (paper §II: "effectively
-    /// multiplying the number of defects by as much as the multiplexing
-    /// factor").
-    pub fn effective_defects(&self, logical: dta_ann::Topology) -> usize {
-        let shared = self
-            .defect_log
-            .iter()
-            .filter(|d| matches!(d, TmDefect::SharedNeuron { .. }))
-            .count();
-        let other = self.defect_log.len() - shared;
-        shared * self.multiplexing_factor(logical) + other
-    }
-
     /// Transistor budgets of the three defect regions, derived from the
     /// measured operator netlists: `(datapath, sram, control)`.
     ///
@@ -415,16 +400,26 @@ mod tests {
 
     #[test]
     fn shared_neuron_defects_multiply() {
+        // Damage physical neuron 0 of two: every logical hidden neuron
+        // the round-robin schedule maps onto it (0, 2, 4) computes
+        // through the defect, while those mapped onto physical neuron 1
+        // stay bit-identical to the healthy datapath.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut tm = TimeMultiplexedAccelerator::new(2);
-        tm.defect_log.push(TmDefect::SharedNeuron { neuron: 0 });
-        tm.defect_log.push(TmDefect::SramBit {
-            word: 3,
-            bit: 1,
-            value: true,
-        });
-        let topo = Topology::new(90, 10, 10);
-        // factor 10: the shared defect counts 10x, the SRAM one 1x.
-        assert_eq!(tm.effective_defects(topo), 11);
+        for _ in 0..24 {
+            tm.faults
+                .inject_random_hidden(1, FaultModel::GateLevel, &mut rng);
+        }
+        let mlp = Mlp::new(Topology::new(4, 6, 2), 5);
+        let x = [0.9, 0.1, 0.7, 0.4];
+        let healthy = mlp.forward_fixed(&x, &SigmoidLut::new());
+        let faulty = tm.forward(&mlp, &x);
+        for j in [0, 2, 4] {
+            assert_ne!(healthy.hidden[j], faulty.hidden[j], "hidden {j}");
+        }
+        for j in [1, 3, 5] {
+            assert_eq!(healthy.hidden[j], faulty.hidden[j], "hidden {j}");
+        }
     }
 
     #[test]

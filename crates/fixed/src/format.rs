@@ -18,7 +18,7 @@ use std::fmt;
 /// let q = QFormat::new(6, 10); // the accelerator's Q6.10
 /// assert_eq!(q.total_bits(), 16);
 /// assert_eq!(q.quantize(0.299_999), 0.2998046875); // floor to 2^-10
-/// assert_eq!(q.quantize(1000.0), q.max_value());   // saturates
+/// assert_eq!(q.quantize(1000.0), 31.9990234375);   // saturates
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QFormat {
@@ -68,18 +68,6 @@ impl QFormat {
     /// Resolution (value of one least-significant bit).
     pub fn resolution(self) -> f64 {
         (2.0f64).powi(-(self.frac_bits as i32))
-    }
-
-    /// Largest representable value.
-    pub fn max_value(self) -> f64 {
-        let max_raw = (1i64 << (self.total_bits() - 1)) - 1;
-        max_raw as f64 * self.resolution()
-    }
-
-    /// Smallest (most negative) representable value.
-    pub fn min_value(self) -> f64 {
-        let min_raw = -(1i64 << (self.total_bits() - 1));
-        min_raw as f64 * self.resolution()
     }
 
     /// Quantizes `x` to this format: floor to the resolution grid (matching
@@ -132,8 +120,8 @@ mod tests {
     #[test]
     fn q6_10_bounds_match_fx() {
         let q = QFormat::q6_10();
-        assert_eq!(q.max_value(), Fx::MAX.to_f64());
-        assert_eq!(q.min_value(), Fx::MIN.to_f64());
+        assert_eq!(q.quantize(1000.0), Fx::MAX.to_f64());
+        assert_eq!(q.quantize(-1000.0), Fx::MIN.to_f64());
         assert_eq!(q.resolution(), Fx::RESOLUTION);
     }
 

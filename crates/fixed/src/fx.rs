@@ -138,12 +138,6 @@ impl Fx {
     pub fn abs(self) -> Fx {
         Fx(self.0.saturating_abs())
     }
-
-    /// Returns `true` if the value is negative.
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
 }
 
 impl From<i16> for Fx {
@@ -372,8 +366,6 @@ mod tests {
         assert!(Fx::from_f64(2.0) > Fx::ONE);
         assert_eq!(Fx::from_f64(-3.5).abs(), Fx::from_f64(3.5));
         assert_eq!(Fx::MIN.abs(), Fx::MAX);
-        assert!(Fx::from_f64(-0.1).is_negative());
-        assert!(!Fx::ZERO.is_negative());
     }
 
     #[test]

@@ -20,14 +20,6 @@ pub fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Derivative of the sigmoid expressed in terms of its *output* `y`:
-/// `f'(x) = y * (1 - y)`. Back-propagation uses this form because the
-/// forward pass already produced `y`.
-#[inline]
-pub fn sigmoid_derivative_from_output(y: f64) -> f64 {
-    y * (1.0 - y)
-}
-
 /// One segment of the piecewise-linear approximation: `f(x) ≈ a*x + b`,
 /// with both coefficients quantized to Q6.10 exactly as stored in the
 /// hardware look-up table.
@@ -124,22 +116,6 @@ impl SigmoidLut {
                 let y = seg.a * x + seg.b;
                 y.clamp(Fx::ZERO, Fx::ONE)
             }
-        }
-    }
-
-    /// Evaluates the same piecewise-linear approximation in `f64`
-    /// (quantized coefficients, exact arithmetic) — used to isolate the
-    /// approximation error from the datapath quantization error in the
-    /// sigmoid ablation.
-    pub fn eval_f64(&self, x: f64) -> f64 {
-        if x < DOMAIN_MIN {
-            0.0
-        } else if x >= DOMAIN_MAX {
-            1.0
-        } else {
-            let i = (x - DOMAIN_MIN).floor() as usize;
-            let seg = self.segments[i.min(NUM_SEGMENTS - 1)];
-            (seg.a.to_f64() * x + seg.b.to_f64()).clamp(0.0, 1.0)
         }
     }
 
@@ -252,6 +228,20 @@ pub enum LutIndex {
 mod tests {
     use super::*;
 
+    /// The LUT's piecewise-linear approximation in `f64`: quantized
+    /// coefficients, exact arithmetic.
+    fn lut_f64(lut: &SigmoidLut, x: f64) -> f64 {
+        if x < DOMAIN_MIN {
+            0.0
+        } else if x >= DOMAIN_MAX {
+            1.0
+        } else {
+            let i = (x - DOMAIN_MIN).floor() as usize;
+            let seg = lut.segments[i.min(NUM_SEGMENTS - 1)];
+            (seg.a.to_f64() * x + seg.b.to_f64()).clamp(0.0, 1.0)
+        }
+    }
+
     #[test]
     fn exact_sigmoid_properties() {
         assert_eq!(sigmoid(0.0), 0.5);
@@ -261,14 +251,6 @@ mod tests {
         for x in [0.1, 1.0, 3.7] {
             assert!((sigmoid(-x) - (1.0 - sigmoid(x))).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn derivative_from_output() {
-        let y = sigmoid(1.3);
-        assert!((sigmoid_derivative_from_output(y) - y * (1.0 - y)).abs() < 1e-15);
-        assert_eq!(sigmoid_derivative_from_output(0.0), 0.0);
-        assert_eq!(sigmoid_derivative_from_output(1.0), 0.0);
     }
 
     #[test]
@@ -331,17 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_f64_tracks_eval_fx() {
-        let lut = SigmoidLut::new();
-        for raw in (i16::MIN..=i16::MAX).step_by(101) {
-            let x = Fx::from_raw(raw);
-            let diff = (lut.eval(x).to_f64() - lut.eval_f64(x.to_f64())).abs();
-            // The fixed-point path adds at most a few ulps of truncation.
-            assert!(diff < 0.01, "diff={diff} at {x}");
-        }
-    }
-
-    #[test]
     fn midpoint_value() {
         let lut = SigmoidLut::new();
         // sigmoid(0) = 0.5 exactly; segment 8 chord passes through it.
@@ -365,7 +336,7 @@ mod tests {
         let lut = SigmoidLut::new();
         for raw in (i16::MIN..=i16::MAX).step_by(257) {
             let x = Fx::from_raw(raw);
-            let diff = (pwl.eval(x.to_f64()) - lut.eval_f64(x.to_f64())).abs();
+            let diff = (pwl.eval(x.to_f64()) - lut_f64(&lut, x.to_f64())).abs();
             // The only difference is the LUT's Q6.10 coefficient rounding.
             assert!(diff < 0.01, "diff {diff} at {x}");
         }

@@ -342,11 +342,6 @@ impl FusedExec {
             acc | (((self.regs[slot as usize] >> lane) & 1) << bit)
         })
     }
-
-    /// Reads the first `n_lanes` lanes of a bus back as words.
-    pub fn read_words(&self, bus: &[u32], n_lanes: usize) -> Vec<u64> {
-        (0..n_lanes).map(|l| self.read_word_lane(bus, l)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!
 //! 1. **Cut enumeration.** In stream order, each node's cuts are the
 //!    pairwise merges of its fanins' cuts (plus each fanin itself) that
-//!    keep at most four leaves. Only the best [`CUTS`] cuts per node
+//!    keep at most four leaves. Only the best `CUTS` (three) cuts per node
 //!    survive, ranked by *area flow* — the instruction count of the
 //!    cone, with every shared leaf's cost split over its fanout — and
 //!    then by depth.

@@ -1,5 +1,5 @@
 //! Evaluation of cells whose defects come and go: the dynamic
-//! counterpart of [`CachedCell`]/[`FaultyCell`].
+//! counterpart of [`CachedCell`](crate::CachedCell)/[`FaultyCell`].
 //!
 //! A dynamic cell owns a *base* schematic (healthy, or carrying
 //! permanent defects) plus a list of [`DynamicDefect`]s, each paired

@@ -3,9 +3,9 @@
 //!
 //! Defect campaigns evaluate the same handful of faulty cells millions
 //! of times (every synapse of every forward pass of every training
-//! epoch). [`FaultyCell`] re-runs the switch-level flood fill on each
+//! epoch). [`FaultyCell`](crate::FaultyCell) re-runs the switch-level flood fill on each
 //! call; this module instead compiles the cell's reconstructed
-//! [`BBlockExpr`]s (see [`crate::reconstruct`]) into per-stage bit
+//! [`BBlockExpr`](crate::BBlockExpr)s (see [`crate::reconstruct`]) into per-stage bit
 //! tables **once**, shares them through a process-wide cache keyed by
 //! `(gate kind, defect set)`, and evaluates through the tables.
 //!
@@ -13,7 +13,7 @@
 //! paper's memory effect: a stage whose `Z_P`/`Z_N` networks can both
 //! be off keeps its previous value, and a delay defect makes a stage
 //! read the *previous* evaluation's signals. [`CachedCell`] is
-//! therefore bit-identical to [`FaultyCell`] on every stimulus
+//! therefore bit-identical to [`FaultyCell`](crate::FaultyCell) on every stimulus
 //! sequence — enforced exhaustively by the tests below.
 //!
 //! Purely combinational faulty cells (no floating state, no delay)
