@@ -24,6 +24,10 @@
 //! pipeline order, with the bit each one hits. A word no defect touches
 //! is written and read back as a masked move; a touched word runs the
 //! ordered pipeline over its own defects only.
+//!
+//! Without dynamic defects the store's work follows the damage: a repeat
+//! fetch of the word a slot already holds is answered from a per-word
+//! memo, and March and scrub walk only the words the index lists.
 
 use std::fmt;
 
@@ -236,7 +240,7 @@ pub struct EccCounters {
 /// Result of a full ECC scrub pass over the live words.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Words visited (rows × slots).
+    /// Live words checked (rows × slots), walked or known clean.
     pub words: usize,
     /// Words where at least one test pattern needed a single-bit fix.
     pub corrected: usize,
@@ -296,6 +300,15 @@ struct WordIndex {
     end: u32,
 }
 
+/// One word's last fetch on a store with only permanent defects: the
+/// raw word written, and the data and ECC verdict its read returned.
+#[derive(Clone, Copy, Debug)]
+struct FetchMemo {
+    raw: u16,
+    data: u16,
+    status: EccStatus,
+}
+
 /// The weight store: a bit-cell array with defects, ECC, and steering.
 #[derive(Clone, Debug)]
 pub struct WeightMemory {
@@ -328,6 +341,11 @@ pub struct WeightMemory {
     /// Per slot: its logical columns still sit on their own physical
     /// columns, one contiguous run (no column of the slot was steered).
     contiguous: Vec<bool>,
+    /// Per-word fetch memo, indexed like `index`; empty until the first
+    /// fetch. An entry means the word's cells hold what writing its
+    /// `raw` word stores, so fetching `raw` again reads back the same
+    /// data. Only stores without dynamic defects fill it.
+    memo: Vec<Option<FetchMemo>>,
     /// Chaos hook: milliseconds each March BIST element walk stalls
     /// (a model of pathologically slow silicon; `None` in production).
     chaos_stall_ms: Option<u64>,
@@ -354,6 +372,7 @@ impl WeightMemory {
             index: Vec::new(),
             faults: Vec::new(),
             contiguous: Vec::new(),
+            memo: Vec::new(),
             chaos_stall_ms: None,
         };
         mem.reindex();
@@ -427,6 +446,7 @@ impl WeightMemory {
     /// repair).
     pub fn reset_state(&mut self) {
         self.cells.fill(0);
+        self.memo.fill(None);
         for d in &mut self.defects {
             if let Some(state) = &mut d.state {
                 state.reset();
@@ -553,18 +573,6 @@ impl WeightMemory {
             .collect()
     }
 
-    /// Inject defects at a target density (defects per live bit cell),
-    /// rounding to the nearest whole count. Returns the record lines.
-    pub fn inject_density<R: Rng + ?Sized>(
-        &mut self,
-        density: f64,
-        activation: Activation,
-        rng: &mut R,
-    ) -> Vec<String> {
-        let n = (density * self.geom.data_cells() as f64).round() as usize;
-        self.inject_many(n, activation, rng)
-    }
-
     // ------------------------------------------------------------------
     // Word-level access with the fault pipeline
     // ------------------------------------------------------------------
@@ -574,8 +582,10 @@ impl WeightMemory {
     /// pipeline order, each defect that can touch one of the word's
     /// physical cells — a bridge counts for both of its columns — with
     /// the bit position it hits. Called whenever a defect is added or a
-    /// row or column is steered.
+    /// row or column is steered; either may change what a fetch reads,
+    /// so the fetch memo is dropped.
     fn reindex(&mut self) {
+        self.memo.fill(None);
         let geom = self.geom;
         let code = geom.code_bits();
         let (rows, slots) = (geom.data_rows(), geom.words_per_row());
@@ -758,10 +768,15 @@ impl WeightMemory {
 
     /// Write one word through its write-path faults (write drivers lose
     /// the bit, stuck cells ignore it). A word no defect touches is a
-    /// masked move.
+    /// masked move. The word's fetch memo entry no longer describes its
+    /// cells, so it is dropped.
     fn write_word(&mut self, row: usize, slot: usize, bits: u32) {
         let prow = self.row_map[row];
-        let WordIndex { start, read, .. } = self.index[self.word(row, slot)];
+        let word = self.word(row, slot);
+        if let Some(memo) = self.memo.get_mut(word) {
+            *memo = None;
+        }
+        let WordIndex { start, read, .. } = self.index[word];
         let faults = &self.faults[start as usize..read as usize];
         let v = self.apply(prow, faults, bits & self.code_mask());
         self.store(prow, slot, v);
@@ -785,7 +800,7 @@ impl WeightMemory {
     }
 
     /// Logical data row for a bank-relative lane index.
-    pub fn row_of(&self, bank: Bank, lane: usize) -> usize {
+    fn row_of(&self, bank: Bank, lane: usize) -> usize {
         match bank {
             Bank::Hidden => {
                 assert!(
@@ -816,19 +831,45 @@ impl WeightMemory {
     /// current value into its word, then the word is read back through
     /// the fault pipeline (and the ECC decoder when enabled). One fetch
     /// counts as one access for transient/intermittent defects.
+    ///
+    /// Without dynamic defects the write path is a pure function of the
+    /// written word, and a word's read depends only on its own cells. A
+    /// repeat fetch of the word last fetched at this address, with no
+    /// write, reset, steering or new defect in between, therefore finds
+    /// the cells already holding what it would store: it counts its
+    /// access and ECC verdict and returns the memoized data.
     pub fn fetch(&mut self, bank: Bank, lane: usize, slot: usize, w: Fx) -> Fx {
         let row = self.row_of(bank, lane);
+        let word = self.word(row, slot);
         let raw = w.to_bits();
-        if !self.geom.ecc {
-            return Fx::from_bits(self.write_read(row, slot, u32::from(raw)) as u16);
+        let hit = self.memo.get(word).copied().flatten();
+        if let Some(memo) = hit.filter(|m| !self.dynamic && m.raw == raw) {
+            self.accesses += 1;
+            self.count_ecc(memo.status);
+            return Fx::from_bits(memo.data);
         }
-        let (data, status) = ecc::decode(self.write_read(row, slot, ecc::encode(raw)));
+        let (data, status) = if self.geom.ecc {
+            ecc::decode(self.write_read(row, slot, ecc::encode(raw)))
+        } else {
+            let data = self.write_read(row, slot, u32::from(raw)) as u16;
+            (data, EccStatus::Clean)
+        };
+        self.count_ecc(status);
+        if !self.dynamic {
+            if self.memo.is_empty() {
+                self.memo = vec![None; self.index.len()];
+            }
+            self.memo[word] = Some(FetchMemo { raw, data, status });
+        }
+        Fx::from_bits(data)
+    }
+
+    fn count_ecc(&mut self, status: EccStatus) {
         match status {
             EccStatus::Clean => {}
             EccStatus::Corrected => self.ecc_counters.corrected += 1,
             EccStatus::DoubleDetected => self.ecc_counters.uncorrectable += 1,
         }
-        Fx::from_bits(data)
     }
 
     /// Raw BIST write of a full code word at a logical `(row, slot)`
@@ -848,38 +889,57 @@ impl WeightMemory {
     // Repair: ECC scrub and spare steering
     // ------------------------------------------------------------------
 
+    /// The logical `(row, slot)` words a March or scrub walk must visit,
+    /// in ascending order. With a dynamic defect that is every word: each
+    /// access advances the activation streams. Otherwise it is the words
+    /// the index lists a fault for: any other word reads back exactly
+    /// what was written, and no word's read depends on another word's
+    /// cells, so skipping it changes no other read. Both walks end in
+    /// [`reset_state`](Self::reset_state), which also erases the cells,
+    /// counters and access count the skipped accesses would have left.
+    pub(crate) fn walk_words(&self) -> Vec<(usize, usize)> {
+        let slots = self.geom.words_per_row();
+        (0..self.index.len())
+            .filter(|&w| self.dynamic || self.index[w].start != self.index[w].end)
+            .map(|w| (w / slots, w % slots))
+            .collect()
+    }
+
     /// Walk every live word with three test patterns through the full
     /// write/read/decode path and report which addresses the code
     /// corrects and which it cannot protect. Leaves the array power-on
-    /// clean (scrubbing is state-neutral).
+    /// clean (scrubbing is state-neutral). On a store without dynamic
+    /// defects only the words some defect touches are walked; every
+    /// other word passes each pattern, and the reset erases what its
+    /// accesses would have left.
     pub fn scrub(&mut self) -> ScrubReport {
         let geom = self.geom;
-        let mut report = ScrubReport::default();
-        for row in 0..geom.data_rows() {
-            for slot in 0..geom.words_per_row() {
-                report.words += 1;
-                let mut corrected = false;
-                let mut broken = false;
-                for pattern in [0x0000u16, 0xFFFF, 0xA5A5] {
-                    let stored = if geom.ecc {
-                        ecc::encode(pattern)
-                    } else {
-                        u32::from(pattern)
-                    };
-                    let got = self.write_read(row, slot, stored);
-                    if geom.ecc {
-                        let (data, status) = ecc::decode(got);
-                        corrected |= status == EccStatus::Corrected;
-                        broken |= status == EccStatus::DoubleDetected || data != pattern;
-                    } else {
-                        broken |= got != u32::from(pattern);
-                    }
+        let mut report = ScrubReport {
+            words: self.index.len(),
+            ..ScrubReport::default()
+        };
+        for (row, slot) in self.walk_words() {
+            let mut corrected = false;
+            let mut broken = false;
+            for pattern in [0x0000u16, 0xFFFF, 0xA5A5] {
+                let stored = if geom.ecc {
+                    ecc::encode(pattern)
+                } else {
+                    u32::from(pattern)
+                };
+                let got = self.write_read(row, slot, stored);
+                if geom.ecc {
+                    let (data, status) = ecc::decode(got);
+                    corrected |= status == EccStatus::Corrected;
+                    broken |= status == EccStatus::DoubleDetected || data != pattern;
+                } else {
+                    broken |= got != u32::from(pattern);
                 }
-                if broken {
-                    report.uncorrectable.push((row, slot));
-                } else if corrected {
-                    report.corrected += 1;
-                }
+            }
+            if broken {
+                report.uncorrectable.push((row, slot));
+            } else if corrected {
+                report.corrected += 1;
             }
         }
         self.reset_state();

@@ -213,17 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn density_injection_rounds_to_cell_count() {
-        let geom = MemGeometry::accelerator();
-        let mut mem = WeightMemory::new(geom);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let recs = mem.inject_density(1e-3, Activation::Permanent, &mut rng);
-        let expect = (1e-3 * geom.data_cells() as f64).round() as usize;
-        assert_eq!(recs.len(), expect);
-        assert!(expect > 0);
-    }
-
-    #[test]
     fn guarded_march_aborts_on_a_tripped_flag_and_matches_when_clear() {
         let mut mem = WeightMemory::new(small_geom(true));
         mem.push_defect(MemDefect::RowStuck { row: 1 }, None);

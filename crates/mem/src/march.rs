@@ -70,7 +70,13 @@ pub fn march_cminus(mem: &mut WeightMemory) -> MarchReport {
 /// stalling memory self-test (see
 /// [`WeightMemory::set_chaos_stall`]) falls through with a typed
 /// timeout rather than hanging the serving loop. Returns `None` when
-/// aborted; the array is left power-on clean either way.
+/// aborted; the array is left power-on clean either way. The flag is
+/// read before each element and each address.
+///
+/// On a store without dynamic defects the walk visits only the faulty
+/// words, in the same ascending and descending orders: every other word
+/// reads back its expected pattern. The reads it skips still count in
+/// [`MarchReport::reads`].
 pub fn march_cminus_guarded(
     mem: &mut WeightMemory,
     abort: &std::sync::atomic::AtomicBool,
@@ -84,10 +90,13 @@ pub fn march_cminus_guarded(
             false
         }
     };
-    let stall = |mem: &WeightMemory| {
+    // Each element starts with the chaos stall and then reads the flag,
+    // so a walk over zero faulty words still honours the watchdog.
+    let element_aborted = |mem: &mut WeightMemory| {
         if let Some(ms) = mem.chaos_stall() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
+        aborted(mem)
     };
     let geom = mem.geometry();
     let rows = geom.data_rows();
@@ -103,6 +112,8 @@ pub fn march_cminus_guarded(
     let words_per_row_map = cols.div_ceil(64);
     let mut fail_bits = vec![0u64; rows * words_per_row_map];
     let mut report = MarchReport::default();
+    let walk = mem.walk_words();
+    let skipped = rows * slots - walk.len();
 
     let mark = |fail_bits: &mut Vec<u64>,
                 report: &mut MarchReport,
@@ -117,12 +128,9 @@ pub fn march_cminus_guarded(
         }
     };
 
-    // The `i`-th address of an ascending or descending (row, slot) walk.
-    let n = rows * slots;
-    let at = |i: usize, down: bool| {
-        let a = if down { n - 1 - i } else { i };
-        (a / slots, a % slots)
-    };
+    // The `i`-th address of an ascending or descending walk.
+    let n = walk.len();
+    let at = |i: usize, down: bool| walk[if down { n - 1 - i } else { i }];
 
     // Solid zero, then a per-row/slot checkerboard so bridged neighbors
     // carry opposite values.
@@ -137,7 +145,9 @@ pub fn march_cminus_guarded(
         };
 
         // ⇑(w0)
-        stall(mem);
+        if element_aborted(mem) {
+            return None;
+        }
         for (r, s) in (0..n).map(|i| at(i, false)) {
             if aborted(mem) {
                 return None;
@@ -146,7 +156,10 @@ pub fn march_cminus_guarded(
         }
         // ⇑(r0, w1); ⇑(r1, w0); ⇓(r0, w1); ⇓(r1, w0)
         for (down, flip) in [(false, false), (false, true), (true, false), (true, true)] {
-            stall(mem);
+            if element_aborted(mem) {
+                return None;
+            }
+            report.reads += skipped;
             for (r, s) in (0..n).map(|i| at(i, down)) {
                 if aborted(mem) {
                     return None;
@@ -159,7 +172,10 @@ pub fn march_cminus_guarded(
             }
         }
         // ⇑(r0)
-        stall(mem);
+        if element_aborted(mem) {
+            return None;
+        }
+        report.reads += skipped;
         for (r, s) in (0..n).map(|i| at(i, false)) {
             if aborted(mem) {
                 return None;
@@ -170,41 +186,40 @@ pub fn march_cminus_guarded(
         }
     }
 
-    // Condense the per-cell failure map to repair granularity.
-    let cell_failed = |row: usize, col: usize| -> bool {
-        fail_bits[row * words_per_row_map + col / 64] >> (col % 64) & 1 == 1
-    };
-    let mut row_counts = vec![0usize; rows];
-    let mut col_counts = vec![0usize; cols];
-    for (row, row_count) in row_counts.iter_mut().enumerate() {
-        for (col, col_count) in col_counts.iter_mut().enumerate() {
-            if cell_failed(row, col) {
-                *row_count += 1;
-                *col_count += 1;
-            }
+    // Condense the per-cell failure map to repair granularity, working
+    // from its set bits in ascending (row, col) order.
+    let mut failed: Vec<(usize, usize)> = Vec::new();
+    for (i, &bits) in fail_bits.iter().enumerate() {
+        let (row, base) = (i / words_per_row_map, i % words_per_row_map * 64);
+        let mut rest = bits;
+        while rest != 0 {
+            failed.push((row, base + rest.trailing_zeros() as usize));
+            rest &= rest - 1;
         }
+    }
+    let mut row_counts = vec![0usize; rows];
+    for &(row, _) in &failed {
+        row_counts[row] += 1;
     }
     let bad_row = |r: usize| row_counts[r] >= cols.div_ceil(4);
     report.bad_rows = (0..rows).filter(|&r| bad_row(r)).collect();
     let live_rows = rows - report.bad_rows.len();
-    for col in 0..cols {
-        let outside = (0..rows)
-            .filter(|&r| !bad_row(r) && cell_failed(r, col))
-            .count();
-        if outside >= (live_rows.max(1)).div_ceil(2).max(2) {
-            report.bad_cols.push(col);
+    // Failing cells per column, outside the bad rows.
+    let mut col_counts = vec![0usize; cols];
+    for &(row, col) in &failed {
+        if !bad_row(row) {
+            col_counts[col] += 1;
         }
     }
-    for row in 0..rows {
-        if bad_row(row) {
-            continue;
-        }
-        for col in 0..cols {
-            if cell_failed(row, col) && !report.bad_cols.contains(&col) {
-                report.bad_cells.push((row, col));
-            }
-        }
-    }
+    let bad_col: Vec<bool> = col_counts
+        .iter()
+        .map(|&n| n >= live_rows.max(1).div_ceil(2).max(2))
+        .collect();
+    report.bad_cols = (0..cols).filter(|&c| bad_col[c]).collect();
+    report.bad_cells = failed
+        .into_iter()
+        .filter(|&(row, col)| !bad_row(row) && !bad_col[col])
+        .collect();
 
     mem.reset_state();
     Some(report)

@@ -544,6 +544,107 @@ proptest! {
     }
 }
 
+fn add_permanent_defect(mem: &mut WeightMemory, oracle: &mut RefMemory, rng: &mut ChaCha8Rng) {
+    let defect = random_defect(&mem.geometry(), rng);
+    oracle.defects.push((defect.clone(), None));
+    mem.push_defect(defect, None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same oracle and op mix, aimed at the store's fast paths. Each
+    /// case fetches a pool of three weight values, and every operation
+    /// lands on a pool of four addresses, so repeat fetches hit the
+    /// fetch memo and the writes, reads, resets, steering and new
+    /// defects in between exercise each of its invalidations. Half of
+    /// the cases carry only permanent defects, so March and scrub walk
+    /// only the faulty words.
+    #[test]
+    fn store_fast_paths_match_the_bitwise_oracle(
+        seed in any::<u64>(),
+        ecc in any::<bool>(),
+        permanent in any::<bool>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let geom = MemGeometry {
+            hidden_rows: rng.random_range(1..4),
+            output_rows: rng.random_range(1..3),
+            hidden_synapses: rng.random_range(1..7),
+            output_synapses: rng.random_range(1..4),
+            spare_rows: 2,
+            spare_cols: 4,
+            ecc,
+        };
+        let code = geom.code_bits();
+        let values: Vec<u16> = (0..3).map(|_| rng.random()).collect();
+        let addrs: Vec<(usize, usize)> = (0..4)
+            .map(|_| {
+                (
+                    rng.random_range(0..geom.data_rows()),
+                    rng.random_range(0..geom.words_per_row()),
+                )
+            })
+            .collect();
+        let add = |mem: &mut WeightMemory, oracle: &mut RefMemory, rng: &mut ChaCha8Rng| {
+            if permanent {
+                add_permanent_defect(mem, oracle, rng);
+            } else {
+                add_defect(mem, oracle, rng);
+            }
+        };
+        let mut mem = WeightMemory::new(geom);
+        let mut oracle = RefMemory::new(geom);
+        for _ in 0..rng.random_range(1..7) {
+            add(&mut mem, &mut oracle, &mut rng);
+        }
+        for step in 0..80 {
+            let (row, slot) = addrs[rng.random_range(0..addrs.len())];
+            match rng.random_range(0..100u32) {
+                0..=39 => {
+                    let (bank, lane) = if row < geom.hidden_rows {
+                        (Bank::Hidden, row)
+                    } else {
+                        (Bank::Output, row - geom.hidden_rows)
+                    };
+                    let raw = values[rng.random_range(0..values.len())];
+                    let got = mem.fetch(bank, lane, slot, Fx::from_bits(raw)).to_bits();
+                    prop_assert_eq!(got, oracle.fetch(row, slot, raw), "fetch at step {}", step);
+                }
+                40..=59 => {
+                    let bits = rng.random::<u32>() & ((1 << code) - 1);
+                    mem.bist_write(row, slot, bits);
+                    oracle.bist_write(row, slot, bits);
+                }
+                60..=79 => {
+                    let got = mem.bist_read(row, slot);
+                    prop_assert_eq!(got, oracle.bist_read(row, slot), "bist_read at step {}", step);
+                }
+                80..=83 => prop_assert_eq!(mem.scrub(), oracle.scrub(), "scrub at step {}", step),
+                84..=86 => prop_assert_eq!(
+                    mem.steer_row(row),
+                    oracle.steer_row(row),
+                    "steer_row at step {}",
+                    step
+                ),
+                87..=90 => {
+                    let col = rng.random_range(0..geom.data_cols());
+                    prop_assert_eq!(mem.steer_col(col), oracle.steer_col(col), "steer_col at step {}", step);
+                }
+                91..=92 => {
+                    mem.reset_state();
+                    oracle.reset_state();
+                }
+                93..=95 => add(&mut mem, &mut oracle, &mut rng),
+                _ => prop_assert_eq!(march_cminus(&mut mem), oracle.march(), "march at step {}", step),
+            }
+            prop_assert_eq!(mem.ecc_counters(), oracle.ecc_counters, "ecc counters at step {}", step);
+            prop_assert_eq!(mem.accesses(), oracle.accesses, "accesses at step {}", step);
+        }
+        prop_assert_eq!(march_cminus(&mut mem), oracle.march(), "final march");
+    }
+}
+
 fn tiny_geom() -> MemGeometry {
     MemGeometry {
         hidden_rows: 2,
